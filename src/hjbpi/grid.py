@@ -13,6 +13,7 @@ construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,10 @@ class Grid:
                 neighbors[(axis, direction)] = np.ravel_multi_index(shifted, pts).ravel()
         object.__setattr__(self, "_neighbors", neighbors)
 
-        coords = np.empty((int(np.prod(pts)), dim))
+        # Every Field and PolicyField construction checks its size against
+        # this, so it is computed once here.
+        object.__setattr__(self, "npoints", math.prod(pts))
+        coords = np.empty((self.npoints, dim))
         for axis in range(dim):
             coords[:, axis] = origin[axis] + h * index_grids[axis].ravel()
         coords.setflags(write=False)
@@ -90,10 +94,6 @@ class Grid:
     @property
     def shape(self):
         return self.points_per_axis
-
-    @property
-    def npoints(self):
-        return int(np.prod(self.points_per_axis))
 
     def axis_extent(self, axis):
         n = self.points_per_axis[axis]

@@ -27,22 +27,27 @@ def fmt(value):
 
 
 def write_solution_csv(solution, path):
-    """One row per space-time point: t, index, coordinates, value, control."""
+    """One row per space-time point: t, index, coordinates, value, control.
+
+    Written level by level with the bytes ``csv.writer`` would produce for
+    these rows (``\\r\\n`` line ends; no field needs quoting), holding one
+    level's text at a time.
+    """
     grid = solution.grid
-    coords = grid.coordinates()
+    header = (["t", "linear_index"] + [f"x_{i}" for i in range(grid.dim)]
+              + ["value", "control_index"])
+    points = [",".join([str(idx)] + [repr(c) for c in row])
+              for idx, row in enumerate(grid.coordinates().tolist())]
+    no_policy = ["-1"] * grid.npoints
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "linear_index"]
-                        + [f"x_{i}" for i in range(grid.dim)]
-                        + ["value", "control_index"])
+        fh.write(",".join(header) + "\r\n")
         for k, s in enumerate(solution.slices):
-            t = solution.params.time(k)
+            t = fmt(solution.params.time(k))
             policy = solution.policy_slices[k] if solution.policy_slices else None
-            for idx in range(grid.npoints):
-                control = -1 if policy is None else int(policy.choices[idx])
-                writer.writerow([fmt(t), idx]
-                                + [fmt(c) for c in coords[idx]]
-                                + [fmt(s.values[idx]), control])
+            controls = no_policy if policy is None else map(str, policy.choices.tolist())
+            values = map(repr, s.values.tolist())
+            fh.write("".join(f"{t},{point},{value},{control}\r\n"
+                             for point, value, control in zip(points, values, controls)))
 
 
 def write_pi_csv(run, path):

@@ -6,6 +6,12 @@ iterate to the direct nonlinear solve, and enforces the two ordering facts
 the monotone scheme guarantees: iterates decrease pointwise, and they stay
 above the fixed point.  Violations beyond rounding noise indicate a scheme
 bug or a CFL breach and abort the run.
+
+Improvement costs no extra work: each evaluation level already computes
+every control's candidate, and their argmin, recorded on the evaluated
+solution, is the next policy (Howard's algorithm).  The |f| check and the
+sup norms run once, in the direct solve, and are handed to every
+evaluation.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError, MonotonicityError
-from .problem import PolicyField, _first_argmin, improve_policy
+from .problem import PolicyField, _first_argmin
 from .scheme import SchemeParams, SpaceTimeSolution, evaluate_policy, solve_hjb_direct
 
 MONOTONE_SLACK = 1e-10   # accepted pointwise increase (rounding noise)
@@ -121,6 +127,7 @@ def run_policy_iteration(problem, grid, params, config=None):
     """
     config = config or PIConfig()
     fixed = solve_hjb_direct(problem, grid, params)
+    sup_norms = (fixed.q_sup, fixed.c_sup)
     fixed_values = fixed.values_array()
     mask = grid.interior_mask(problem.f_sup_bound * params.T)
     if not np.any(mask):
@@ -140,7 +147,7 @@ def run_policy_iteration(problem, grid, params, config=None):
     stop_reason = "max_iterations"
 
     for n in range(config.max_iterations):
-        sol = evaluate_policy(problem, grid, params, policies)
+        sol = evaluate_policy(problem, grid, params, policies, sup_norms=sup_norms)
         values = sol.values_array()
 
         diff = values[:, mask] - fixed_values[:, mask]
@@ -170,8 +177,7 @@ def run_policy_iteration(problem, grid, params, config=None):
                 iterates.append((n, sol))
             break
 
-        policies = [improve_policy(problem, sol.slices[k], params.time(k))
-                    for k in range(1, params.steps + 1)]
+        policies = sol.argmin_slices[1:]
         prev_values = values
     else:
         if iterates[-1][0] != config.max_iterations - 1:

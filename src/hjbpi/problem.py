@@ -99,15 +99,24 @@ class PolicyField:
         object.__setattr__(self, "choices", choices)
 
 
+def _shaped(raw, shape):
+    """A callback result as a float array that broadcasts against ``shape``.
+
+    Results already of ``shape`` and scalars are returned as they are: the
+    arithmetic broadcasts them to the same values.  Anything else goes
+    through ``np.broadcast_to``, which rejects results that do not fit.
+    """
+    arr = np.asarray(raw, dtype=float)
+    return arr if arr.shape == shape or arr.ndim == 0 else np.broadcast_to(arr, shape)
+
+
 def _eval_candidates(problem, t, points, grads):
     """Cost-plus-advection value of every control at every point, (n, k)."""
     n = points.shape[0]
     cand = np.empty((n, problem.controls.size))
     for j, a in enumerate(problem.controls.elements):
-        fj = np.broadcast_to(np.asarray(problem.dynamics(t, points, a), dtype=float),
-                             points.shape)
-        cj = np.broadcast_to(np.asarray(problem.running_cost(t, points, a), dtype=float),
-                             (n,))
+        fj = _shaped(problem.dynamics(t, points, a), points.shape)
+        cj = _shaped(problem.running_cost(t, points, a), (n,))
         cand[:, j] = cj + np.sum(grads * fj, axis=-1)
     return cand
 

@@ -154,7 +154,10 @@ class SpaceTimeSolution:
 
     ``slices[k]`` is the field at time k*tau; ``policy_slices[0]`` is always
     None (no step leaves level 0), levels 1..steps hold the control choices
-    used when stepping down from that level.
+    used when stepping down from that level.  ``argmin_slices`` has the same
+    layout and holds the first argmin of the candidates at each level: the
+    greedy policy for these slices, equal to ``policy_slices`` for a direct
+    solve.
     """
 
     grid: Grid
@@ -163,6 +166,7 @@ class SpaceTimeSolution:
     policy_slices: list
     q_sup: float
     c_sup: float
+    argmin_slices: list = None
 
     def values_array(self):
         return np.stack([s.values for s in self.slices], axis=0)
@@ -197,12 +201,19 @@ def _check_values(values, t, threshold):
                 time_label=t, point=point, value=float(values[point]))
 
 
-def _step_arrays(problem, params, grid, t, values):
-    """One backward step on raw arrays; returns (new values, argmin indices)."""
+def _step(problem, params, grid, t, values, frozen=None):
+    """One backward step on raw arrays: (new values, first-argmin indices).
+
+    The Hamiltonian term is the min over controls, or with ``frozen`` the
+    candidate of the frozen control index at each point.  The argmin is
+    returned either way: after an evaluation it is the improved policy.
+    """
     grads = gradient_central_values(grid, values)
     lap = laplacian_values(grid, values)
     cand = _eval_candidates(problem, t, grid.coordinates(), grads)
     hmin, sel = _first_argmin(cand)
+    if frozen is not None:
+        hmin = np.take_along_axis(cand, frozen[:, None], axis=1)[:, 0]
     new = values + params.tau * hmin + params.N * params.h * params.tau * lap
     return new, sel
 
@@ -211,7 +222,7 @@ def apply_step_operator(problem, params, t, U):
     """The monotone explicit step: field at time t -> field at time t - tau."""
     if t < params.tau - 1e-12:
         raise ConfigurationError(f"cannot step below time zero from t={t}")
-    new, _ = _step_arrays(problem, params, U.grid, t, U.values)
+    new, _ = _step(problem, params, U.grid, t, U.values)
     _check_values(new, t - params.tau, threshold=None)
     return Field(grid=U.grid, values=new, time_label=t - params.tau)
 
@@ -228,35 +239,55 @@ def _terminal_field(problem, grid, params):
     return Field(grid=grid, values=q, time_label=params.T)
 
 
+def _checked_sup_norms(problem, grid, params):
+    """Check the declared |f| bound, then return (|q|_sup, |c|_sup) on the lattice."""
+    times = _probe_times(params)
+    validate_f_bound(problem, grid, times)
+    return discrete_sup_norms(problem, grid, times)
+
+
+def _sweep(problem, grid, params, sup_norms, frozen=None):
+    """Backward recursion from the terminal cost, one ``_step`` per level.
+
+    ``frozen`` is None for the nonlinear scheme, else the stored policy list
+    (entry k drives the step down from level k).  The per-level argmins are
+    recorded either way.
+    """
+    q_sup, c_sup = sup_norms
+    threshold = _blowup_threshold(q_sup, c_sup, params.T)
+    slices = [None] * (params.steps + 1)
+    argmins = [None] * (params.steps + 1)
+    slices[params.steps] = _terminal_field(problem, grid, params)
+    for k in range(params.steps, 0, -1):
+        t = params.time(k)
+        new, sel = _step(problem, params, grid, t, slices[k].values,
+                         None if frozen is None else frozen[k].choices)
+        _check_values(new, params.time(k - 1), threshold)
+        argmins[k] = PolicyField(grid=grid, time_label=t, choices=sel,
+                                 n_controls=problem.controls.size)
+        slices[k - 1] = Field(grid=grid, values=new, time_label=params.time(k - 1))
+    return SpaceTimeSolution(grid=grid, params=params, slices=slices,
+                             policy_slices=argmins if frozen is None else frozen,
+                             q_sup=q_sup, c_sup=c_sup, argmin_slices=argmins)
+
+
 def solve_hjb_direct(problem, grid, params):
     """Backward recursion of the nonlinear scheme; the policy-iteration fixed point.
 
     Also records the pointwise argmin control at every level it steps from.
     """
-    validate_f_bound(problem, grid, _probe_times(params))
-    q_sup, c_sup = discrete_sup_norms(problem, grid, _probe_times(params))
-    threshold = _blowup_threshold(q_sup, c_sup, params.T)
-
-    slices = [None] * (params.steps + 1)
-    policies = [None] * (params.steps + 1)
-    slices[params.steps] = _terminal_field(problem, grid, params)
-    for k in range(params.steps, 0, -1):
-        t = params.time(k)
-        new, sel = _step_arrays(problem, params, grid, t, slices[k].values)
-        _check_values(new, params.time(k - 1), threshold)
-        policies[k] = PolicyField(grid=grid, time_label=t, choices=sel,
-                                  n_controls=problem.controls.size)
-        slices[k - 1] = Field(grid=grid, values=new, time_label=params.time(k - 1))
-    return SpaceTimeSolution(grid=grid, params=params, slices=slices,
-                             policy_slices=policies, q_sup=q_sup, c_sup=c_sup)
+    return _sweep(problem, grid, params, _checked_sup_norms(problem, grid, params))
 
 
-def evaluate_policy(problem, grid, params, policies):
+def evaluate_policy(problem, grid, params, policies, *, sup_norms=None):
     """Backward recursion with a frozen policy (the linear half of PI).
 
     ``policies`` holds one PolicyField per level tau..T in ascending order.
     The candidate costs are evaluated exactly as in the direct solve, so
-    feeding the recorded argmin policies back in reproduces it.
+    feeding the recorded argmin policies back in reproduces it, and the
+    solution's ``argmin_slices`` are the improved policy.  ``sup_norms`` is
+    the ``(q_sup, c_sup)`` of an earlier solve of the same problem on the
+    same grid and horizon; passing it skips the |f| check and the sampling.
     """
     if len(policies) != params.steps:
         raise ConfigurationError(
@@ -265,24 +296,6 @@ def evaluate_policy(problem, grid, params, policies):
         if abs(pol.time_label - params.time(k)) > 1e-9:
             raise ConfigurationError(
                 f"policy level {k} labeled t={pol.time_label}, expected {params.time(k)}")
-
-    validate_f_bound(problem, grid, _probe_times(params))
-    q_sup, c_sup = discrete_sup_norms(problem, grid, _probe_times(params))
-    threshold = _blowup_threshold(q_sup, c_sup, params.T)
-
-    slices = [None] * (params.steps + 1)
-    stored = [None] + list(policies)
-    slices[params.steps] = _terminal_field(problem, grid, params)
-    coords = grid.coordinates()
-    for k in range(params.steps, 0, -1):
-        t = params.time(k)
-        values = slices[k].values
-        grads = gradient_central_values(grid, values)
-        lap = laplacian_values(grid, values)
-        cand = _eval_candidates(problem, t, coords, grads)
-        chosen = np.take_along_axis(cand, stored[k].choices[:, None], axis=1)[:, 0]
-        new = values + params.tau * chosen + params.N * params.h * params.tau * lap
-        _check_values(new, params.time(k - 1), threshold)
-        slices[k - 1] = Field(grid=grid, values=new, time_label=params.time(k - 1))
-    return SpaceTimeSolution(grid=grid, params=params, slices=slices,
-                             policy_slices=stored, q_sup=q_sup, c_sup=c_sup)
+    if sup_norms is None:
+        sup_norms = _checked_sup_norms(problem, grid, params)
+    return _sweep(problem, grid, params, sup_norms, frozen=[None] + list(policies))

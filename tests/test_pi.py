@@ -1,8 +1,14 @@
+import functools
+import importlib
+
 import numpy as np
 import pytest
 
+import hjbpi
+from hjbpi import problem as problem_module
 from hjbpi.benchmarks import get_benchmark, lq_feedback_policies
 from hjbpi.errors import ConfigurationError
+from hjbpi.grid import Grid
 from hjbpi.pi import (
     PIConfig,
     build_initial_policies,
@@ -10,7 +16,8 @@ from hjbpi.pi import (
     policy_distance,
     run_policy_iteration,
 )
-from hjbpi.scheme import SchemeParams
+from hjbpi.problem import ControlProblem, ControlSet, PolicyField, improve_policy
+from hjbpi.scheme import SchemeParams, evaluate_policy
 
 
 def run_benchmark(name, h=0.1, T=1.0, tau=None, config=None):
@@ -137,6 +144,81 @@ class TestRunPolicyIteration:
         assert all(n % 3 == 0 for n in inner)
         # error scalars are never thinned
         assert len(run.errors_to_fixed_point) == run.iterations_used
+
+
+def eikonal_2d_problem(directions=8):
+    angles = np.linspace(0, 2 * np.pi, directions, endpoint=False)
+    return ControlProblem(
+        dynamics=lambda t, x, a: np.broadcast_to(a, x.shape),
+        running_cost=lambda t, x, a: 1.0 + 0.5 * np.sin(x[..., 0]) * a[0],
+        terminal_cost=lambda x: np.cos(x[..., 0]) + np.cos(x[..., 1]),
+        controls=ControlSet(np.stack([np.cos(angles), np.sin(angles)], axis=-1)),
+        f_sup_bound=1.0,
+    )
+
+
+def random_policies(problem, grid, params, seed):
+    rng = np.random.default_rng(seed)
+    return [PolicyField(grid=grid, time_label=params.time(k),
+                        choices=rng.integers(0, problem.controls.size, grid.npoints),
+                        n_controls=problem.controls.size)
+            for k in range(1, params.steps + 1)]
+
+
+class TestImprovementFromEvaluation:
+    """The argmin an evaluation sweep records is the policy improvement step."""
+
+    @staticmethod
+    def assert_greedy_is_improve_policy(problem, grid, params, policies):
+        sol = evaluate_policy(problem, grid, params, policies)
+        assert sol.argmin_slices[0] is None
+        for k in range(1, params.steps + 1):
+            expected = improve_policy(problem, sol.slices[k], params.time(k))
+            greedy = sol.argmin_slices[k]
+            assert greedy.time_label == expected.time_label
+            assert np.array_equal(greedy.choices, expected.choices)
+
+    @pytest.mark.parametrize("name", ("eikonal-cos", "quadratic-lq"))
+    @pytest.mark.parametrize("start", ("first-control", "random"))
+    def test_every_level_matches_improve_policy(self, name, start):
+        bench = get_benchmark(name)
+        grid = bench.make_grid(0.1)
+        params = SchemeParams.create(grid.spacing, 1.0, bench.problem.f_sup_bound)
+        if start == "random":
+            policies = random_policies(bench.problem, grid, params, seed=5)
+        else:
+            policies = build_initial_policies(bench.problem, grid, params, start)
+        self.assert_greedy_is_improve_policy(bench.problem, grid, params, policies)
+
+    def test_two_dimensional_grid(self):
+        prob = eikonal_2d_problem()
+        n = 11
+        grid = Grid(spacing=2 * np.pi / n, points_per_axis=(n, n))
+        params = SchemeParams.create(grid.spacing, 0.5, 1.0, dim=2)
+        policies = random_policies(prob, grid, params, seed=11)
+        self.assert_greedy_is_improve_policy(prob, grid, params, policies)
+
+    def test_run_checks_bounds_once_and_never_calls_improve_policy(self, monkeypatch):
+        calls = {"validate_f_bound": 0, "improve_policy": 0}
+        modules = [hjbpi] + [importlib.import_module(f"hjbpi.{name}")
+                             for name in ("problem", "scheme", "pi", "legendre", "analysis",
+                                          "cli")]
+        for name in calls:
+            original = getattr(problem_module, name)
+
+            @functools.wraps(original)
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+
+        _, _, _, run = run_benchmark("eikonal-cos")
+        assert run.iterations_used >= 3
+        assert calls == {"validate_f_bound": 1, "improve_policy": 0}
 
 
 class TestPolicyDistance:

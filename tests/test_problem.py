@@ -52,6 +52,39 @@ def test_hamiltonian_min_rejects_non_finite_gradient():
         hamiltonian_min(lq_problem(), 0.0, [0.0], [np.nan])
 
 
+def test_callback_result_shapes():
+    # scalars, full-shape and broadcastable results give the same candidates
+    # bitwise; a result that cannot broadcast raises np.broadcast_to's error
+    X = np.linspace(-1.0, 1.0, 7)[:, None]
+    P = np.linspace(-2.0, 2.0, 7)[:, None]
+    controls = ControlSet.uniform(-1.0, 1.0, 5)
+
+    def problem(dynamics, running_cost):
+        return ControlProblem(dynamics=dynamics, running_cost=running_cost,
+                              terminal_cost=lambda x: np.zeros(x.shape[:-1]),
+                              controls=controls, f_sup_bound=1.0)
+
+    full = hamiltonian_field(problem(lambda t, x, a: np.full_like(x, a[0]),
+                                     lambda t, x, a: np.full(x.shape[:-1], 0.5 * a[0] ** 2)),
+                             0.0, X, P)
+    for dynamics, running_cost in (
+            (lambda t, x, a: a[0], lambda t, x, a: 0.5 * a[0] ** 2),
+            (lambda t, x, a: a, lambda t, x, a: [0.5 * a[0] ** 2]),
+            (lambda t, x, a: np.full((1, 1), a[0]), lambda t, x, a: np.float64(0.5 * a[0] ** 2))):
+        values, sel = hamiltonian_field(problem(dynamics, running_cost), 0.0, X, P)
+        assert np.array_equal(values, full[0]) and np.array_equal(sel, full[1])
+
+    with pytest.raises(ValueError) as expected:
+        np.broadcast_to(np.zeros(3), (7,))
+    with pytest.raises(ValueError) as got:
+        hamiltonian_field(problem(lambda t, x, a: a[0], lambda t, x, a: np.zeros(3)),
+                          0.0, X, P)
+    assert str(got.value) == str(expected.value)
+    with pytest.raises(ValueError):
+        hamiltonian_field(problem(lambda t, x, a: np.zeros((7, 2)), lambda t, x, a: 0.0),
+                          0.0, X, P)
+
+
 def test_hamiltonian_min_below_all_candidates():
     prob = lq_problem(21)
     rng = np.random.default_rng(5)
