@@ -48,7 +48,7 @@ class Benchmark:
 
 def _quadratic_lq():
     problem = ControlProblem(
-        dynamics=lambda t, x, a: np.full_like(x, a[0]),
+        dynamics=lambda t, x, a: a[0],
         running_cost=lambda t, x, a: 0.5 * a[0] * a[0],
         terminal_cost=lambda x: np.zeros(x.shape[:-1]),
         controls=ControlSet.uniform(-1.0, 1.0, 21),
@@ -66,7 +66,7 @@ def _quadratic_lq():
 
 def _eikonal_cos():
     problem = ControlProblem(
-        dynamics=lambda t, x, a: np.full_like(x, a[0]),
+        dynamics=lambda t, x, a: a[0],
         running_cost=lambda t, x, a: 1.0,
         terminal_cost=lambda x: np.cos(x[..., 0]),
         controls=ControlSet(np.array([-1.0, 1.0])),
@@ -101,7 +101,7 @@ def _transport_sin():
 
 def _zero():
     problem = ControlProblem(
-        dynamics=lambda t, x, a: np.full_like(x, a[0]),
+        dynamics=lambda t, x, a: a[0],
         running_cost=lambda t, x, a: 0.0,
         terminal_cost=lambda x: np.zeros(x.shape[:-1]),
         controls=ControlSet(np.array([-1.0, 0.0, 1.0])),

@@ -36,7 +36,7 @@ from .errors import (
 from .legendre import ConvexHamiltonian, generalized_pi
 from .pi import PIConfig, build_initial_policies, fit_geometric_rate, run_policy_iteration
 from .problem import ControlProblem, ControlSet
-from .scheme import SchemeParams, solve_hjb_direct
+from .scheme import SchemeParams, cfl_report, solve_hjb_direct
 
 MODES = ("solve", "pi", "h-study", "tau-study", "legendre-pi", "probes")
 
@@ -48,7 +48,7 @@ EXIT_INVARIANT = 4
 
 # Named forms an inline problem can be assembled from.
 DYNAMICS_FORMS = {
-    "control": (lambda t, x, a: np.full_like(x, a[0]), "f = a"),
+    "control": (lambda t, x, a: a[0], "f = a"),
     "unit": (lambda t, x, a: np.ones_like(x), "f = 1"),
     "zero": (lambda t, x, a: np.zeros_like(x), "f = 0"),
 }
@@ -241,16 +241,12 @@ def validate_config(config):
         raise ConfigurationError(
             f"unknown Hamiltonian form {config.legendre_hamiltonian!r}")
     if config.threads < 0:
-        raise ConfigurationError("threads must be >= 0 (0 means all cores)")
-    # eq.-N feasibility of the resolved triple, before any run starts
-    n_res = config.resolved_N()
-    tau_res = config.resolved_tau()
-    lower = max(1.0, config.f_sup_bound() / 2.0)
-    upper = config.h / (2.0 * tau_res)
-    if n_res * (1.0 + 1e-12) < lower or n_res > upper * (1.0 + 1e-12):
-        raise CFLValidationError(
-            f"resolved scheme violates max(1, f_sup/2) <= N <= h/(2 tau): "
-            f"{lower} <= {n_res} <= {upper} fails")
+        raise ConfigurationError("threads must be >= 0")
+    # CFL feasibility of the resolved triple, before any run starts
+    report = cfl_report(config.h, config.resolved_tau(), config.resolved_N(),
+                        config.f_sup_bound())
+    if not report.ok:
+        raise CFLValidationError(report.message())
 
 
 def serialize_config(config):
@@ -567,8 +563,8 @@ def main(argv=None):
         p = sub.add_parser(mode, help=f"run in {mode} mode")
         p.add_argument("--config", required=True, help="path to a key: value config file")
         p.add_argument("--output", help="override output_dir")
-        p.add_argument("--threads", type=int, help="override threads (0 = all cores)")
-        p.add_argument("--seed", type=int, help="override seed")
+        p.add_argument("--threads", type=int, help="override threads (read by nothing)")
+        p.add_argument("--seed", type=int, help="override seed (read by nothing)")
     args = parser.parse_args(argv)
 
     try:

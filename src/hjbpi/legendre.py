@@ -7,7 +7,11 @@ Lipschitz bound it continues with a fixed slope ``m2``, which caps
 |grad_p H| at m2 = 2N and makes the explicit scheme monotone with
 viscosity coefficient N = m2/2.
 
-Everything runs forward in time from initial data q.  A time-reversal
+Everything runs forward in time from initial data q.  One forward sweep
+v(t + tau) = v + tau * (term + N*h*lap v) serves both the direct run
+(term = -H~(grad v)) and each linearized run (term = dual - b . grad v);
+the gradients a sweep takes are the next iteration's linearization point.
+The run bookkeeping is the tracker shared with ``pi``.  A time-reversal
 adapter (`reverse_time_slices`) maps these runs onto the backward control
 formulation for cross-checks.
 """
@@ -20,10 +24,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, MonotonicityError, NumericalBlowupError
+from .errors import ConfigurationError
 from .grid import Field, gradient_central_values, laplacian_values
-from .pi import MONOTONE_ABORT, MONOTONE_SLACK, fit_geometric_rate
-from .scheme import SchemeParams
+from .pi import _IterationTracker, fit_geometric_rate
+from .scheme import SchemeParams, _check_values
 
 GRAD_FD_STEP = 1e-5   # relative central-difference step for grad_p fallback
 LEGENDRE_POINTS = 41  # probe points per axis and stage in the numeric transform
@@ -129,17 +133,6 @@ class ModifiedHamiltonian:
         middle = np.where(inner_val >= linear_val, inner_grad, radial)
         return np.where(norm <= 2.0 * self.M, inner_grad,
                         np.where(norm <= 3.0 * self.M, middle, radial))
-
-    def dual(self, t, x, mu):
-        """Legendre transform at mu; analytic when the base provides it."""
-        if self.base.legendre_L is not None:
-            return np.asarray(self.base.legendre_L(t, x, mu), dtype=float)
-        mu = np.asarray(mu, dtype=float)
-        flat = mu.reshape(-1, self.dim)
-        xs = np.broadcast_to(np.asarray(x, dtype=float), flat.shape)
-        out = np.array([
-            legendre_transform_numeric(self, t, xs[i], flat[i]) for i in range(len(flat))])
-        return out.reshape(mu.shape[:-1])
 
 
 def _sphere_points(dim, radius, count=64, seed=0):
@@ -262,32 +255,25 @@ class GeneralizedPIRun:
         return fit_geometric_rate(self.errors_to_fixed_point, burn_in)
 
 
-def _forward_direct(mod, grid, params, q_values, threshold):
+def _forward_sweep(grid, params, q_values, threshold, term, gradients):
+    """Step v(t + tau) = v + tau * (term + N*h*lap v) forward from v(0) = q.
+
+    ``term(k, t, grads)`` is the Hamiltonian term at level k given the
+    central gradient of the slice being stepped.  ``gradients[k]`` is
+    replaced by that gradient once level k is stepped, so ``term`` can
+    still read the previous run's entry k.
+    """
     slices = [Field(grid=grid, values=q_values, time_label=0.0)]
-    coords = grid.coordinates()
     for k in range(params.steps):
         t = params.time(k)
         v = slices[-1].values
         grads = gradient_central_values(grid, v)
         lap = laplacian_values(grid, v)
-        new = v + params.tau * (params.N * params.h * lap - mod.value(t, coords, grads))
-        _check_forward(new, params.time(k + 1), threshold)
+        new = v + params.tau * (term(k, t, grads) + params.N * params.h * lap)
+        _check_values(new, params.time(k + 1), threshold)
         slices.append(Field(grid=grid, values=new, time_label=params.time(k + 1)))
+        gradients[k] = grads
     return slices
-
-
-def _check_forward(values, t, threshold):
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        point = int(np.flatnonzero(bad)[0])
-        raise NumericalBlowupError(f"non-finite value at t={t:.6g}, index {point}",
-                                   time_label=t, point=point)
-    over = np.abs(values) > threshold
-    if np.any(over):
-        point = int(np.flatnonzero(over)[0])
-        raise NumericalBlowupError(
-            f"value {values[point]:.6g} at t={t:.6g} exceeds threshold {threshold:.6g}",
-            time_label=t, point=point, value=float(values[point]))
 
 
 def reverse_time_slices(solution):
@@ -318,95 +304,54 @@ def generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations=60,
         h0 = max(h0, float(np.max(np.abs(mod.value(t, coords, np.zeros_like(coords))))))
     threshold = 10.0 * (float(np.max(np.abs(q_values))) + h0 * T + 1.0)
 
-    fixed = _forward_direct(mod, grid, params, q_values, threshold)
+    # the direct run's gradients become the fixed point's advection field
+    fixed_advection = [None] * params.steps
+    fixed = _forward_sweep(grid, params, q_values, threshold,
+                           lambda k, t, grads: -mod.value(t, coords, grads), fixed_advection)
+    for k, grads in enumerate(fixed_advection):
+        fixed_advection[k] = mod.gradient(params.time(k), coords, grads)
     fixed_values = np.stack([f.values for f in fixed])
-    fixed_advection = [
-        mod.gradient(params.time(k), coords,
-                     gradient_central_values(grid, fixed[k].values))
-        for k in range(params.steps)]
 
+    # gradients[k]: central gradient of the previous iterate at level k,
+    # where the next linearization freezes its coefficients
     if v0 is None:
-        current = [Field(grid=grid, values=q_values, time_label=params.time(k))
-                   for k in range(params.steps + 1)]
+        gradients = [gradient_central_values(grid, q_values)] * params.steps
     else:
-        current = list(v0)
+        gradients = [gradient_central_values(grid, v0[k].values) for k in range(params.steps)]
     analytic_dual = H.legendre_L is not None
     resolution = 0.0 if analytic_dual else legendre_resolution(mod)
+    level_grad_sup = np.zeros(params.steps)
+    level_adv_l2 = np.zeros(params.steps)
 
-    errors, errors_l2, adv_l2, grad_sup, mono_worst = [], [], [], [], []
-    iterates = []
-    violation_count = 0
-    worst_violation = 0.0
-    prev_values = None
-    stop_reason = "max_iterations"
-
-    for n in range(max_iterations):
-        slices = [Field(grid=grid, values=q_values, time_label=0.0)]
-        worst_grad = 0.0
-        worst_adv = 0.0
-        for k in range(params.steps):
-            t = params.time(k)
-            p_prev = gradient_central_values(grid, current[k].values)
-            worst_grad = max(worst_grad, float(np.max(np.abs(p_prev))))
-            b = mod.gradient(t, coords, p_prev)
-            bdiff = b - fixed_advection[k]
-            worst_adv = max(worst_adv, float(np.sqrt(np.sum(bdiff * bdiff))))
-            if analytic_dual:
-                dual = np.asarray(H.legendre_L(t, coords, b), dtype=float)
-            else:
-                dual = np.sum(p_prev * b, axis=-1) - mod.value(t, coords, p_prev)
-            v = slices[-1].values
-            grads = gradient_central_values(grid, v)
-            lap = laplacian_values(grid, v)
-            new = v + params.tau * (dual - np.sum(b * grads, axis=-1)
-                                    + params.N * params.h * lap)
-            _check_forward(new, params.time(k + 1), threshold)
-            slices.append(Field(grid=grid, values=new, time_label=params.time(k + 1)))
-
-        values = np.stack([s.values for s in slices])
-        diff = values - fixed_values
-        errors.append(float(np.max(np.abs(diff))))
-        errors_l2.append(float(np.sqrt(np.sum(diff[-1] ** 2))))
-        adv_l2.append(worst_adv)
-        grad_sup.append(worst_grad)
-
-        if prev_values is None:
-            mono_worst.append(0.0)
+    def linear_term(k, t, grads):
+        p_prev = gradients[k]
+        level_grad_sup[k] = np.max(np.abs(p_prev))
+        b = mod.gradient(t, coords, p_prev)
+        bdiff = b - fixed_advection[k]
+        level_adv_l2[k] = np.sqrt(np.sum(bdiff * bdiff))
+        if analytic_dual:
+            dual = np.asarray(H.legendre_L(t, coords, b), dtype=float)
         else:
-            increase = float(np.max(values - prev_values))
-            mono_worst.append(max(0.0, increase))
-            worst_violation = max(worst_violation, mono_worst[-1])
-            violation_count += int(np.count_nonzero(values - prev_values > MONOTONE_SLACK))
-            if increase > MONOTONE_ABORT:
-                raise MonotonicityError(
-                    f"generalized iterate {n} rose {increase:.3e} above its predecessor")
+            dual = np.sum(p_prev * b, axis=-1) - mod.value(t, coords, p_prev)
+        return dual - np.sum(b * grads, axis=-1)
 
-        if n % record_every == 0:
-            iterates.append((n, slices))
-        if prev_values is not None and float(np.max(np.abs(values - prev_values))) < stop_tolerance:
-            stop_reason = "tolerance"
-            if iterates[-1][0] != n:
-                iterates.append((n, slices))
+    tracker = _IterationTracker(fixed_values, slice(None), -1, max_iterations,
+                                stop_tolerance, record_every)
+    adv_l2, grad_sup = [], []
+    for n in range(max_iterations):
+        slices = _forward_sweep(grid, params, q_values, threshold, linear_term, gradients)
+        adv_l2.append(float(np.max(level_adv_l2)))
+        grad_sup.append(float(np.max(level_grad_sup)))
+        if tracker.record(n, np.stack([s.values for s in slices]), slices):
             break
-        prev_values = values
-        current = slices
-    else:
-        if iterates[-1][0] != max_iterations - 1:
-            iterates.append((max_iterations - 1, slices))
+        del slices  # only its gradients feed the next iteration
 
     return GeneralizedPIRun(
         params=params,
         modified=mod,
         fixed_point=fixed,
-        iterates=iterates,
-        errors_to_fixed_point=np.array(errors),
-        errors_l2=np.array(errors_l2),
         advection_l2=np.array(adv_l2),
         gradient_sup=np.array(grad_sup),
-        monotonicity_worst=np.array(mono_worst),
-        monotonicity_violation_count=violation_count,
-        worst_monotonicity=worst_violation,
-        iterations_used=len(errors),
-        stop_reason=stop_reason,
         legendre_resolution=resolution,
+        **tracker.fields(),
     )

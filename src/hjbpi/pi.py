@@ -12,6 +12,11 @@ every control's candidate, and their argmin, recorded on the evaluated
 solution, is the next policy (Howard's algorithm).  The |f| check and the
 sup norms run once, in the direct solve, and are handed to every
 evaluation.
+
+The run bookkeeping (distance to the fixed point, monotone-decrease check,
+stop rule, iterate thinning) lives in one private tracker shared with the
+Legendre-linearized iteration in ``legendre``; each driver adds only its
+own diagnostics.
 """
 
 from __future__ import annotations
@@ -119,6 +124,72 @@ def _policy_l2_distance(problem, policies, fixed_policies, mask):
     return worst
 
 
+class _IterationTracker:
+    """Bookkeeping of one policy-iteration run, whichever driver produces it.
+
+    ``region`` selects the points the sup distance to the fixed point is
+    measured over, ``l2_level`` the level of the l2 distance.  ``record``
+    books one iterate (values of shape (levels, points)) and says whether
+    the run stops after it.
+    """
+
+    def __init__(self, fixed_values, region, l2_level, max_iterations, stop_tolerance,
+                 record_every):
+        self.fixed_values = fixed_values
+        self.region = region
+        self.l2_level = l2_level
+        self.max_iterations = max_iterations
+        self.stop_tolerance = stop_tolerance
+        self.record_every = record_every
+        self.errors, self.errors_l2, self.mono_worst = [], [], []
+        self.iterates = []
+        self.violation_count = 0
+        self.worst_violation = 0.0
+        self.stop_reason = "max_iterations"
+        self.prev_values = None
+
+    def record(self, n, values, iterate):
+        diff = values[:, self.region] - self.fixed_values[:, self.region]
+        self.errors.append(float(np.max(np.abs(diff))))
+        self.errors_l2.append(float(np.sqrt(np.sum(diff[self.l2_level] ** 2))))
+        del diff  # free it before the step array: one full-size temporary at a time
+
+        settled = False
+        if self.prev_values is None:
+            self.mono_worst.append(0.0)
+        else:
+            step = values - self.prev_values
+            increase = float(np.max(step))
+            self.mono_worst.append(max(0.0, increase))
+            self.worst_violation = max(self.worst_violation, self.mono_worst[-1])
+            self.violation_count += int(np.count_nonzero(step > MONOTONE_SLACK))
+            if increase > MONOTONE_ABORT:
+                raise MonotonicityError(
+                    f"iterate {n} rose {increase:.3e} above its predecessor "
+                    f"(tolerance {MONOTONE_ABORT:.0e}); scheme bug or CFL breach")
+            settled = float(np.max(np.abs(step))) < self.stop_tolerance
+        if settled:
+            self.stop_reason = "tolerance"
+        done = settled or n == self.max_iterations - 1
+        if n % self.record_every == 0 or done:
+            self.iterates.append((n, iterate))
+        self.prev_values = values
+        return done
+
+    def fields(self):
+        """The run-record fields both PIRun and GeneralizedPIRun carry."""
+        return dict(
+            iterates=self.iterates,
+            errors_to_fixed_point=np.array(self.errors),
+            errors_l2=np.array(self.errors_l2),
+            monotonicity_worst=np.array(self.mono_worst),
+            monotonicity_violation_count=self.violation_count,
+            worst_monotonicity=self.worst_violation,
+            iterations_used=len(self.errors),
+            stop_reason=self.stop_reason,
+        )
+
+
 def run_policy_iteration(problem, grid, params, config=None):
     """Alternate evaluation and improvement until the iterates stop moving.
 
@@ -138,66 +209,26 @@ def run_policy_iteration(problem, grid, params, config=None):
     else:
         policies = list(config.initial_policy)
 
-    errors, errors_l2, policy_l2 = [], [], []
-    mono_worst, fp_excess = [], []
-    iterates = []
-    violation_count = 0
-    worst_violation = 0.0
-    prev_values = None
-    stop_reason = "max_iterations"
-
+    tracker = _IterationTracker(fixed_values, mask, 0, config.max_iterations,
+                                config.stop_tolerance, config.record_every)
+    policy_l2, fp_excess = [], []
     for n in range(config.max_iterations):
         sol = evaluate_policy(problem, grid, params, policies, sup_norms=sup_norms)
         values = sol.values_array()
-
-        diff = values[:, mask] - fixed_values[:, mask]
-        errors.append(float(np.max(np.abs(diff))))
-        errors_l2.append(float(np.sqrt(np.sum(diff[0] ** 2))))
         policy_l2.append(_policy_l2_distance(problem, policies, fixed.policy_slices, mask))
         fp_excess.append(max(0.0, float(np.max(fixed_values - values))))
-
-        if prev_values is None:
-            mono_worst.append(0.0)
-        else:
-            increase = float(np.max(values - prev_values))
-            mono_worst.append(max(0.0, increase))
-            worst_violation = max(worst_violation, mono_worst[-1])
-            violation_count += int(np.count_nonzero(values - prev_values > MONOTONE_SLACK))
-            if increase > MONOTONE_ABORT:
-                raise MonotonicityError(
-                    f"iterate {n} rose {increase:.3e} above its predecessor "
-                    f"(tolerance {MONOTONE_ABORT:.0e}); scheme bug or CFL breach")
-
-        if n % config.record_every == 0:
-            iterates.append((n, sol))
-
-        if prev_values is not None and float(np.max(np.abs(values - prev_values))) < config.stop_tolerance:
-            stop_reason = "tolerance"
-            if iterates[-1][0] != n:
-                iterates.append((n, sol))
+        if tracker.record(n, values, sol):
             break
-
         policies = sol.argmin_slices[1:]
-        prev_values = values
-    else:
-        if iterates[-1][0] != config.max_iterations - 1:
-            iterates.append((config.max_iterations - 1, sol))
 
     return PIRun(
         config=config,
         params=params,
         fixed_point=fixed,
-        iterates=iterates,
-        errors_to_fixed_point=np.array(errors),
-        errors_l2=np.array(errors_l2),
         policy_l2=np.array(policy_l2),
-        monotonicity_worst=np.array(mono_worst),
         fixed_point_excess=np.array(fp_excess),
-        monotonicity_violation_count=violation_count,
-        worst_monotonicity=worst_violation,
-        iterations_used=len(errors),
-        stop_reason=stop_reason,
         measured_mask=mask,
+        **tracker.fields(),
     )
 
 

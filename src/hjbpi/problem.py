@@ -3,7 +3,8 @@
 Callbacks follow one convention throughout: ``dynamics(t, x, a)`` and
 ``running_cost(t, x, a)`` receive a scalar time ``t``, an array of states
 ``x`` with shape ``(..., d)``, and a single control vector ``a`` of shape
-``(m,)``; they return arrays broadcastable to ``x.shape[:-1]``.
+``(m,)``.  ``dynamics`` returns an array (or scalar) broadcastable to
+``x.shape``, ``running_cost`` one broadcastable to ``x.shape[:-1]``.
 ``terminal_cost(x)`` takes the same ``x`` convention.
 """
 

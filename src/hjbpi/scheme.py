@@ -80,15 +80,10 @@ class SchemeParams:
         if N is None:
             N = max(1.0, float(f_sup_bound) / 2.0)
         N = float(N)
-        lower = max(1.0, float(f_sup_bound) / 2.0)
-        if N * _REL_SLACK < lower:
-            raise CFLValidationError(
-                f"lower CFL bound violated: N={N} < max(1, f_sup/2)={lower}")
-        tau_max = h / (2.0 * N)
-        requested = tau_max / dim if tau is None else float(tau)
-        if requested > tau_max * _REL_SLACK:
-            raise CFLValidationError(
-                f"requested tau={requested} exceeds h/(2N)={tau_max}")
+        requested = h / (2.0 * N) / dim if tau is None else float(tau)
+        report = cfl_report(h, requested, N, f_sup_bound)
+        if not report.ok:
+            raise CFLValidationError(report.message())
         steps = max(1, int(math.ceil(T / requested - 1e-12)))
         return cls(h=h, tau=T / steps, N=N, T=T, steps=steps)
 

@@ -34,15 +34,19 @@ mode: solve
 """
 
 
-def run_cli(args, cwd):
+def run_python(args, cwd):
     # the child runs from cwd, where a relative PYTHONPATH entry such as
     # "src" no longer resolves; hand it the package this process imported
     package_root = str(Path(hjbpi.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "hjbpi", *args], cwd=cwd,
+    return subprocess.run([sys.executable, *args], cwd=cwd,
                           env=env, capture_output=True, text=True)
+
+
+def run_cli(args, cwd):
+    return run_python(["-m", "hjbpi", *args], cwd)
 
 
 def read_summary(path):
