@@ -3,6 +3,13 @@
 The Hopf-Lax evaluator here is a deliberately brute-force independent
 oracle: it never touches the finite-difference machinery, so rate studies
 measure the scheme against something that cannot share its bugs.
+
+In one dimension the oracle samples the reachable interval on a grid that
+doubles until the minimum settles.  ``linspace(-r, r, 2S - 1)[::2]`` is
+bitwise equal to ``linspace(-r, r, S)`` (the step halves exactly), so each
+doubling keeps the samples it has and evaluates the terminal cost only on
+the S - 1 new midpoints; minima and minimizers are exactly those of a scan
+over the whole refined grid.
 """
 
 from __future__ import annotations
@@ -21,11 +28,33 @@ ORACLE_SAMPLES = 1001   # initial samples per axis
 _DEGENERATE = 1e-12     # below this every error is treated as identically zero
 
 
-def _ball_min_1d(q, center, radius, samples):
-    y = center + np.linspace(-radius, radius, samples)
-    vals = np.asarray(q(y[:, None]), dtype=float)
-    k = int(np.argmin(vals))
-    return float(vals[k]), y[k:k + 1]
+def _ball_min_1d(q, xs, radius, samples, tol):
+    """min of q over [x - radius, x + radius] for every center x in ``xs``.
+
+    Samples start at ``samples`` per interval and double (S -> 2S - 1) until
+    no minimum moves by ``tol`` or more.  Returns the refined minima and the
+    first minimizer of each on the final sample grid.  A doubling evaluates
+    q only at the new midpoints: the old samples are the even entries of
+    the refined grid, bitwise.
+    """
+    offs = np.linspace(-radius, radius, samples)
+    vals = np.asarray(q((xs[:, None] + offs[None, :])[..., None]), dtype=float)
+    idx = np.argmin(vals, axis=1)
+    best = np.take_along_axis(vals, idx[:, None], axis=1)[:, 0]
+    while True:
+        samples = 2 * samples - 1
+        offs = np.linspace(-radius, radius, samples)
+        vals = np.asarray(q((xs[:, None] + offs[None, 1::2])[..., None]), dtype=float)
+        new_idx = np.argmin(vals, axis=1)
+        new_best = np.take_along_axis(vals, new_idx[:, None], axis=1)[:, 0]
+        # old sample j sits at refined index 2j, new sample m at 2m + 1;
+        # on a tie the lower refined index is the first minimizer
+        take_new = (new_best < best) | ((new_best == best) & (new_idx < idx))
+        idx = np.where(take_new, 2 * new_idx + 1, 2 * idx)
+        refined = np.minimum(best, new_best)
+        if float(np.max(np.abs(refined - best))) < tol:
+            return refined, xs + offs[idx]
+        best = refined
 
 
 def _ball_min_2d(q, center, radius, samples):
@@ -49,12 +78,14 @@ def _hopf_lax_scan(q, t, T, x, speed, initial_samples, tol):
         raise ConfigurationError(f"oracle asked for t={t} beyond the horizon T={T}")
     if radius == 0.0:
         return float(np.asarray(q(x[None, :]))[0]), x
-    scan = _ball_min_1d if dim == 1 else _ball_min_2d
+    if dim == 1:
+        best, arg = _ball_min_1d(q, x, radius, initial_samples, tol)
+        return float(best[0]), arg
     samples = initial_samples
-    best, arg = scan(q, x if dim == 2 else float(x[0]), radius, samples)
+    best, arg = _ball_min_2d(q, x, radius, samples)
     while True:
         samples = 2 * samples - 1
-        refined, arg = scan(q, x if dim == 2 else float(x[0]), radius, samples)
+        refined, arg = _ball_min_2d(q, x, radius, samples)
         if abs(refined - best) < tol:
             return refined, np.atleast_1d(arg)
         best = refined
@@ -76,21 +107,16 @@ def hopf_lax_minimizer(q, t, T, x, speed, initial_samples=ORACLE_SAMPLES, tol=OR
 
 
 def _hopf_lax_values_1d(q, c0, t, T, X, speed, tol=ORACLE_TOL):
-    """Oracle values at many points at once (shared offset grid per level)."""
+    """Oracle values at many points at once (shared offset grid per level).
+
+    Refinement reuses the even samples of each doubled grid (see
+    ``_ball_min_1d``), which is bitwise-safe because ``linspace`` nests.
+    """
     radius = speed * (T - t)
-    xs = X[:, 0]
     if radius == 0.0:
         return np.asarray(q(X), dtype=float) + 0.0
-    samples = ORACLE_SAMPLES
-    offs = np.linspace(-radius, radius, samples)
-    best = np.min(np.asarray(q((xs[:, None] + offs[None, :])[..., None]), dtype=float), axis=1)
-    while True:
-        samples = 2 * samples - 1
-        offs = np.linspace(-radius, radius, samples)
-        refined = np.min(np.asarray(q((xs[:, None] + offs[None, :])[..., None]), dtype=float), axis=1)
-        if float(np.max(np.abs(refined - best))) < tol:
-            return refined + c0 * (T - t)
-        best = refined
+    best, _ = _ball_min_1d(q, X[:, 0], radius, ORACLE_SAMPLES, tol)
+    return best + c0 * (T - t)
 
 
 def oracle_for(benchmark, T):

@@ -148,6 +148,7 @@ _PROBLEM_KEYS = {
     "problem.control_samples": ("control_samples", int),
     "problem.f_sup_bound": ("f_sup_bound", float),
 }
+_POSITIVE_KEYS = ("scheme.h", "scheme.tau", "scheme.N", "scheme.T")
 KNOWN_KEYS = sorted(list(_SCALAR_KEYS) + list(_LIST_KEYS) + list(_PROBLEM_KEYS)
                     + ["problem.box"])
 
@@ -165,8 +166,9 @@ def _parse_bool(raw, line_no, key):
 def parse_config(text):
     """Parse the flat key-value schema into a fully resolved config.
 
-    Unknown keys, duplicate keys, and type errors are parse errors carrying
-    the offending line; the resolved (h, tau, N) must satisfy the CFL
+    Unknown keys, duplicate keys, type errors, and scheme numbers (h, tau,
+    N, T) that are not finite and positive are parse errors carrying the
+    offending line; the resolved (h, tau, N) must satisfy the CFL
     constraint or a validation error is raised before anything runs.
     """
     values = {}
@@ -189,7 +191,12 @@ def parse_config(text):
         try:
             if key in _SCALAR_KEYS:
                 attr, cast = _SCALAR_KEYS[key]
-                values[attr] = cast(value)
+                number = cast(value)
+                if key in _POSITIVE_KEYS and not (math.isfinite(number) and number > 0.0):
+                    raise ConfigParseError(
+                        f"line {line_no}: {key!r} must be a finite number > 0, got {value!r}",
+                        line_no=line_no, key=key)
+                values[attr] = number
             elif key in _LIST_KEYS:
                 parts = [p for p in value.split(",") if p.strip()]
                 values[_LIST_KEYS[key]] = tuple(float(p) for p in parts)

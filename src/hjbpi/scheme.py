@@ -180,6 +180,10 @@ def _blowup_threshold(q_sup, c_sup, T):
 
 
 def _check_values(values, t, threshold):
+    # one pass on success: |v| <= threshold is False for NaN and +-inf too
+    ok = np.isfinite(values) if threshold is None else np.abs(values) <= threshold
+    if ok.all():
+        return
     bad = ~np.isfinite(values)
     if np.any(bad):
         point = int(np.flatnonzero(bad)[0])

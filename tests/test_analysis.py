@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjbpi.analysis import (
+    ORACLE_SAMPLES,
+    ORACLE_TOL,
     SemiConcavityReport,
+    _hopf_lax_values_1d,
     hopf_lax_minimizer,
     hopf_lax_oracle,
     oracle_for,
@@ -60,6 +65,130 @@ class TestHopfLaxOracle:
     def test_minimizer_direction(self):
         y = hopf_lax_minimizer(cos_q, 0.0, 1.0, [math.pi / 2.0], 1.0)
         assert y[0] > math.pi / 2.0  # toward the cosine minimum at pi
+
+
+def reference_values_1d(q, c0, t, T, X, speed, tol=ORACLE_TOL):
+    """Full-grid bulk oracle: every doubling evaluates q on all 2S - 1 samples.
+
+    The nested oracle must match it bitwise.
+    """
+    radius = speed * (T - t)
+    xs = X[:, 0]
+    if radius == 0.0:
+        return np.asarray(q(X), dtype=float) + 0.0
+    samples = ORACLE_SAMPLES
+    offs = np.linspace(-radius, radius, samples)
+    best = np.min(np.asarray(q((xs[:, None] + offs[None, :])[..., None]), dtype=float), axis=1)
+    while True:
+        samples = 2 * samples - 1
+        offs = np.linspace(-radius, radius, samples)
+        refined = np.min(np.asarray(q((xs[:, None] + offs[None, :])[..., None]), dtype=float),
+                         axis=1)
+        if float(np.max(np.abs(refined - best))) < tol:
+            return refined + c0 * (T - t)
+        best = refined
+
+
+def reference_scan_1d(q, x, radius, tol=ORACLE_TOL):
+    """Full-grid single-point scan: (min, first minimizer) over the final grid."""
+    def scan(samples):
+        y = x + np.linspace(-radius, radius, samples)
+        vals = np.asarray(q(y[:, None]), dtype=float)
+        k = int(np.argmin(vals))
+        return float(vals[k]), y[k:k + 1]
+
+    samples = ORACLE_SAMPLES
+    best, arg = scan(samples)
+    while True:
+        samples = 2 * samples - 1
+        refined, arg = scan(samples)
+        if abs(refined - best) < tol:
+            return refined, arg
+        best = refined
+
+
+def narrow_well(X):
+    return -np.exp(-((X[..., 0] - 0.3137) / 0.05) ** 2)
+
+
+class CallCounter:
+    def __init__(self, q):
+        self.q = q
+        self.calls = 0
+
+    def __call__(self, X):
+        self.calls += 1
+        return self.q(X)
+
+
+class TestNestedRefinement:
+    def test_bulk_oracle_matches_full_grid_on_h_study_levels(self):
+        bench = get_benchmark("eikonal-cos")
+        c0, speed = bench.hopf_lax
+        q = bench.problem.terminal_cost
+        oracle = oracle_for(bench, 1.0)
+        for h in (0.2, 0.1, 0.05, 0.025):
+            grid = bench.make_grid(h)
+            params = SchemeParams.create(grid.spacing, 1.0, bench.problem.f_sup_bound)
+            X = grid.coordinates()[grid.interior_mask(bench.problem.f_sup_bound * 1.0)]
+            for k in range(params.steps + 1):
+                t = params.time(k)
+                assert np.array_equal(oracle(t, X),
+                                      reference_values_1d(q, c0, t, 1.0, X, speed)), (h, k)
+
+    def test_bulk_oracle_at_radius_zero(self):
+        oracle = oracle_for(get_benchmark("eikonal-cos"), 1.0)
+        X = np.linspace(-3.0, 3.0, 17)[:, None]
+        assert np.array_equal(oracle(1.0, X), reference_values_1d(cos_q, 1.0, 1.0, 1.0, X, 1.0))
+
+    def test_narrow_well_needs_several_doublings(self):
+        X = np.linspace(-1.0, 1.0, 9)[:, None]
+        counted = CallCounter(narrow_well)
+        got = _hopf_lax_values_1d(counted, 0.5, 0.0, 0.9, X, 1.0)
+        assert counted.calls >= 4  # the initial grid and three or more doublings
+        assert np.array_equal(got, reference_values_1d(narrow_well, 0.5, 0.0, 0.9, X, 1.0))
+
+    @pytest.mark.parametrize("q", [cos_q, narrow_well], ids=["cos", "narrow-well"])
+    def test_single_point_scan_matches_full_grid(self, q):
+        radius = 0.9
+        most_calls = 0
+        for x in np.linspace(-1.0, 2.5, 15):
+            counted = CallCounter(q)
+            value = hopf_lax_oracle(counted, 0.0, 0.1, 1.0, [x], 1.0)
+            arg = hopf_lax_minimizer(q, 0.1, 1.0, [x], 1.0)
+            ref_value, ref_arg = reference_scan_1d(q, x, radius)
+            assert value == ref_value
+            assert np.array_equal(arg, ref_arg)
+            most_calls = max(most_calls, counted.calls)
+        assert q is cos_q or most_calls >= 4
+
+    def test_plateau_ties_keep_the_first_minimizer(self):
+        # a flat well: every sample inside it ties, and the first one inside
+        # is an old (even) or a new (odd) refined sample depending on x
+        def plateau(X):
+            return np.where(np.abs(X[..., 0] - 0.2) <= 0.05, -1.0, 0.0)
+
+        for x in np.random.default_rng(5).uniform(-0.3, 0.3, 40):
+            arg = hopf_lax_minimizer(plateau, 0.5, 1.0, [x], 1.0)
+            assert np.array_equal(arg, reference_scan_1d(plateau, x, 0.5)[1])
+
+    def test_constant_terminal_cost_minimizer_is_left_end(self):
+        def flat(X):
+            return np.zeros(X.shape[:-1])
+
+        for x in (-0.7, 0.0, 1.3):
+            arg = hopf_lax_minimizer(flat, 0.25, 1.0, [x], 1.0)
+            assert np.array_equal(arg, reference_scan_1d(flat, x, 0.75)[1])
+            assert arg[0] == x - 0.75
+
+
+@settings(max_examples=200, deadline=None)
+@given(radius=st.floats(min_value=1e-9, max_value=1e3, allow_nan=False, allow_infinity=False),
+       samples=st.sampled_from([1001, 2001, 4001]))
+def test_linspace_nests_bitwise(radius, samples):
+    # the nested oracle keeps the even samples of each doubled grid
+    coarse = np.linspace(-radius, radius, samples)
+    assert np.array_equal(np.linspace(-radius, radius, 2 * samples - 1)[::2], coarse)
 
 
 class TestHRateStudy:

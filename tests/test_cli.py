@@ -14,6 +14,7 @@ from hjbpi.cli import (
     EXIT_VALIDATION,
     ExperimentConfig,
     InlineProblemSpec,
+    main,
     parse_config,
     run_experiment,
     serialize_config,
@@ -84,6 +85,18 @@ class TestParseConfig:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigParseError):
             parse_config("benchmark: zero\nscheme.h: fast\n")
+
+    @pytest.mark.parametrize("key", ["scheme.h", "scheme.tau", "scheme.N", "scheme.T"])
+    @pytest.mark.parametrize("bad", ["0", "-0.5", "nan", "inf"])
+    def test_scheme_numbers_must_be_finite_and_positive(self, key, bad, tmp_path, capsys):
+        (tmp_path / "exp.cfg").write_text(f"benchmark: eikonal-cos\nmode: solve\n{key}: {bad}\n")
+        code = main(["solve", "--config", str(tmp_path / "exp.cfg"),
+                     "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert key in err and "line 3" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_benchmark_xor_inline_problem(self):
         with pytest.raises(Exception):

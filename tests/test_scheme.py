@@ -7,6 +7,7 @@ from hjbpi.grid import Field, Grid, gradient_one_sided_field
 from hjbpi.problem import ControlProblem, ControlSet
 from hjbpi.scheme import (
     SchemeParams,
+    _check_values,
     apply_step_operator,
     cfl_report,
     evaluate_policy,
@@ -290,3 +291,22 @@ class TestDirectSolve:
         with pytest.raises(NumericalBlowupError) as err:
             solve_hjb_direct(prob, grid, params)
         assert err.value.point is not None
+
+
+@pytest.mark.parametrize("values, threshold, point, message", [
+    ([0.5, np.nan, 9.0, np.inf], 2.0, 1, "non-finite value at t=0.25, linear index 1"),
+    ([0.5, 9.0, -np.inf], 2.0, 2, "non-finite value at t=0.25, linear index 2"),
+    ([0.5, -3.0, 9.0], 2.0, 1,
+     "value -3 at t=0.25, linear index 1 exceeds the a-priori threshold 2"),
+    ([1e300, np.inf], None, 1, "non-finite value at t=0.25, linear index 1"),
+])
+def test_check_values_reports_first_bad_point(values, threshold, point, message):
+    with pytest.raises(NumericalBlowupError) as err:
+        _check_values(np.array(values), 0.25, threshold)
+    assert str(err.value) == message
+    assert err.value.point == point and err.value.time_label == 0.25
+
+
+def test_check_values_accepts_the_threshold_itself():
+    _check_values(np.array([-2.0, 2.0, 0.0]), 0.25, 2.0)
+    _check_values(np.array([1e300, -1e300]), 0.25, None)
