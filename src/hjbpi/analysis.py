@@ -28,6 +28,16 @@ ORACLE_SAMPLES = 1001   # initial samples per axis
 _DEGENERATE = 1e-12     # below this every error is treated as identically zero
 
 
+def _require_finite(minima):
+    """Stop a refinement that could never settle: the terminal cost is not finite.
+
+    ``argmin`` picks the first NaN, so one NaN sample shows in the minima;
+    so does a ball where q is -inf, or +inf throughout.
+    """
+    if not np.all(np.isfinite(minima)):
+        raise ConfigurationError("terminal cost is not finite inside the oracle's ball")
+
+
 def _ball_min_1d(q, xs, radius, samples, tol):
     """min of q over [x - radius, x + radius] for every center x in ``xs``.
 
@@ -41,12 +51,14 @@ def _ball_min_1d(q, xs, radius, samples, tol):
     vals = np.asarray(q((xs[:, None] + offs[None, :])[..., None]), dtype=float)
     idx = np.argmin(vals, axis=1)
     best = np.take_along_axis(vals, idx[:, None], axis=1)[:, 0]
+    _require_finite(best)
     while True:
         samples = 2 * samples - 1
         offs = np.linspace(-radius, radius, samples)
         vals = np.asarray(q((xs[:, None] + offs[None, 1::2])[..., None]), dtype=float)
         new_idx = np.argmin(vals, axis=1)
         new_best = np.take_along_axis(vals, new_idx[:, None], axis=1)[:, 0]
+        _require_finite(new_best)
         # old sample j sits at refined index 2j, new sample m at 2m + 1;
         # on a tie the lower refined index is the first minimizer
         take_new = (new_best < best) | ((new_best == best) & (new_idx < idx))
@@ -65,6 +77,7 @@ def _ball_min_2d(q, center, radius, samples):
     pts = pts[inside]
     vals = np.asarray(q(pts), dtype=float)
     k = int(np.argmin(vals))
+    _require_finite(vals[k])
     return float(vals[k]), pts[k]
 
 

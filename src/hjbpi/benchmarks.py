@@ -4,7 +4,8 @@ Each benchmark bundles a control problem with a canonical domain, the
 topology it needs, reference-solution metadata, and a default initial
 policy for policy iteration.  Periodic benchmarks snap the requested
 spacing to an exact divisor of the domain length so the terminal data stays
-periodic across the seam.
+periodic across the seam.  No benchmark's dynamics or running cost reads
+``t``, so every problem here is flagged ``time_invariant``.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ def _quadratic_lq():
         terminal_cost=lambda x: np.zeros(x.shape[:-1]),
         controls=ControlSet.uniform(-1.0, 1.0, 21),
         f_sup_bound=1.0,
+        time_invariant=True,
     )
     return Benchmark(
         name="quadratic-lq",
@@ -71,6 +73,7 @@ def _eikonal_cos():
         terminal_cost=lambda x: np.cos(x[..., 0]),
         controls=ControlSet(np.array([-1.0, 1.0])),
         f_sup_bound=1.0,
+        time_invariant=True,
     )
     return Benchmark(
         name="eikonal-cos",
@@ -89,6 +92,7 @@ def _transport_sin():
         terminal_cost=lambda x: np.sin(x[..., 0]),
         controls=ControlSet.singleton([0.0]),
         f_sup_bound=1.0,
+        time_invariant=True,
     )
     return Benchmark(
         name="transport-sin",
@@ -106,6 +110,7 @@ def _zero():
         terminal_cost=lambda x: np.zeros(x.shape[:-1]),
         controls=ControlSet(np.array([-1.0, 0.0, 1.0])),
         f_sup_bound=1.0,
+        time_invariant=True,
     )
     return Benchmark(
         name="zero",

@@ -33,10 +33,10 @@ from .errors import (
     MonotonicityError,
     NumericalBlowupError,
 )
-from .legendre import ConvexHamiltonian, generalized_pi
+from .legendre import ConvexHamiltonian, generalized_pi, legendre_scheme
 from .pi import PIConfig, build_initial_policies, fit_geometric_rate, run_policy_iteration
 from .problem import ControlProblem, ControlSet
-from .scheme import SchemeParams, cfl_report, solve_hjb_direct
+from .scheme import SchemeParams, solve_hjb_direct
 
 MODES = ("solve", "pi", "h-study", "tau-study", "legendre-pi", "probes")
 
@@ -173,7 +173,7 @@ def parse_config(text):
     """
     values = {}
     problem_values = {}
-    seen = set()
+    lines = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -184,19 +184,14 @@ def parse_config(text):
         key, _, value = line.partition(":")
         key = key.strip()
         value = value.strip()
-        if key in seen:
+        if key in lines:
             raise ConfigParseError(f"line {line_no}: duplicate key {key!r}",
                                    line_no=line_no, key=key)
-        seen.add(key)
+        lines[key] = line_no
         try:
             if key in _SCALAR_KEYS:
                 attr, cast = _SCALAR_KEYS[key]
-                number = cast(value)
-                if key in _POSITIVE_KEYS and not (math.isfinite(number) and number > 0.0):
-                    raise ConfigParseError(
-                        f"line {line_no}: {key!r} must be a finite number > 0, got {value!r}",
-                        line_no=line_no, key=key)
-                values[attr] = number
+                values[attr] = cast(value)
             elif key in _LIST_KEYS:
                 parts = [p for p in value.split(",") if p.strip()]
                 values[_LIST_KEYS[key]] = tuple(float(p) for p in parts)
@@ -220,18 +215,34 @@ def parse_config(text):
     if problem_values:
         values["problem"] = InlineProblemSpec(**problem_values)
     config = ExperimentConfig(**values)
-    validate_config(config)
+    try:
+        validate_config(config)
+    except ConfigParseError as exc:
+        # the defaults are in range, so the rejected entry has a line here
+        line_no = lines[exc.key]
+        raise ConfigParseError(f"line {line_no}: {exc}", line_no=line_no,
+                               key=exc.key) from None
     return config
 
 
 def validate_config(config):
+    """Reject a config, from a file or built in code, before anything runs.
+
+    Scheme numbers that are not finite and > 0 raise ``ConfigParseError``
+    naming the key.  The CFL check builds the grid and scheme parameters
+    the run itself builds, so the snapped spacing, the dimension and
+    legendre-pi's viscosity N = m2/2 are the ones checked.
+    """
+    for key in _POSITIVE_KEYS:
+        value = getattr(config, _SCALAR_KEYS[key][0])
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise ConfigParseError(f"{key!r} must be a finite number > 0, got {value!r}",
+                                   key=key)
     if config.mode is not None and config.mode not in MODES:
         raise ConfigurationError(f"unknown mode {config.mode!r}; modes: {MODES}")
     if (config.benchmark is None) == (config.problem is None):
         raise ConfigurationError("exactly one of 'benchmark' or 'problem.*' is required")
-    if config.benchmark is not None:
-        get_benchmark(config.benchmark)
-    else:
+    if config.problem is not None:
         spec = config.problem
         if spec.dynamics not in DYNAMICS_FORMS:
             raise ConfigurationError(
@@ -249,11 +260,13 @@ def validate_config(config):
             f"unknown Hamiltonian form {config.legendre_hamiltonian!r}")
     if config.threads < 0:
         raise ConfigurationError("threads must be >= 0")
-    # CFL feasibility of the resolved triple, before any run starts
-    report = cfl_report(config.h, config.resolved_tau(), config.resolved_N(),
-                        config.f_sup_bound())
-    if not report.ok:
-        raise CFLValidationError(report.message())
+    benchmark = _resolve_benchmark(config)
+    grid = benchmark.make_grid(config.h)
+    if config.mode == "legendre-pi":
+        legendre_scheme(_legendre_hamiltonian(config.legendre_hamiltonian, grid.dim),
+                        config.legendre_M, grid, config.T, config.tau)
+    else:
+        _make_params(config, grid, benchmark.problem)
 
 
 def serialize_config(config):
@@ -313,6 +326,7 @@ def _inline_benchmark(spec):
         controls=ControlSet.uniform(spec.control_min, spec.control_max,
                                     spec.control_samples),
         f_sup_bound=spec.f_sup_bound,
+        time_invariant=True,  # no named form reads t
     )
     return Benchmark(name="inline", problem=problem, box=spec.box,
                      periodic=spec.periodic)

@@ -14,7 +14,10 @@ class CFLValidationError(HJBPIError):
 
 
 class ConfigParseError(HJBPIError):
-    """An experiment config file could not be parsed."""
+    """An experiment config entry is malformed or out of range.
+
+    ``line_no`` is set when the entry came from a config file.
+    """
 
     def __init__(self, message, line_no=None, key=None):
         super().__init__(message)

@@ -282,6 +282,19 @@ def reverse_time_slices(solution):
     return list(reversed(list(slices)))
 
 
+def legendre_scheme(H, M, grid, T, tau=None):
+    """The clipped Hamiltonian and the scheme parameters its iteration runs with.
+
+    The viscosity is N = m2/2, which the clipping makes admissible; this is
+    the one place that decides it, for the run and for config validation.
+    Raises ``CFLValidationError`` when an explicit ``tau`` is too large.
+    """
+    mod = modify_hamiltonian(H, M)
+    params = SchemeParams.create(grid.spacing, T, f_sup_bound=mod.m2, tau=tau,
+                                 N=mod.N, dim=grid.dim)
+    return mod, params
+
+
 def generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations=60,
                    stop_tolerance=1e-10, record_every=10):
     """Iterate the linearized forward equation against frozen coefficients.
@@ -293,9 +306,7 @@ def generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations=60,
     analytic dual when provided), which keeps the monotone-decrease
     property sharp instead of noisy at the numeric-transform resolution.
     """
-    mod = modify_hamiltonian(H, M)
-    params = SchemeParams.create(grid.spacing, T, f_sup_bound=mod.m2, tau=tau,
-                                 N=mod.N, dim=grid.dim)
+    mod, params = legendre_scheme(H, M, grid, T, tau)
     coords = grid.coordinates()
     q_values = np.broadcast_to(np.asarray(q(coords), dtype=float), (grid.npoints,)).copy()
 

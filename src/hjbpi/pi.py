@@ -28,7 +28,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError, MonotonicityError
-from .problem import PolicyField, _first_argmin
+from .problem import PolicyField, _first_argmin, _running_costs
 from .scheme import SchemeParams, SpaceTimeSolution, evaluate_policy, solve_hjb_direct
 
 MONOTONE_SLACK = 1e-10   # accepted pointwise increase (rounding noise)
@@ -97,19 +97,14 @@ def build_initial_policies(problem, grid, params, rule):
                 for k in range(1, params.steps + 1)]
     if rule == "argmin-of-c":
         coords = grid.coordinates()
-        no_grad = np.zeros((grid.npoints, grid.dim))
-        policies = []
-        for k in range(1, params.steps + 1):
-            t = params.time(k)
-            cand = np.empty((grid.npoints, problem.controls.size))
-            for j, a in enumerate(problem.controls.elements):
-                cand[:, j] = np.broadcast_to(
-                    np.asarray(problem.running_cost(t, coords, a), dtype=float),
-                    (grid.npoints,))
-            _, sel = _first_argmin(cand)
-            policies.append(PolicyField(grid=grid, time_label=t, choices=sel,
-                                        n_controls=problem.controls.size))
-        return policies
+        times = [params.time(k) for k in range(1, params.steps + 1)]
+        if problem.time_invariant:
+            choices = [_first_argmin(_running_costs(problem, params.T, coords))[1]] * len(times)
+        else:
+            choices = [_first_argmin(_running_costs(problem, t, coords))[1] for t in times]
+        return [PolicyField(grid=grid, time_label=t, choices=sel,
+                            n_controls=problem.controls.size)
+                for t, sel in zip(times, choices)]
     raise ConfigurationError(
         f"unknown initial policy rule {rule!r}; known rules: {INITIAL_POLICY_RULES}")
 

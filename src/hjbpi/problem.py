@@ -6,6 +6,14 @@ Callbacks follow one convention throughout: ``dynamics(t, x, a)`` and
 ``(m,)``.  ``dynamics`` returns an array (or scalar) broadcastable to
 ``x.shape``, ``running_cost`` one broadcastable to ``x.shape[:-1]``.
 ``terminal_cost(x)`` takes the same ``x`` convention.
+
+``ControlProblem.time_invariant`` (default False) promises that
+``dynamics`` and ``running_cost`` ignore ``t``.  A sweep then builds the
+(n, k) running-cost and (n, k, d) drift tensors once and reuses them at
+every level, the sup-norm and |f| checks probe one time instead of nine,
+and the argmin-of-c start takes one argmin for all levels.  Nothing checks
+the promise: a problem flagged True whose callbacks do read ``t`` silently
+gets the values at one time everywhere, i.e. wrong answers.
 """
 
 from __future__ import annotations
@@ -66,7 +74,9 @@ class ControlProblem:
 
     ``f_sup_bound`` is a user-declared bound on |dynamics| (Euclidean norm),
     used for the CFL/monotonicity constraint; it is checked by sampling on a
-    refined probe grid before a solve starts.
+    refined probe grid before a solve starts.  ``time_invariant`` declares
+    that ``dynamics`` and ``running_cost`` do not depend on ``t`` (see the
+    module docstring); it is not checked.
     """
 
     dynamics: Callable
@@ -74,6 +84,7 @@ class ControlProblem:
     terminal_cost: Callable
     controls: ControlSet
     f_sup_bound: float
+    time_invariant: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.f_sup_bound) and self.f_sup_bound >= 0.0):
@@ -111,15 +122,30 @@ def _shaped(raw, shape):
     return arr if arr.shape == shape or arr.ndim == 0 else np.broadcast_to(arr, shape)
 
 
-def _eval_candidates(problem, t, points, grads):
-    """Cost-plus-advection value of every control at every point, (n, k)."""
+def _running_costs(problem, t, points):
+    """Running cost of every control at every point, (n, k)."""
     n = points.shape[0]
-    cand = np.empty((n, problem.controls.size))
+    costs = np.empty((n, problem.controls.size))
     for j, a in enumerate(problem.controls.elements):
-        fj = _shaped(problem.dynamics(t, points, a), points.shape)
-        cj = _shaped(problem.running_cost(t, points, a), (n,))
-        cand[:, j] = cj + np.sum(grads * fj, axis=-1)
-    return cand
+        costs[:, j] = _shaped(problem.running_cost(t, points, a), (n,))
+    return costs
+
+
+def _candidate_tensors(problem, t, points):
+    """(costs, drifts): the (n, k) running costs and (n, k, d) drifts at time t.
+
+    For a time-invariant problem one build serves every time level.
+    """
+    drifts = np.empty((points.shape[0], problem.controls.size, points.shape[1]))
+    for j, a in enumerate(problem.controls.elements):
+        drifts[:, j] = _shaped(problem.dynamics(t, points, a), points.shape)
+    return _running_costs(problem, t, points), drifts
+
+
+def _candidates(tensors, grads):
+    """Cost-plus-advection value of every control at every point, (n, k)."""
+    costs, drifts = tensors
+    return costs + np.sum(grads[:, None, :] * drifts, axis=-1)
 
 
 def _first_argmin(cand):
@@ -135,8 +161,7 @@ def hamiltonian_field(problem, t, points, grads):
     the first attaining index (within an absolute tie tolerance of 1e-12),
     for each row of ``points``/``grads``.
     """
-    cand = _eval_candidates(problem, t, points, grads)
-    return _first_argmin(cand)
+    return _first_argmin(_candidates(_candidate_tensors(problem, t, points), grads))
 
 
 def hamiltonian_min(problem, t, x, p):

@@ -28,7 +28,8 @@ from .errors import CFLValidationError, ConfigurationError, NumericalBlowupError
 from .grid import Field, Grid, gradient_central_values, laplacian_values
 from .problem import (
     PolicyField,
-    _eval_candidates,
+    _candidate_tensors,
+    _candidates,
     _first_argmin,
     discrete_sup_norms,
     validate_f_bound,
@@ -42,7 +43,8 @@ class SchemeParams:
     """Spacing h, time step tau, viscosity coefficient N, horizon T.
 
     ``steps * tau == T`` by construction (tau is only ever adjusted
-    downward so the horizon splits into a whole number of steps).
+    downward so the horizon splits into a whole number of steps).  ``dim``
+    is the space dimension the step bound 2 d N tau <= h is checked for.
     """
 
     h: float
@@ -50,17 +52,17 @@ class SchemeParams:
     N: float
     T: float
     steps: int
+    dim: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.h < 1.0:
             raise CFLValidationError(f"need 0 < h < 1, got h={self.h}")
         if not 0.0 < self.tau < 1.0:
             raise CFLValidationError(f"need 0 < tau < 1, got tau={self.tau}")
-        if self.N < 1.0:
-            raise CFLValidationError(f"need N >= 1, got N={self.N}")
-        if 2.0 * self.N * self.tau > self.h * _REL_SLACK:
-            raise CFLValidationError(
-                f"upper CFL bound violated: N={self.N} > h/(2 tau)={self.h / (2 * self.tau)}")
+        # N >= 1 and the step bound; the |f| side is checked by ``create``
+        report = cfl_report(self.h, self.tau, self.N, 0.0, self.dim)
+        if not report.ok:
+            raise CFLValidationError(report.message())
         if self.steps < 1:
             raise CFLValidationError("need at least one time step")
         if abs(self.steps * self.tau - self.T) > 1e-9 * max(1.0, self.T):
@@ -81,11 +83,11 @@ class SchemeParams:
             N = max(1.0, float(f_sup_bound) / 2.0)
         N = float(N)
         requested = h / (2.0 * N) / dim if tau is None else float(tau)
-        report = cfl_report(h, requested, N, f_sup_bound)
+        report = cfl_report(h, requested, N, f_sup_bound, dim)
         if not report.ok:
             raise CFLValidationError(report.message())
         steps = max(1, int(math.ceil(T / requested - 1e-12)))
-        return cls(h=h, tau=T / steps, N=N, T=T, steps=steps)
+        return cls(h=h, tau=T / steps, N=N, T=T, steps=steps, dim=dim)
 
     def time(self, k):
         """Time of level k; level ``steps`` is exactly T."""
@@ -99,7 +101,7 @@ class SchemeParams:
 
 @dataclass(frozen=True)
 class CFLReport:
-    """Outcome of checking max{1, f_sup/2} <= N <= h/(2 tau)."""
+    """Outcome of checking max{1, f_sup/2} <= N <= h/(2 d tau) in d dimensions."""
 
     ok: bool
     lower_ok: bool
@@ -108,6 +110,7 @@ class CFLReport:
     lower_bound: float
     upper_bound: float
     admissible_tau_max: float
+    dim: int = 1
 
     def message(self):
         if self.ok:
@@ -116,15 +119,20 @@ class CFLReport:
         if not self.lower_ok:
             parts.append(f"N={self.N} < max(1, f_sup/2)={self.lower_bound}")
         if not self.upper_ok:
-            parts.append(f"N={self.N} > h/(2 tau)={self.upper_bound}")
+            bound = "h/(2 tau)" if self.dim == 1 else f"h/(2 d tau) with d={self.dim}"
+            parts.append(f"N={self.N} > {bound}={self.upper_bound}")
         return "cfl violated: " + "; ".join(parts) + \
             f" (admissible tau range: (0, {self.admissible_tau_max}])"
 
 
-def cfl_report(h, tau, N, f_sup_bound):
-    """Report (do not raise) on both sides of the CFL constraint for a raw triple."""
+def cfl_report(h, tau, N, f_sup_bound, dim=1):
+    """Report (do not raise) on both sides of the CFL constraint for a raw triple.
+
+    This is the one place the constraint is decided: ``SchemeParams``
+    construction and the CLI's config validation both go through it.
+    """
     lower = max(1.0, float(f_sup_bound) / 2.0)
-    upper = h / (2.0 * tau)
+    upper = h / (2.0 * dim * tau)
     lower_ok = N * _REL_SLACK >= lower
     upper_ok = N <= upper * _REL_SLACK
     return CFLReport(
@@ -134,13 +142,14 @@ def cfl_report(h, tau, N, f_sup_bound):
         N=N,
         lower_bound=lower,
         upper_bound=upper,
-        admissible_tau_max=h / (2.0 * N),
+        admissible_tau_max=h / (2.0 * dim * N),
+        dim=dim,
     )
 
 
 def validate_cfl(params, f_sup_bound):
     """CFL report for already-constructed scheme parameters."""
-    return cfl_report(params.h, params.tau, params.N, f_sup_bound)
+    return cfl_report(params.h, params.tau, params.N, f_sup_bound, params.dim)
 
 
 @dataclass(eq=False)
@@ -200,16 +209,20 @@ def _check_values(values, t, threshold):
                 time_label=t, point=point, value=float(values[point]))
 
 
-def _step(problem, params, grid, t, values, frozen=None):
+def _step(problem, params, grid, t, values, frozen=None, tensors=None):
     """One backward step on raw arrays: (new values, first-argmin indices).
 
     The Hamiltonian term is the min over controls, or with ``frozen`` the
     candidate of the frozen control index at each point.  The argmin is
     returned either way: after an evaluation it is the improved policy.
+    ``tensors`` are the candidate tensors of a time-invariant problem; by
+    default they are built at time t.
     """
     grads = gradient_central_values(grid, values)
     lap = laplacian_values(grid, values)
-    cand = _eval_candidates(problem, t, grid.coordinates(), grads)
+    if tensors is None:
+        tensors = _candidate_tensors(problem, t, grid.coordinates())
+    cand = _candidates(tensors, grads)
     hmin, sel = _first_argmin(cand)
     if frozen is not None:
         hmin = np.take_along_axis(cand, frozen[:, None], axis=1)[:, 0]
@@ -226,7 +239,7 @@ def apply_step_operator(problem, params, t, U):
     return Field(grid=U.grid, values=new, time_label=t - params.tau)
 
 
-def _probe_times(params, count=9):
+def _probe_times(params, count):
     ks = np.unique(np.linspace(0, params.steps, min(count, params.steps + 1)).astype(int))
     return [params.time(int(k)) for k in ks]
 
@@ -240,7 +253,7 @@ def _terminal_field(problem, grid, params):
 
 def _checked_sup_norms(problem, grid, params):
     """Check the declared |f| bound, then return (|q|_sup, |c|_sup) on the lattice."""
-    times = _probe_times(params)
+    times = _probe_times(params, 1 if problem.time_invariant else 9)
     validate_f_bound(problem, grid, times)
     return discrete_sup_norms(problem, grid, times)
 
@@ -250,17 +263,20 @@ def _sweep(problem, grid, params, sup_norms, frozen=None):
 
     ``frozen`` is None for the nonlinear scheme, else the stored policy list
     (entry k drives the step down from level k).  The per-level argmins are
-    recorded either way.
+    recorded either way.  A time-invariant problem's candidate tensors are
+    built once, here, and serve every level.
     """
     q_sup, c_sup = sup_norms
     threshold = _blowup_threshold(q_sup, c_sup, params.T)
     slices = [None] * (params.steps + 1)
     argmins = [None] * (params.steps + 1)
     slices[params.steps] = _terminal_field(problem, grid, params)
+    tensors = (_candidate_tensors(problem, params.T, grid.coordinates())
+               if problem.time_invariant else None)
     for k in range(params.steps, 0, -1):
         t = params.time(k)
         new, sel = _step(problem, params, grid, t, slices[k].values,
-                         None if frozen is None else frozen[k].choices)
+                         None if frozen is None else frozen[k].choices, tensors)
         _check_values(new, params.time(k - 1), threshold)
         argmins[k] = PolicyField(grid=grid, time_label=t, choices=sel,
                                  n_controls=problem.controls.size)

@@ -182,6 +182,56 @@ class TestNestedRefinement:
             assert arg[0] == x - 0.75
 
 
+class CallCap(CallCounter):
+    """Fails the test instead of letting a non-terminating refinement eat memory."""
+
+    def __call__(self, X):
+        if self.calls >= 8:
+            raise AssertionError("oracle kept refining a non-finite terminal cost")
+        return super().__call__(X)
+
+
+def nan_right(X):
+    return np.where(X[..., 0] > 0.5, np.nan, np.cos(X[..., 0]))
+
+
+class TestNonFiniteTerminalCost:
+    @pytest.mark.parametrize("q", [
+        nan_right,
+        lambda X: np.where(X[..., 0] > 0.5, -np.inf, 0.0),
+        lambda X: np.full(X.shape[:-1], np.inf),
+    ], ids=["nan", "minus-inf", "plus-inf"])
+    def test_one_dimensional_scans_stop(self, q):
+        with pytest.raises(ConfigurationError, match="not finite"):
+            hopf_lax_oracle(CallCap(q), 1.0, 0.0, 1.0, [0.0], 1.0)
+        with pytest.raises(ConfigurationError, match="not finite"):
+            _hopf_lax_values_1d(CallCap(q), 1.0, 0.0, 1.0,
+                                np.linspace(-1.0, 1.0, 5)[:, None], 1.0)
+
+    def test_nan_only_in_refined_midpoints_stops(self):
+        # NaN exactly between the initial samples: only a doubling sees it
+        mid = np.linspace(-1.0, 1.0, 2 * ORACLE_SAMPLES - 1)[1201]
+
+        def q(X):
+            return np.where(X[..., 0] == mid, np.nan, np.cos(X[..., 0]))
+
+        counted = CallCap(q)
+        with pytest.raises(ConfigurationError, match="not finite"):
+            hopf_lax_oracle(counted, 1.0, 0.0, 1.0, [0.0], 1.0)
+        assert counted.calls == 2
+
+    def test_two_dimensional_scan_stops(self):
+        with pytest.raises(ConfigurationError, match="not finite"):
+            hopf_lax_oracle(CallCap(nan_right), 1.0, 0.0, 1.0, [0.0, 0.0], 1.0,
+                            initial_samples=41)
+
+    def test_finite_costs_with_plus_inf_outside_the_minimum_still_settle(self):
+        def q(X):
+            return np.where(X[..., 0] > 0.5, np.inf, np.cos(X[..., 0]))
+
+        assert hopf_lax_oracle(q, 0.0, 0.0, 1.0, [0.0], 1.0) == math.cos(-1.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(radius=st.floats(min_value=1e-9, max_value=1e3, allow_nan=False, allow_infinity=False),
        samples=st.sampled_from([1001, 2001, 4001]))

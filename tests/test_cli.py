@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -266,6 +267,39 @@ class TestRunExperiment:
         config = ExperimentConfig(mode="pi", benchmark="zero", h=0.1,
                                   output_dir=str(tmp_path / "out"))
         assert run_experiment(config) == EXIT_INVARIANT
+
+    @pytest.mark.parametrize("field, key", [("h", "scheme.h"), ("tau", "scheme.tau"),
+                                            ("N", "scheme.N"), ("T", "scheme.T")])
+    @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
+    def test_code_built_config_gets_positivity_check(self, field, key, bad, tmp_path,
+                                                     capsys):
+        config = ExperimentConfig(mode="solve", benchmark="eikonal-cos",
+                                  output_dir=str(tmp_path / "out"), **{field: bad})
+        assert run_experiment(config) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert key in err and "must be a finite number > 0" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_legendre_cfl_checked_with_the_run_viscosity(self, tmp_path, capsys):
+        # the run clips the Hamiltonian and steps with N = m2/2 = 2.5 at M = 2
+        (tmp_path / "exp.cfg").write_text(
+            "benchmark: eikonal-cos\nscheme.h: 0.01\nscheme.tau: 0.004\nlegendre.M: 2\n")
+        code = main(["legendre-pi", "--config", str(tmp_path / "exp.cfg"),
+                     "--output", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        assert "N=2.5 > h/(2 tau)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_cfl_checked_on_the_snapped_grid(self, tmp_path):
+        # 2 pi / 0.1 rounds to 63 cells of 0.0997..., too small for tau = 0.05
+        snapped = ExperimentConfig(mode="solve", benchmark="eikonal-cos", h=0.1, tau=0.05,
+                                   output_dir=str(tmp_path / "snapped"))
+        assert run_experiment(snapped) == EXIT_VALIDATION
+        assert not (tmp_path / "snapped").exists()
+        # a clamped box keeps h = 0.1 exactly, so the same step is the equality case
+        exact = ExperimentConfig(mode="solve", benchmark="quadratic-lq", h=0.1, tau=0.05,
+                                 output_dir=str(tmp_path / "exact"))
+        assert run_experiment(exact) == EXIT_OK
 
 
 class TestCommandLine:

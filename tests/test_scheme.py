@@ -1,10 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from hjbpi.benchmarks import get_benchmark
+from hjbpi.benchmarks import get_benchmark, lq_feedback_policies
 from hjbpi.errors import CFLValidationError, ConfigurationError, NumericalBlowupError
-from hjbpi.grid import Field, Grid, gradient_one_sided_field
-from hjbpi.problem import ControlProblem, ControlSet
+from hjbpi.grid import Field, Grid, gradient_central_values, gradient_one_sided_field
+from hjbpi.pi import PIConfig, build_initial_policies, run_policy_iteration
+from hjbpi.problem import (
+    ControlProblem,
+    ControlSet,
+    PolicyField,
+    _candidate_tensors,
+    _candidates,
+    _shaped,
+)
 from hjbpi.scheme import (
     SchemeParams,
     _check_values,
@@ -78,6 +88,32 @@ class TestCFLReport:
         p = SchemeParams.create(0.1, 1.0, f_sup_bound=1.0)
         assert validate_cfl(p, 1.0).ok
         assert not validate_cfl(p, 5.0).ok
+
+    def test_two_dimensional_step_bound(self):
+        # the centre weight 1 - 2 d N tau / h must stay >= 0 in d dimensions
+        with pytest.raises(CFLValidationError) as err:
+            SchemeParams.create(0.1, 1.0, 1.0, tau=0.05, N=1.0, dim=2)
+        assert "h/(2 d tau) with d=2" in str(err.value)
+        with pytest.raises(CFLValidationError):
+            SchemeParams(h=0.1, tau=0.05, N=1.0, T=1.0, steps=20, dim=2)
+        p = SchemeParams.create(0.1, 1.0, 1.0, tau=0.025, N=1.0, dim=2)
+        assert p.dim == 2 and p.tau == 0.025 and validate_cfl(p, 1.0).ok
+        report = cfl_report(0.1, 0.05, 1.0, 1.0, dim=2)
+        assert not report.upper_ok and report.upper_bound == 0.5
+        assert report.admissible_tau_max == 0.025
+
+    @pytest.mark.parametrize("h, N, dim", [(0.1, 1.0, 2), (0.3, 1.5, 2),
+                                           (2 * np.pi / 31, 1.0, 2), (0.2, 2.5, 3)])
+    def test_equality_case_accepted_in_every_dimension(self, h, N, dim):
+        tau = h / (2.0 * dim * N)
+        assert cfl_report(h, tau, N, 2.0 * N, dim).ok
+        p = SchemeParams.create(h, 1.0, 2.0 * N, tau=tau, N=N, dim=dim)
+        SchemeParams(h=p.h, tau=p.tau, N=p.N, T=p.T, steps=p.steps, dim=dim)
+        with pytest.raises(CFLValidationError):
+            SchemeParams.create(h, 1.0, 2.0 * N, tau=tau * 1.001, N=N, dim=dim)
+
+    def test_one_dimensional_message_unchanged(self):
+        assert "N=1.0 > h/(2 tau)=0.5" in cfl_report(0.1, 0.1, 1.0, 1.0).message()
 
 
 def diffusion_only_problem(dim=1):
@@ -310,3 +346,154 @@ def test_check_values_reports_first_bad_point(values, threshold, point, message)
 def test_check_values_accepts_the_threshold_itself():
     _check_values(np.array([-2.0, 2.0, 0.0]), 0.25, 2.0)
     _check_values(np.array([1e300, -1e300]), 0.25, None)
+
+
+def reference_candidates(problem, t, points, grads):
+    # the per-control loop the candidate tensors replace, kept as the reference
+    n = points.shape[0]
+    cand = np.empty((n, problem.controls.size))
+    for j, a in enumerate(problem.controls.elements):
+        fj = _shaped(problem.dynamics(t, points, a), points.shape)
+        cj = _shaped(problem.running_cost(t, points, a), (n,))
+        cand[:, j] = cj + np.sum(grads * fj, axis=-1)
+    return cand
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+ANGLES = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+TENSOR_GRIDS = {
+    "1d-periodic": (Grid(spacing=2 * np.pi / 40, points_per_axis=(40,)),
+                    ControlSet.uniform(-1.0, 1.0, 7)),
+    "2d-clamped": (Grid(spacing=0.2, points_per_axis=(7, 6), origin=(-0.6, -0.5),
+                        periodic=(False, False)),
+                   ControlSet(np.stack([np.cos(ANGLES), np.sin(ANGLES)], axis=-1))),
+    "3d-periodic": (Grid(spacing=0.5, points_per_axis=(4, 3, 3)),
+                    ControlSet(np.array([[0.5, -1.0, 0.25], [-0.75, 0.5, 1.0],
+                                         [0.0, 0.0, 0.0], [1.0, 1.0, -1.0]]))),
+}
+CALLBACK_SHAPES = {
+    "scalar": (lambda t, x, a: a[0], lambda t, x, a: 0.5 * a[0] * a[0]),
+    "full": (lambda t, x, a: np.sin(x + a[0]) * a[-1],
+             lambda t, x, a: x[..., 0] * a[0] - np.cos(x[..., -1])),
+    "broadcast-row": (lambda t, x, a: np.resize(a, x.shape[-1]),
+                      lambda t, x, a: [0.5 * a[-1]]),
+    "broadcast-column": (lambda t, x, a: x[..., :1] * a[0],
+                         lambda t, x, a: np.float64(a[0])),
+    "signed-zeros": (lambda t, x, a: np.where(x > 0.0, a[0], -0.0),
+                     lambda t, x, a: np.where(x[..., 0] > 0.0, 0.0, -0.0)),
+}
+
+
+def tensor_problem(grid_name, shape_name, time_invariant=True):
+    grid, controls = TENSOR_GRIDS[grid_name]
+    dynamics, running_cost = CALLBACK_SHAPES[shape_name]
+    return grid, ControlProblem(
+        dynamics=dynamics, running_cost=running_cost,
+        terminal_cost=lambda x: np.cos(2.0 * x[..., 0]) * np.sign(x[..., -1]),
+        controls=controls, f_sup_bound=7.0, time_invariant=time_invariant)
+
+
+class TestCandidateTensors:
+    @pytest.mark.parametrize("shape_name", sorted(CALLBACK_SHAPES))
+    @pytest.mark.parametrize("grid_name", sorted(TENSOR_GRIDS))
+    def test_tensor_form_matches_per_control_loop_bitwise(self, grid_name, shape_name):
+        grid, prob = tensor_problem(grid_name, shape_name)
+        rng = np.random.default_rng(3)
+        # rounded values leave exact zero (and, negated, -0.0) gradients
+        for values in (np.round(rng.normal(size=grid.npoints), 1),
+                       -np.round(rng.normal(size=grid.npoints), 1),
+                       rng.normal(size=grid.npoints) * 1e3):
+            grads = gradient_central_values(grid, values)
+            points = grid.coordinates()
+            got = _candidates(_candidate_tensors(prob, 0.5, points), grads)
+            assert same_bits(got, reference_candidates(prob, 0.5, points, grads))
+
+    @pytest.mark.parametrize("shape_name", sorted(CALLBACK_SHAPES))
+    @pytest.mark.parametrize("grid_name", sorted(TENSOR_GRIDS))
+    def test_flagged_sweeps_equal_per_level_builds_bitwise(self, grid_name, shape_name):
+        grid, flagged = tensor_problem(grid_name, shape_name)
+        plain = replace(flagged, time_invariant=False)
+        params = SchemeParams.create(grid.spacing, 0.4, flagged.f_sup_bound, dim=grid.dim)
+        direct = [solve_hjb_direct(p, grid, params) for p in (flagged, plain)]
+        rng = np.random.default_rng(7)
+        policies = [PolicyField(grid=grid, time_label=params.time(k),
+                                choices=rng.integers(0, flagged.controls.size, grid.npoints),
+                                n_controls=flagged.controls.size)
+                    for k in range(1, params.steps + 1)]
+        evaluated = [evaluate_policy(p, grid, params, policies) for p in (flagged, plain)]
+        for a, b in (direct, evaluated):
+            assert (a.q_sup, a.c_sup) == (b.q_sup, b.c_sup)
+            assert same_bits(a.values_array(), b.values_array())
+            for pa, pb in zip(a.argmin_slices[1:], b.argmin_slices[1:]):
+                assert same_bits(pa.choices, pb.choices)
+
+    def test_time_varying_problem_gets_candidates_at_every_level(self):
+        seen = set()
+
+        def dynamics(t, x, a):
+            seen.add(t)
+            return a[0] * (1.0 + t)
+
+        bench = get_benchmark("quadratic-lq")
+        prob = ControlProblem(dynamics=dynamics, running_cost=bench.problem.running_cost,
+                              terminal_cost=lambda x: np.abs(x[..., 0]),
+                              controls=bench.problem.controls, f_sup_bound=2.0)
+        grid = bench.make_grid(0.1)
+        params = SchemeParams.create(grid.spacing, 1.0, 2.0)
+        sol = solve_hjb_direct(prob, grid, params)
+        assert {params.time(k) for k in range(1, params.steps + 1)} <= seen
+        # stepping level by level at each level's own time is the reference
+        field = sol.slices[params.steps]
+        for k in range(params.steps, 0, -1):
+            field = apply_step_operator(prob, params, params.time(k), field)
+            assert same_bits(field.values, sol.slices[k - 1].values)
+        wrong = solve_hjb_direct(replace(prob, time_invariant=True), grid, params)
+        assert not np.array_equal(wrong.slices[0].values, sol.slices[0].values)
+
+    @pytest.mark.parametrize("time_invariant", [True, False])
+    def test_callback_calls_per_pi_run(self, time_invariant):
+        calls = {"dynamics": 0, "running_cost": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        bench = get_benchmark("quadratic-lq")
+        prob = replace(bench.problem, time_invariant=time_invariant,
+                       dynamics=counted("dynamics", bench.problem.dynamics),
+                       running_cost=counted("running_cost", bench.problem.running_cost))
+        grid = bench.make_grid(0.1)
+        params = SchemeParams.create(grid.spacing, 1.0, 1.0)
+        run = run_policy_iteration(prob, grid, params, PIConfig(
+            initial_policy=lq_feedback_policies(prob, grid, params)))
+        k, sweeps = prob.controls.size, 1 + run.iterations_used
+        assert run.iterations_used > 1
+        # 2k callback calls per sweep when flagged, 2k per level otherwise,
+        # plus the sup-norm and |f| checks at one probe time or nine
+        per_sweep, probes = (1, 1) if time_invariant else (params.steps, 9)
+        expected = k * (sweeps * per_sweep + probes)
+        assert calls == {"dynamics": expected, "running_cost": expected}
+
+    def test_argmin_of_c_start_takes_one_argmin_when_flagged(self):
+        calls = []
+        bench = get_benchmark("quadratic-lq")
+        costs = bench.problem.running_cost
+        shifted = replace(bench.problem,
+                          running_cost=lambda t, x, a: calls.append(t) or costs(t, x, a) + x[..., 0] * a[0])
+        grid = bench.make_grid(0.1)
+        params = SchemeParams.create(grid.spacing, 1.0, 1.0)
+        flagged = build_initial_policies(shifted, grid, params, "argmin-of-c")
+        assert len(calls) == shifted.controls.size
+        plain = build_initial_policies(replace(shifted, time_invariant=False), grid, params,
+                                       "argmin-of-c")
+        assert len(calls) == shifted.controls.size * (1 + params.steps)
+        assert len(flagged) == len(plain) == params.steps
+        for a, b in zip(flagged, plain):
+            assert a.time_label == b.time_label and same_bits(a.choices, b.choices)
+        assert len(set(flagged[0].choices.tolist())) > 1
