@@ -18,7 +18,7 @@ print(f"grid: {grid.npoints} points, h = {grid.spacing:.5f} (snapped to fit the 
 print(f"scheme: tau = {params.tau:.5f}, N = {params.N}, {params.steps} backward steps")
 
 solution = solve_hjb_direct(bench.problem, grid, params)
-values = solution.slices[0].values
+values = solution.values[0]
 
 print("\n  x        solver V(0,x)   Hopf-Lax       error")
 xs = grid.coordinates()[:, 0]

@@ -30,4 +30,4 @@ for tau, dist in zip(study.tau_values, study.distances):
     print(f"  tau {tau:8.5f} -> next: {dist:10.4e}")
 print("  distances shrink ~linearly in tau; extrapolated t=0 slice kept as the")
 print("  semi-discrete reference (sup |extrap - finest| = %.2e)"
-      % float(np.max(np.abs(study.extrapolated - study.solutions[-1].slices[0].values))))
+      % float(np.max(np.abs(study.extrapolated - study.solutions[-1].values[0]))))

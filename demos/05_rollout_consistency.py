@@ -23,7 +23,7 @@ worst = 0.0
 for idx in np.linspace(2, grid.npoints - 3, 10).astype(int):
     x0 = grid.coordinates()[idx]
     cost = rollout_cost(bench.problem, solution.policy_slices[1:], (0.0, x0), dt)
-    value = solution.slices[0].values[idx]
+    value = solution.values[0, idx]
     gap = abs(cost - value)
     worst = max(worst, gap)
     print(f"  {x0[0]:8.4f}  {cost:11.6f}  {value:12.6f}  {gap:10.2e}")

@@ -11,18 +11,7 @@ from .errors import (
     TruncatedRolloutError,
     UnsupportedDimensionError,
 )
-from .grid import (
-    Field,
-    GradientStencil,
-    Grid,
-    gradient_central,
-    gradient_central_field,
-    gradient_one_sided,
-    gradient_one_sided_field,
-    gradient_stencil,
-    laplacian,
-    laplacian_field,
-)
+from .grid import Field, Grid, gradient_central_field
 from .pi import (
     GeometricFit,
     PIConfig,

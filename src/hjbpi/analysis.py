@@ -178,9 +178,9 @@ def solution_error_vs_oracle(solution, oracle, mask=None):
     coords = grid.coordinates()[mask]
     sup = 0.0
     l2 = 0.0
-    for k, s in enumerate(solution.slices):
+    for k, row in enumerate(solution.values):
         t = solution.params.time(k)
-        diff = s.values[mask] - oracle(t, coords)
+        diff = row[mask] - oracle(t, coords)
         sup = max(sup, float(np.max(np.abs(diff))))
         if k == 0:
             l2 = float(np.sqrt(np.sum(diff ** 2)))
@@ -255,11 +255,11 @@ def run_tau_refinement_study(benchmark, h, tau_values, T):
         taus.append(params.tau)
     mask = grid.interior_mask(problem.f_sup_bound * T)
     distances = tuple(
-        float(np.max(np.abs(a.slices[0].values[mask] - b.slices[0].values[mask])))
+        float(np.max(np.abs(a.values[0][mask] - b.values[0][mask])))
         for a, b in zip(sols, sols[1:]))
     t1, t2 = taus[-2], taus[-1]
-    v1 = sols[-2].slices[0].values
-    v2 = sols[-1].slices[0].values
+    v1 = sols[-2].values[0]
+    v2 = sols[-1].values[0]
     extrapolated = (t1 * v2 - t2 * v1) / (t1 - t2)
     return TauRefinementStudy(h=grid.spacing, tau_values=tuple(taus),
                               distances=distances, extrapolated=extrapolated,
@@ -323,8 +323,7 @@ def semi_concavity_probe(solution, offsets, mask=None):
             ok &= base_mask[flat_up] & base_mask[flat_dn]
         y2 = (steps * h) ** 2
         worst = -math.inf
-        for s in solution.slices:
-            v = s.values
+        for v in solution.values:
             second = v[flat_up][ok] + v[flat_dn][ok] - 2.0 * v[ok]
             if second.size:
                 worst = max(worst, float(np.max(second)) / (y2 + denom_base))

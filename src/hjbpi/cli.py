@@ -89,8 +89,6 @@ class ExperimentConfig:
     N: Optional[float] = None
     T: float = 1.0
     output_dir: str = "out"
-    seed: int = 0
-    threads: int = 0
     pi_max_iterations: int = 100
     pi_stop_tolerance: float = 1e-10
     pi_record_every: int = 10
@@ -102,24 +100,11 @@ class ExperimentConfig:
     probe_points: Optional[tuple] = None
     probe_h_values: Optional[tuple] = None
 
-    def f_sup_bound(self):
-        if self.problem is not None:
-            return self.problem.f_sup_bound
-        return get_benchmark(self.benchmark).problem.f_sup_bound
-
-    def resolved_N(self):
-        return self.N if self.N is not None else max(1.0, self.f_sup_bound() / 2.0)
-
-    def resolved_tau(self):
-        return self.tau if self.tau is not None else self.h / (2.0 * self.resolved_N())
-
 
 _SCALAR_KEYS = {
     "mode": ("mode", str),
     "benchmark": ("benchmark", str),
     "output_dir": ("output_dir", str),
-    "seed": ("seed", int),
-    "threads": ("threads", int),
     "scheme.h": ("h", float),
     "scheme.tau": ("tau", float),
     "scheme.N": ("N", float),
@@ -258,8 +243,6 @@ def validate_config(config):
     if config.legendre_hamiltonian not in LEGENDRE_FORMS:
         raise ConfigurationError(
             f"unknown Hamiltonian form {config.legendre_hamiltonian!r}")
-    if config.threads < 0:
-        raise ConfigurationError("threads must be >= 0")
     benchmark = _resolve_benchmark(config)
     grid = benchmark.make_grid(config.h)
     if config.mode == "legendre-pi":
@@ -303,8 +286,6 @@ def serialize_config(config):
     emit("scheme.N", config.N)
     emit("scheme.T", config.T)
     emit("output_dir", config.output_dir)
-    emit("seed", config.seed)
-    emit("threads", config.threads)
     emit("pi.max_iterations", config.pi_max_iterations)
     emit("pi.stop_tolerance", config.pi_stop_tolerance)
     emit("pi.record_every", config.pi_record_every)
@@ -393,8 +374,8 @@ def _run_solve(config, outdir):
         ("q_sup", sol.q_sup),
         ("c_sup", sol.c_sup),
         ("bound_excess", sol.bound_excess()),
-        ("value_min_t0", float(np.min(sol.slices[0].values))),
-        ("value_max_t0", float(np.max(sol.slices[0].values))),
+        ("value_min_t0", float(np.min(sol.values[0]))),
+        ("value_max_t0", float(np.max(sol.values[0]))),
     ])
 
 
@@ -584,8 +565,6 @@ def main(argv=None):
         p = sub.add_parser(mode, help=f"run in {mode} mode")
         p.add_argument("--config", required=True, help="path to a key: value config file")
         p.add_argument("--output", help="override output_dir")
-        p.add_argument("--threads", type=int, help="override threads (read by nothing)")
-        p.add_argument("--seed", type=int, help="override seed (read by nothing)")
     args = parser.parse_args(argv)
 
     try:
@@ -602,10 +581,6 @@ def main(argv=None):
     overrides = {"mode": args.mode}
     if args.output is not None:
         overrides["output_dir"] = args.output
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     config = replace(config, **overrides)
     return run_experiment(config)
 

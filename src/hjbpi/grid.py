@@ -176,19 +176,8 @@ class Field:
         return float(np.max(np.abs(self.values)))
 
 
-@dataclass(frozen=True)
-class GradientStencil:
-    """Central, forward, and backward difference quotients at one point."""
-
-    central: np.ndarray
-    forward: np.ndarray
-    backward: np.ndarray
-
-
-# Array-level operators.  The pointwise wrappers below reproduce single rows
-# of these bitwise, so both entry points agree exactly.
-
 def gradient_central_values(grid, values):
+    """Central-difference gradient of a flat value array at every point, (npoints, dim)."""
     out = np.empty((grid.npoints, grid.dim))
     inv = 1.0 / (2.0 * grid.spacing)
     for axis in range(grid.dim):
@@ -198,18 +187,8 @@ def gradient_central_values(grid, values):
     return out
 
 
-def gradient_one_sided_values(grid, values, sign):
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    out = np.empty((grid.npoints, grid.dim))
-    inv = 1.0 / grid.spacing
-    for axis in range(grid.dim):
-        nb = values[grid.neighbor_table(axis, sign)]
-        out[:, axis] = (nb - values) * inv if sign == +1 else (values - nb) * inv
-    return out
-
-
 def laplacian_values(grid, values):
+    """The (2d+1)-point discrete Laplacian at every point, (npoints,)."""
     out = np.zeros(grid.npoints)
     inv = 1.0 / (grid.spacing * grid.spacing)
     for axis in range(grid.dim):
@@ -221,59 +200,3 @@ def laplacian_values(grid, values):
 
 def gradient_central_field(field):
     return gradient_central_values(field.grid, field.values)
-
-
-def gradient_one_sided_field(field, sign):
-    return gradient_one_sided_values(field.grid, field.values, sign)
-
-
-def laplacian_field(field):
-    return laplacian_values(field.grid, field.values)
-
-
-def gradient_central(field, point):
-    """Central difference gradient at one grid point (periodic/clamped aware)."""
-    grid = field.grid
-    grid._check_index(point)
-    v = field.values
-    inv = 1.0 / (2.0 * grid.spacing)
-    return np.array([
-        (v[grid.neighbor_table(axis, +1)[point]] - v[grid.neighbor_table(axis, -1)[point]]) * inv
-        for axis in range(grid.dim)])
-
-
-def gradient_one_sided(field, point, sign):
-    """One-sided difference (phi(x +/- h e_i) - phi(x)) / (+/- h) at one point."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    grid = field.grid
-    grid._check_index(point)
-    v = field.values
-    inv = 1.0 / grid.spacing
-    out = np.empty(grid.dim)
-    for axis in range(grid.dim):
-        nb = v[grid.neighbor_table(axis, sign)[point]]
-        out[axis] = (nb - v[point]) * inv if sign == +1 else (v[point] - nb) * inv
-    return out
-
-
-def laplacian(field, point):
-    """Five-point (2d+1 in d dimensions) discrete Laplacian at one point."""
-    grid = field.grid
-    grid._check_index(point)
-    v = field.values
-    inv = 1.0 / (grid.spacing * grid.spacing)
-    total = 0.0
-    for axis in range(grid.dim):
-        up = v[grid.neighbor_table(axis, +1)[point]]
-        dn = v[grid.neighbor_table(axis, -1)[point]]
-        total += (up - 2.0 * v[point] + dn) * inv
-    return float(total)
-
-
-def gradient_stencil(field, point):
-    return GradientStencil(
-        central=gradient_central(field, point),
-        forward=gradient_one_sided(field, point, +1),
-        backward=gradient_one_sided(field, point, -1),
-    )

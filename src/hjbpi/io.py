@@ -41,11 +41,11 @@ def write_solution_csv(solution, path):
     no_policy = ["-1"] * grid.npoints
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for k, s in enumerate(solution.slices):
+        for k, row in enumerate(solution.values):
             t = fmt(solution.params.time(k))
             policy = solution.policy_slices[k] if solution.policy_slices else None
             controls = no_policy if policy is None else map(str, policy.choices.tolist())
-            values = map(repr, s.values.tolist())
+            values = map(repr, row.tolist())
             fh.write("".join(f"{t},{point},{value},{control}\r\n"
                              for point, value, control in zip(points, values, controls)))
 
@@ -91,10 +91,10 @@ def write_tau_study_csv(study, path):
         sols = study.solutions
         for i, tau in enumerate(study.tau_values):
             if i < len(study.distances):
-                ref = sols[i + 1].slices[0].values
+                ref = sols[i + 1].values[0]
             else:
                 ref = study.extrapolated
-            diff = sols[i].slices[0].values - ref
+            diff = sols[i].values[0] - ref
             writer.writerow([fmt(study.h), fmt(tau),
                              fmt(float(np.max(np.abs(diff)))),
                              fmt(float(np.sqrt(np.sum(diff ** 2))))])

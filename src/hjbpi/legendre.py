@@ -25,8 +25,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Field, gradient_central_values, laplacian_values
+from .grid import gradient_central_values, laplacian_values
 from .pi import _IterationTracker, fit_geometric_rate
+from .problem import _finite_sup
 from .scheme import SchemeParams, _check_values
 
 GRAD_FD_STEP = 1e-5   # relative central-difference step for grad_p fallback
@@ -238,8 +239,8 @@ class GeneralizedPIRun:
 
     params: SchemeParams
     modified: ModifiedHamiltonian
-    fixed_point: list                     # Fields at levels 0..steps (forward)
-    iterates: list                        # (iteration, list of Fields), thinned
+    fixed_point: np.ndarray               # (steps + 1, npoints), levels 0..steps forward
+    iterates: list                        # (iteration, values array), thinned
     errors_to_fixed_point: np.ndarray
     errors_l2: np.ndarray                 # at the far end t = T
     advection_l2: np.ndarray              # l2 distance of grad_p H~ to the fixed point's
@@ -258,28 +259,31 @@ class GeneralizedPIRun:
 def _forward_sweep(grid, params, q_values, threshold, term, gradients):
     """Step v(t + tau) = v + tau * (term + N*h*lap v) forward from v(0) = q.
 
-    ``term(k, t, grads)`` is the Hamiltonian term at level k given the
-    central gradient of the slice being stepped.  ``gradients[k]`` is
+    Returns the read-only (steps + 1, npoints) array of the run; row k is
+    level k.  ``term(k, t, grads)`` is the Hamiltonian term at level k given
+    the central gradient of the row being stepped.  ``gradients[k]`` is
     replaced by that gradient once level k is stepped, so ``term`` can
     still read the previous run's entry k.
     """
-    slices = [Field(grid=grid, values=q_values, time_label=0.0)]
+    values = np.empty((params.steps + 1, grid.npoints))
+    values[0] = q_values
     for k in range(params.steps):
         t = params.time(k)
-        v = slices[-1].values
+        v = values[k]
         grads = gradient_central_values(grid, v)
         lap = laplacian_values(grid, v)
         new = v + params.tau * (term(k, t, grads) + params.N * params.h * lap)
         _check_values(new, params.time(k + 1), threshold)
-        slices.append(Field(grid=grid, values=new, time_label=params.time(k + 1)))
+        values[k + 1] = new
         gradients[k] = grads
-    return slices
+    values.setflags(write=False)
+    return values
 
 
 def reverse_time_slices(solution):
-    """Backward-solution slices reindexed as a forward run (t -> T - t)."""
-    slices = getattr(solution, "slices", solution)
-    return list(reversed(list(slices)))
+    """A backward solution (or its values array) reindexed as a forward run
+    (t -> T - t): the row-reversed view ``values[::-1]``."""
+    return getattr(solution, "values", solution)[::-1]
 
 
 def legendre_scheme(H, M, grid, T, tau=None):
@@ -308,12 +312,12 @@ def generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations=60,
     """
     mod, params = legendre_scheme(H, M, grid, T, tau)
     coords = grid.coordinates()
-    q_values = np.broadcast_to(np.asarray(q(coords), dtype=float), (grid.npoints,)).copy()
+    q_values = np.broadcast_to(np.asarray(q(coords), dtype=float), (grid.npoints,))
 
     h0 = 0.0
     for t in H.probe_times:
         h0 = max(h0, float(np.max(np.abs(mod.value(t, coords, np.zeros_like(coords))))))
-    threshold = 10.0 * (float(np.max(np.abs(q_values))) + h0 * T + 1.0)
+    threshold = 10.0 * (_finite_sup(q_values, "terminal cost q") + h0 * T + 1.0)
 
     # the direct run's gradients become the fixed point's advection field
     fixed_advection = [None] * params.steps
@@ -321,14 +325,16 @@ def generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations=60,
                            lambda k, t, grads: -mod.value(t, coords, grads), fixed_advection)
     for k, grads in enumerate(fixed_advection):
         fixed_advection[k] = mod.gradient(params.time(k), coords, grads)
-    fixed_values = np.stack([f.values for f in fixed])
 
     # gradients[k]: central gradient of the previous iterate at level k,
     # where the next linearization freezes its coefficients
     if v0 is None:
         gradients = [gradient_central_values(grid, q_values)] * params.steps
     else:
-        gradients = [gradient_central_values(grid, v0[k].values) for k in range(params.steps)]
+        v0 = np.asarray(v0, dtype=float)
+        if v0.shape != fixed.shape:
+            raise ConfigurationError(f"v0 must have shape {fixed.shape}, got {v0.shape}")
+        gradients = [gradient_central_values(grid, v0[k]) for k in range(params.steps)]
     analytic_dual = H.legendre_L is not None
     resolution = 0.0 if analytic_dual else legendre_resolution(mod)
     level_grad_sup = np.zeros(params.steps)
@@ -346,16 +352,15 @@ def generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations=60,
             dual = np.sum(p_prev * b, axis=-1) - mod.value(t, coords, p_prev)
         return dual - np.sum(b * grads, axis=-1)
 
-    tracker = _IterationTracker(fixed_values, slice(None), -1, max_iterations,
+    tracker = _IterationTracker(fixed, slice(None), -1, max_iterations,
                                 stop_tolerance, record_every)
     adv_l2, grad_sup = [], []
     for n in range(max_iterations):
-        slices = _forward_sweep(grid, params, q_values, threshold, linear_term, gradients)
+        values = _forward_sweep(grid, params, q_values, threshold, linear_term, gradients)
         adv_l2.append(float(np.max(level_adv_l2)))
         grad_sup.append(float(np.max(level_grad_sup)))
-        if tracker.record(n, np.stack([s.values for s in slices]), slices):
+        if tracker.record(n, values, values):
             break
-        del slices  # only its gradients feed the next iteration
 
     return GeneralizedPIRun(
         params=params,

@@ -194,7 +194,7 @@ def run_policy_iteration(problem, grid, params, config=None):
     config = config or PIConfig()
     fixed = solve_hjb_direct(problem, grid, params)
     sup_norms = (fixed.q_sup, fixed.c_sup)
-    fixed_values = fixed.values_array()
+    fixed_values = fixed.values
     mask = grid.interior_mask(problem.f_sup_bound * params.T)
     if not np.any(mask):
         raise ConfigurationError("measured region is empty; enlarge the box or shrink T")
@@ -209,10 +209,9 @@ def run_policy_iteration(problem, grid, params, config=None):
     policy_l2, fp_excess = [], []
     for n in range(config.max_iterations):
         sol = evaluate_policy(problem, grid, params, policies, sup_norms=sup_norms)
-        values = sol.values_array()
         policy_l2.append(_policy_l2_distance(problem, policies, fixed.policy_slices, mask))
-        fp_excess.append(max(0.0, float(np.max(fixed_values - values))))
-        if tracker.record(n, values, sol):
+        fp_excess.append(max(0.0, float(np.max(fixed_values - sol.values))))
+        if tracker.record(n, sol.values, sol):
             break
         policies = sol.argmin_slices[1:]
 

@@ -18,6 +18,7 @@ gets the values at one time everywhere, i.e. wrong answers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -242,15 +243,28 @@ def probe_grid_coordinates(grid, refine=3):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def _finite_sup(values, callback, where=""):
+    """max |values|, raising ``ConfigurationError`` naming ``callback`` on NaN or inf.
+
+    ``np.max`` propagates NaN, so one check of the maximum covers every sample.
+    """
+    sup = float(np.max(np.abs(values)))
+    if not math.isfinite(sup):
+        raise ConfigurationError(f"{callback} returned a non-finite value{where}")
+    return sup
+
+
 def validate_f_bound(problem, grid, times, refine=3):
     """Check the declared |f| bound by sampling on a refined probe grid."""
     points = probe_grid_coordinates(grid, refine)
     worst = 0.0
     for t in times:
-        for a in problem.controls.elements:
+        for j, a in enumerate(problem.controls.elements):
             f = np.broadcast_to(np.asarray(problem.dynamics(t, points, a), dtype=float),
                                 points.shape)
-            worst = max(worst, float(np.max(np.sqrt(np.sum(f * f, axis=-1)))))
+            norms = np.sqrt(np.sum(f * f, axis=-1))
+            where = f" for control {j} at t={t:.6g}"
+            worst = max(worst, _finite_sup(norms, "dynamics", where))
     if worst > problem.f_sup_bound * (1.0 + 1e-9) + 1e-300:
         raise ConfigurationError(
             f"declared f_sup_bound={problem.f_sup_bound} but sampled |f| reaches {worst}")
@@ -258,14 +272,20 @@ def validate_f_bound(problem, grid, times, refine=3):
 
 
 def discrete_sup_norms(problem, grid, times):
-    """Sup of |q| on the lattice and of |c| over (times, lattice, controls)."""
+    """Sup of |q| on the lattice and of |c| over (times, lattice, controls).
+
+    A non-finite sample of either is a configuration error, so the sweeps
+    that start from these norms never see a non-finite terminal cost.
+    """
     points = grid.coordinates()
-    q_sup = float(np.max(np.abs(np.broadcast_to(
-        np.asarray(problem.terminal_cost(points), dtype=float), (points.shape[0],)))))
+    q_sup = _finite_sup(np.broadcast_to(
+        np.asarray(problem.terminal_cost(points), dtype=float), (points.shape[0],)),
+        "terminal_cost")
     c_sup = 0.0
     for t in times:
-        for a in problem.controls.elements:
+        for j, a in enumerate(problem.controls.elements):
             c = np.broadcast_to(np.asarray(problem.running_cost(t, points, a), dtype=float),
                                 (points.shape[0],))
-            c_sup = max(c_sup, float(np.max(np.abs(c))))
+            where = f" for control {j} at t={t:.6g}"
+            c_sup = max(c_sup, _finite_sup(c, "running_cost", where))
     return q_sup, c_sup

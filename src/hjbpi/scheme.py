@@ -13,7 +13,7 @@ additionally needs 2*d*N*tau <= h, so the default step is tau = h/(2 d N);
 for d = 1 this is the largest admissible step.
 
 Each backward step is a pure map over grid points reading only the
-previous (immutable) slice, so it is safe to parallelize pointwise; time
+previous level, so it is safe to parallelize pointwise; time
 levels are strictly sequential.
 """
 
@@ -154,33 +154,34 @@ def validate_cfl(params, f_sup_bound):
 
 @dataclass(eq=False)
 class SpaceTimeSolution:
-    """Value slices at every level k*tau, plus the per-level argmin policies.
+    """Values at every level k*tau, plus the per-level argmin policies.
 
-    ``slices[k]`` is the field at time k*tau; ``policy_slices[0]`` is always
-    None (no step leaves level 0), levels 1..steps hold the control choices
-    used when stepping down from that level.  ``argmin_slices`` has the same
+    ``values`` is one read-only, C-contiguous (steps + 1, npoints) float64
+    array; row k is V at time k*tau.  ``policy_slices[0]`` is always None
+    (no step leaves level 0), levels 1..steps hold the control choices used
+    when stepping down from that level.  ``argmin_slices`` has the same
     layout and holds the first argmin of the candidates at each level: the
-    greedy policy for these slices, equal to ``policy_slices`` for a direct
+    greedy policy for these values, equal to ``policy_slices`` for a direct
     solve.
     """
 
     grid: Grid
     params: SchemeParams
-    slices: list
+    values: np.ndarray
     policy_slices: list
     q_sup: float
     c_sup: float
     argmin_slices: list = None
 
     def values_array(self):
-        return np.stack([s.values for s in self.slices], axis=0)
+        return self.values
 
     def bound_excess(self):
         """Worst overshoot of |V(t,.)| beyond |q|_sup + |c|_sup (T - t)."""
         worst = -math.inf
-        for k, s in enumerate(self.slices):
+        for k, row in enumerate(self.values):  # row by row: no full-size |V| temporary
             allowed = self.q_sup + self.c_sup * (self.params.T - self.params.time(k))
-            worst = max(worst, s.sup_norm() - allowed)
+            worst = max(worst, float(np.max(np.abs(row))) - allowed)
         return worst
 
 
@@ -244,13 +245,6 @@ def _probe_times(params, count):
     return [params.time(int(k)) for k in ks]
 
 
-def _terminal_field(problem, grid, params):
-    q = np.broadcast_to(
-        np.asarray(problem.terminal_cost(grid.coordinates()), dtype=float),
-        (grid.npoints,)).copy()
-    return Field(grid=grid, values=q, time_label=params.T)
-
-
 def _checked_sup_norms(problem, grid, params):
     """Check the declared |f| bound, then return (|q|_sup, |c|_sup) on the lattice."""
     times = _probe_times(params, 1 if problem.time_invariant else 9)
@@ -264,24 +258,27 @@ def _sweep(problem, grid, params, sup_norms, frozen=None):
     ``frozen`` is None for the nonlinear scheme, else the stored policy list
     (entry k drives the step down from level k).  The per-level argmins are
     recorded either way.  A time-invariant problem's candidate tensors are
-    built once, here, and serve every level.
+    built once, here, and serve every level.  The terminal cost was checked
+    finite with the sup norms; every other row is checked before it is
+    written.
     """
     q_sup, c_sup = sup_norms
     threshold = _blowup_threshold(q_sup, c_sup, params.T)
-    slices = [None] * (params.steps + 1)
+    values = np.empty((params.steps + 1, grid.npoints))
     argmins = [None] * (params.steps + 1)
-    slices[params.steps] = _terminal_field(problem, grid, params)
+    values[params.steps] = np.asarray(problem.terminal_cost(grid.coordinates()), dtype=float)
     tensors = (_candidate_tensors(problem, params.T, grid.coordinates())
                if problem.time_invariant else None)
     for k in range(params.steps, 0, -1):
         t = params.time(k)
-        new, sel = _step(problem, params, grid, t, slices[k].values,
+        new, sel = _step(problem, params, grid, t, values[k],
                          None if frozen is None else frozen[k].choices, tensors)
         _check_values(new, params.time(k - 1), threshold)
         argmins[k] = PolicyField(grid=grid, time_label=t, choices=sel,
                                  n_controls=problem.controls.size)
-        slices[k - 1] = Field(grid=grid, values=new, time_label=params.time(k - 1))
-    return SpaceTimeSolution(grid=grid, params=params, slices=slices,
+        values[k - 1] = new
+    values.setflags(write=False)
+    return SpaceTimeSolution(grid=grid, params=params, values=values,
                              policy_slices=argmins if frozen is None else frozen,
                              q_sup=q_sup, c_sup=c_sup, argmin_slices=argmins)
 

@@ -21,7 +21,7 @@ from hjbpi.analysis import (
 )
 from hjbpi.benchmarks import Benchmark, get_benchmark
 from hjbpi.errors import CFLValidationError, ConfigurationError, UnsupportedDimensionError
-from hjbpi.grid import Field, Grid
+from hjbpi.grid import Grid
 from hjbpi.problem import ControlProblem, ControlSet
 from hjbpi.scheme import SchemeParams, SpaceTimeSolution, solve_hjb_direct
 
@@ -305,8 +305,7 @@ class TestTauRefinement:
 def manual_solution(grid, values, T=0.0):
     params = SchemeParams(h=grid.spacing, tau=grid.spacing / 2.0, N=1.0,
                           T=grid.spacing / 2.0, steps=1)
-    slices = [Field(grid, values, 0.0), Field(grid, values, params.T)]
-    return SpaceTimeSolution(grid=grid, params=params, slices=slices,
+    return SpaceTimeSolution(grid=grid, params=params, values=np.stack([values, values]),
                              policy_slices=[None, None], q_sup=float(np.max(np.abs(values))),
                              c_sup=0.0)
 

@@ -66,8 +66,6 @@ class TestParseConfig:
         assert config.benchmark == "eikonal-cos"
         assert config.mode == "solve"
         assert config.tau is None and config.N is None
-        assert config.resolved_N() == 1.0
-        assert config.resolved_tau() == 0.05
 
     def test_cfl_violation_rejected_at_parse(self):
         text = MINIMAL + "scheme.tau: 0.2\n"
@@ -78,6 +76,16 @@ class TestParseConfig:
         with pytest.raises(ConfigParseError) as err:
             parse_config("benchmark: zero\nscheme.h: 0.1\nwibble: 3\n")
         assert err.value.line_no == 3 and err.value.key == "wibble"
+
+    @pytest.mark.parametrize("key", ["seed", "threads"])
+    def test_removed_knobs_are_unknown_keys(self, key, tmp_path):
+        with pytest.raises(ConfigParseError) as err:
+            parse_config(f"benchmark: zero\nscheme.h: 0.1\n{key}: 3\n")
+        assert err.value.line_no == 3 and err.value.key == key
+        (tmp_path / "exp.cfg").write_text(f"benchmark: zero\n{key}: 0\n")
+        result = run_cli(["solve", "--config", "exp.cfg"], cwd=tmp_path)
+        assert result.returncode == EXIT_VALIDATION
+        assert f"unknown key '{key}'" in result.stderr
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigParseError):
@@ -129,8 +137,6 @@ def random_config(rng):
         N=None if rng.random() < 0.7 else float(rng.integers(1, 3)),
         T=float(rng.choice([0.5, 1.0])),
         output_dir=f"out{rng.integers(100)}",
-        seed=int(rng.integers(1000)),
-        threads=int(rng.integers(0, 4)),
         pi_max_iterations=int(rng.integers(1, 200)),
         pi_stop_tolerance=float(rng.choice([1e-8, 1e-10])),
         pi_record_every=int(rng.integers(1, 20)),
@@ -324,16 +330,28 @@ class TestCommandLine:
         assert result.returncode == EXIT_VALIDATION
         assert "h/(2 tau)" in result.stderr or "N <=" in result.stderr
 
+    @pytest.mark.parametrize("forms, callback", [
+        ("problem.dynamics: control\n", "dynamics"),
+        ("problem.dynamics: zero\nproblem.running_cost: half-square\n", "running_cost"),
+    ])
+    def test_non_finite_inline_callback_exits_2(self, tmp_path, forms, callback):
+        # the single control sample (nan + 1) / 2 makes f = a and c = |a|^2/2 NaN
+        (tmp_path / "exp.cfg").write_text(
+            "problem.control_min: nan\nproblem.control_samples: 1\nscheme.h: 0.1\n" + forms)
+        result = run_cli(["solve", "--config", "exp.cfg"], cwd=tmp_path)
+        assert result.returncode == EXIT_VALIDATION
+        assert f"error: {callback} returned a non-finite value for control 0 at t=0" \
+            in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_missing_config_exits_2(self, tmp_path):
         result = run_cli(["solve", "--config", "nope.cfg"], cwd=tmp_path)
         assert result.returncode == EXIT_VALIDATION
 
     def test_identical_runs_are_bitwise_identical(self, tmp_path):
         (tmp_path / "exp.cfg").write_text(MINIMAL)
-        # thread count must not influence results either
-        for out, threads in (("a", "1"), ("b", "4")):
-            result = run_cli(["solve", "--config", "exp.cfg", "--output", out,
-                              "--seed", "7", "--threads", threads], cwd=tmp_path)
+        for out in ("a", "b"):
+            result = run_cli(["solve", "--config", "exp.cfg", "--output", out], cwd=tmp_path)
             assert result.returncode == EXIT_OK, result.stderr
         names = [n for n in os.listdir(tmp_path / "a") if n != "config.txt"]
         assert "solution.csv" in names

@@ -5,13 +5,9 @@ from hjbpi.errors import ConfigurationError
 from hjbpi.grid import (
     Field,
     Grid,
-    gradient_central,
     gradient_central_field,
-    gradient_one_sided,
-    gradient_one_sided_field,
-    gradient_stencil,
-    laplacian,
-    laplacian_field,
+    gradient_central_values,
+    laplacian_values,
 )
 
 
@@ -22,8 +18,9 @@ def line_grid(h=0.5, n=9, origin=-2.0, periodic=False):
 def test_central_exact_on_affine():
     grid = line_grid()
     f = Field(grid, grid.coordinates()[:, 0], 0.0)
+    grads = gradient_central_values(grid, f.values)
     for point in range(1, grid.npoints - 1):
-        assert gradient_central(f, point)[0] == 1.0
+        assert grads[point, 0] == 1.0
 
 
 def test_central_exact_on_quadratic():
@@ -31,42 +28,33 @@ def test_central_exact_on_quadratic():
     grid = line_grid(h=0.5, n=9, origin=-2.0)
     f = Field(grid, grid.coordinates()[:, 0] ** 2, 0.0)
     point = grid.nearest_index([1.0])
-    assert gradient_central(f, point)[0] == pytest.approx(2.0, abs=1e-14)
+    assert gradient_central_values(grid, f.values)[point, 0] == pytest.approx(2.0, abs=1e-14)
 
 
 def test_constant_field_annihilated():
     grid = line_grid(periodic=True)
     f = Field(grid, np.full(grid.npoints, 3.7), 0.0)
+    grads = gradient_central_values(grid, f.values)
+    lap = laplacian_values(grid, f.values)
     for point in range(grid.npoints):
-        assert gradient_central(f, point)[0] == 0.0
-        assert gradient_one_sided(f, point, +1)[0] == 0.0
-        assert gradient_one_sided(f, point, -1)[0] == 0.0
-        assert laplacian(f, point) == 0.0
+        assert grads[point, 0] == 0.0
+        assert lap[point] == 0.0
 
 
-def test_one_sided_signs_on_abs():
+def test_laplacian_at_abs_kink():
     grid = line_grid(h=0.5, n=9, origin=-2.0)
     f = Field(grid, np.abs(grid.coordinates()[:, 0]), 0.0)
     origin_pt = grid.nearest_index([0.0])
-    assert gradient_one_sided(f, origin_pt, +1)[0] == 1.0
-    assert gradient_one_sided(f, origin_pt, -1)[0] == -1.0
     # (0.5 - 0 + 0.5) / 0.25 = 4.0
-    assert laplacian(f, origin_pt) == 4.0
-
-
-def test_one_sided_on_affine_both_signs():
-    grid = line_grid()
-    f = Field(grid, grid.coordinates()[:, 0], 0.0)
-    for point in range(1, grid.npoints - 1):
-        assert gradient_one_sided(f, point, +1)[0] == pytest.approx(1.0, abs=1e-14)
-        assert gradient_one_sided(f, point, -1)[0] == pytest.approx(1.0, abs=1e-14)
+    assert laplacian_values(grid, f.values)[origin_pt] == 4.0
 
 
 def test_laplacian_exact_on_quadratic():
     grid = line_grid(h=0.3, n=11, origin=0.0)
     f = Field(grid, grid.coordinates()[:, 0] ** 2, 0.0)
+    lap = laplacian_values(grid, f.values)
     for point in range(1, grid.npoints - 1):
-        assert laplacian(f, point) == pytest.approx(2.0, rel=1e-12)
+        assert lap[point] == pytest.approx(2.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("periodic", [True, False])
@@ -76,12 +64,14 @@ def test_central_is_mean_of_one_sided(shape, periodic):
     grid = Grid(spacing=0.25, points_per_axis=shape, periodic=(periodic,) * len(shape))
     f = Field(grid, rng.uniform(-1, 1, grid.npoints), 0.0)
     central = gradient_central_field(f)
-    mean = 0.5 * (gradient_one_sided_field(f, +1) + gradient_one_sided_field(f, -1))
+    v = f.values
+    forward = np.stack([(v[grid.neighbor_table(axis, +1)] - v) / grid.spacing
+                        for axis in range(grid.dim)], axis=-1)
+    backward = np.stack([(v - v[grid.neighbor_table(axis, -1)]) / grid.spacing
+                         for axis in range(grid.dim)], axis=-1)
+    mean = 0.5 * (forward + backward)
     tol = 8 * np.finfo(float).eps * f.sup_norm() / grid.spacing
     assert np.max(np.abs(central - mean)) <= tol
-    stencil = gradient_stencil(f, grid.npoints // 2)
-    assert np.allclose(stencil.central, 0.5 * (stencil.forward + stencil.backward),
-                       atol=tol)
 
 
 def test_operators_linear():
@@ -92,15 +82,16 @@ def test_operators_linear():
     a, b = 1.7, -0.4
     fu, fw = Field(grid, u, 0.0), Field(grid, w, 0.0)
     combo = Field(grid, a * u + b * w, 0.0)
-    for op in (gradient_central_field, laplacian_field):
-        assert np.allclose(op(combo), a * op(fu) + b * op(fw), atol=1e-12)
+    for op in (gradient_central_values, laplacian_values):
+        assert np.allclose(op(grid, combo.values),
+                           a * op(grid, fu.values) + b * op(grid, fw.values), atol=1e-12)
 
 
 def test_periodic_laplacian_sums_to_zero():
     rng = np.random.default_rng(3)
     grid = Grid(spacing=0.1, points_per_axis=(12, 10))
     f = Field(grid, rng.uniform(-2, 2, grid.npoints), 0.0)
-    total = np.sum(laplacian_field(f))
+    total = np.sum(laplacian_values(grid, f.values))
     tol = 1e-10 * grid.npoints * f.sup_norm() / grid.spacing ** 2
     assert abs(total) <= tol
 
@@ -109,25 +100,20 @@ def test_clamped_boundary_uses_nearest_value():
     grid = line_grid(h=1.0, n=3, origin=0.0, periodic=False)
     f = Field(grid, np.array([5.0, 7.0, 11.0]), 0.0)
     # right neighbor of the last point is itself
-    assert gradient_one_sided(f, 2, +1)[0] == 0.0
-    assert gradient_central(f, 2)[0] == (11.0 - 7.0) / 2.0
-    assert laplacian(f, 2) == (11.0 - 2 * 11.0 + 7.0)
+    assert gradient_central_values(grid, f.values)[2, 0] == (11.0 - 7.0) / 2.0
+    assert laplacian_values(grid, f.values)[2] == (11.0 - 2 * 11.0 + 7.0)
 
 
 def test_periodic_wraparound():
     grid = line_grid(h=1.0, n=4, origin=0.0, periodic=True)
     f = Field(grid, np.array([1.0, 2.0, 3.0, 4.0]), 0.0)
-    assert gradient_central(f, 0)[0] == (2.0 - 4.0) / 2.0
-    assert gradient_central(f, 3)[0] == (1.0 - 3.0) / 2.0
+    grads = gradient_central_values(grid, f.values)
+    assert grads[0, 0] == (2.0 - 4.0) / 2.0
+    assert grads[3, 0] == (1.0 - 3.0) / 2.0
 
 
 def test_index_validation():
     grid = line_grid()
-    f = Field(grid, np.zeros(grid.npoints), 0.0)
-    with pytest.raises(IndexError):
-        gradient_central(f, grid.npoints)
-    with pytest.raises(IndexError):
-        laplacian(f, -1)
     with pytest.raises(IndexError):
         grid.unravel_index(grid.npoints)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hjbpi.benchmarks import get_benchmark
-from hjbpi.grid import Field, Grid
+from hjbpi.grid import Grid
 from hjbpi.io import fmt, write_solution_csv
 from hjbpi.problem import ControlProblem, ControlSet, PolicyField
 from hjbpi.scheme import SchemeParams, SpaceTimeSolution, solve_hjb_direct
@@ -19,14 +19,14 @@ def reference_solution_csv(solution, path):
         writer.writerow(["t", "linear_index"]
                         + [f"x_{i}" for i in range(grid.dim)]
                         + ["value", "control_index"])
-        for k, s in enumerate(solution.slices):
+        for k, s in enumerate(solution.values):
             t = solution.params.time(k)
             policy = solution.policy_slices[k] if solution.policy_slices else None
             for idx in range(grid.npoints):
                 control = -1 if policy is None else int(policy.choices[idx])
                 writer.writerow([fmt(t), idx]
                                 + [fmt(c) for c in coords[idx]]
-                                + [fmt(s.values[idx]), control])
+                                + [fmt(s[idx]), control])
 
 
 def assert_same_bytes(solution, tmp_path):
@@ -64,8 +64,7 @@ def test_clamped_two_dimensional_solve(tmp_path):
 def manual_solution(values, policy_slices):
     grid = Grid(spacing=0.25, points_per_axis=(len(values),), origin=(-0.5,))
     params = SchemeParams(h=0.25, tau=0.125, N=1.0, T=0.125, steps=1)
-    slices = [Field(grid, values, 0.0), Field(grid, values[::-1], params.T)]
-    return SpaceTimeSolution(grid=grid, params=params, slices=slices,
+    return SpaceTimeSolution(grid=grid, params=params, values=np.stack([values, values[::-1]]),
                              policy_slices=policy_slices(grid, params), q_sup=0.0, c_sup=0.0)
 
 

@@ -13,7 +13,7 @@ from hjbpi.legendre import (
 )
 from hjbpi.pi import PIConfig, run_policy_iteration
 from hjbpi.problem import ControlProblem, ControlSet
-from hjbpi.scheme import SchemeParams
+from hjbpi.scheme import SchemeParams, solve_hjb_direct
 
 
 def quadratic_h(analytic=True):
@@ -146,7 +146,7 @@ class TestGeneralizedPI:
         run = generalized_pi(flat, lambda X: np.full(X.shape[0], 2.5), grid, 1.0, 1.0,
                              max_iterations=5)
         for f in run.fixed_point:
-            assert np.allclose(f.values, 2.5, atol=1e-13)
+            assert np.allclose(f, 2.5, atol=1e-13)
         assert run.errors_to_fixed_point[-1] <= 1e-13
 
     def test_flat_hamiltonian_iterates_are_the_viscous_evolution(self):
@@ -201,9 +201,8 @@ class TestGeneralizedPI:
         params = SchemeParams.create(grid.spacing, 1.0, 1.0, tau=run.params.tau,
                                      N=run.params.N)
         crun = run_policy_iteration(prob, grid, params, PIConfig(max_iterations=80))
-        forward = np.stack([f.values for f in run.iterates[-1][1]])
-        backward = np.stack(
-            [f.values for f in reverse_time_slices(crun.iterates[-1][1])])
+        forward = run.iterates[-1][1]
+        backward = reverse_time_slices(crun.iterates[-1][1])
         assert np.max(np.abs(forward - backward)) <= 2e-2
 
     def test_advection_distance_reported(self):
@@ -212,6 +211,31 @@ class TestGeneralizedPI:
                              max_iterations=30)
         assert len(run.advection_l2) == run.iterations_used
         assert run.advection_l2[-1] <= 1e-8
+
+
+def test_reverse_time_slices_is_the_row_reversed_view():
+    bench = get_benchmark("eikonal-cos")
+    grid = bench.make_grid(0.2)
+    params = SchemeParams.create(grid.spacing, 0.5, 1.0)
+    sol = solve_hjb_direct(bench.problem, grid, params)
+    for source in (sol, sol.values):
+        reversed_values = reverse_time_slices(source)
+        assert np.array_equal(reversed_values, sol.values[::-1])
+        assert np.shares_memory(reversed_values, sol.values)
+
+
+def test_v0_of_the_wrong_shape_rejected():
+    grid = get_benchmark("eikonal-cos").make_grid(0.2)
+    with pytest.raises(ConfigurationError, match="v0 must have shape"):
+        generalized_pi(quadratic_h(), lambda X: np.cos(X[:, 0]), grid, 0.5, 2.0,
+                       v0=np.zeros((3, grid.npoints)))
+
+
+def test_non_finite_terminal_cost_rejected():
+    grid = get_benchmark("eikonal-cos").make_grid(0.2)
+    with pytest.raises(ConfigurationError, match="terminal cost q returned a non-finite"):
+        generalized_pi(quadratic_h(), lambda X: np.where(X[:, 0] > 1.0, np.nan, 0.0),
+                       grid, 0.5, 2.0)
 
 
 def test_resolution_scales_with_radius():

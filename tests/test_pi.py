@@ -8,7 +8,7 @@ import hjbpi
 from hjbpi import problem as problem_module
 from hjbpi.benchmarks import get_benchmark, lq_feedback_policies
 from hjbpi.errors import ConfigurationError
-from hjbpi.grid import Grid
+from hjbpi.grid import Field, Grid
 from hjbpi.pi import (
     PIConfig,
     build_initial_policies,
@@ -173,7 +173,8 @@ class TestImprovementFromEvaluation:
         sol = evaluate_policy(problem, grid, params, policies)
         assert sol.argmin_slices[0] is None
         for k in range(1, params.steps + 1):
-            expected = improve_policy(problem, sol.slices[k], params.time(k))
+            expected = improve_policy(problem, Field(grid, sol.values[k], params.time(k)),
+                                      params.time(k))
             greedy = sol.argmin_slices[k]
             assert greedy.time_label == expected.time_label
             assert np.array_equal(greedy.choices, expected.choices)

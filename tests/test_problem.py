@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -228,7 +230,7 @@ def test_rollout_matches_solver_value():
     x0 = grid.coordinates()[20]
     cost = rollout_cost(bench.problem, sol.policy_slices[1:], (0.0, x0), dt)
     budget = 10.0 * (grid.spacing + params.tau + dt)
-    assert abs(cost - sol.slices[0].values[20]) <= budget
+    assert abs(cost - sol.values[0][20]) <= budget
 
 
 def test_validate_f_bound_catches_lies():
@@ -250,6 +252,47 @@ def test_discrete_sup_norms():
     q_sup, c_sup = discrete_sup_norms(bench.problem, grid, [0.0, 0.5, 1.0])
     assert q_sup == pytest.approx(1.0, abs=1e-12)
     assert c_sup == 1.0
+
+
+def nan_beyond_one(callback):
+    """A quadratic-lq copy whose ``callback`` is NaN for x > 1."""
+    problem = get_benchmark("quadratic-lq").problem
+    original = getattr(problem, callback)
+    if callback == "terminal_cost":
+        def poisoned(x):
+            return np.where(x[..., 0] > 1.0, np.nan, original(x))
+    elif callback == "dynamics":
+        def poisoned(t, x, a):
+            return np.where(x > 1.0, np.nan, original(t, x, a))
+    else:
+        def poisoned(t, x, a):
+            return np.where(x[..., 0] > 1.0, np.nan, original(t, x, a))
+    return dataclasses.replace(problem, **{callback: poisoned})
+
+
+def test_discrete_sup_norms_reject_nan_samples():
+    grid = get_benchmark("quadratic-lq").make_grid(0.1)
+    with pytest.raises(ConfigurationError,
+                       match=r"running_cost returned a non-finite value for control 0 at t=0\.5"):
+        discrete_sup_norms(nan_beyond_one("running_cost"), grid, [0.5, 1.0])
+    with pytest.raises(ConfigurationError, match=r"terminal_cost returned a non-finite value"):
+        discrete_sup_norms(nan_beyond_one("terminal_cost"), grid, [0.5, 1.0])
+
+
+def test_validate_f_bound_rejects_nan_dynamics():
+    grid = get_benchmark("quadratic-lq").make_grid(0.1)
+    with pytest.raises(ConfigurationError,
+                       match=r"dynamics returned a non-finite value for control 0 at t=0\.5"):
+        validate_f_bound(nan_beyond_one("dynamics"), grid, [0.5, 1.0])
+
+
+@pytest.mark.parametrize("callback", ["running_cost", "dynamics", "terminal_cost"])
+def test_non_finite_callback_stops_the_solve_as_a_configuration_error(callback):
+    # not as a numerical blowup a few levels in
+    grid = get_benchmark("quadratic-lq").make_grid(0.1)
+    params = SchemeParams.create(grid.spacing, 1.0, 1.0)
+    with pytest.raises(ConfigurationError, match=rf"^{callback} returned a non-finite value"):
+        solve_hjb_direct(nan_beyond_one(callback), grid, params)
 
 
 def test_hamiltonian_field_matches_pointwise():

@@ -5,7 +5,7 @@ import pytest
 
 from hjbpi.benchmarks import get_benchmark, lq_feedback_policies
 from hjbpi.errors import CFLValidationError, ConfigurationError, NumericalBlowupError
-from hjbpi.grid import Field, Grid, gradient_central_values, gradient_one_sided_field
+from hjbpi.grid import Field, Grid, gradient_central_values
 from hjbpi.pi import PIConfig, build_initial_policies, run_policy_iteration
 from hjbpi.problem import (
     ControlProblem,
@@ -189,8 +189,8 @@ class TestEvaluatePolicy:
 
         policies = build_initial_policies(prob, grid, params, "first-control")
         sol = evaluate_policy(prob, grid, params, policies)
-        for s in sol.slices:
-            assert np.array_equal(s.values, np.full(grid.npoints, 9.5))
+        for s in sol.values:
+            assert np.array_equal(s, np.full(grid.npoints, 9.5))
 
     def test_pure_quadrature_of_unit_cost(self):
         prob = ControlProblem(
@@ -206,8 +206,8 @@ class TestEvaluatePolicy:
 
         policies = build_initial_policies(prob, grid, params, "first-control")
         sol = evaluate_policy(prob, grid, params, policies)
-        for k, s in enumerate(sol.slices):
-            assert np.allclose(s.values, params.T - params.time(k), atol=1e-12)
+        for k, s in enumerate(sol.values):
+            assert np.allclose(s, params.T - params.time(k), atol=1e-12)
 
     def test_transport_against_exact_solution(self):
         bench, grid, params = bench_setup("transport-sin")
@@ -217,9 +217,9 @@ class TestEvaluatePolicy:
         sol = evaluate_policy(bench.problem, grid, params, policies)
         X = grid.coordinates()[:, 0]
         worst = 0.0
-        for k, s in enumerate(sol.slices):
+        for k, s in enumerate(sol.values):
             exact = np.sin(X + (params.T - params.time(k)))
-            worst = max(worst, float(np.max(np.abs(s.values - exact))))
+            worst = max(worst, float(np.max(np.abs(s - exact))))
         fitted_c = worst / ((grid.spacing + params.N * grid.spacing) * params.T)
         assert fitted_c <= 5.0
 
@@ -241,7 +241,7 @@ class TestDirectSolve:
     def test_terminal_slice_is_sampled_terminal_cost_bitwise(self):
         bench, grid, params = bench_setup("eikonal-cos")
         sol = solve_hjb_direct(bench.problem, grid, params)
-        assert np.array_equal(sol.slices[-1].values,
+        assert np.array_equal(sol.values[-1],
                               bench.problem.terminal_cost(grid.coordinates()))
 
     def test_eikonal_full_period_reaches_flat_value(self):
@@ -251,7 +251,7 @@ class TestDirectSolve:
         grid = bench.make_grid(0.1)
         params = SchemeParams.create(grid.spacing, float(np.pi), 1.0)
         sol = solve_hjb_direct(bench.problem, grid, params)
-        dev = np.max(np.abs(sol.slices[0].values - (np.pi - 1.0)))
+        dev = np.max(np.abs(sol.values[0] - (np.pi - 1.0)))
         assert dev <= np.sqrt(grid.spacing)
 
     def test_quadratic_lq_value_vanishes(self):
@@ -280,9 +280,9 @@ class TestDirectSolve:
         # nonexpansive under translations: |D_h V(t)| stays below |D_h q|
         bench, grid, params = bench_setup(name)
         sol = solve_hjb_direct(bench.problem, grid, params)
-        lip_q = np.max(np.abs(gradient_one_sided_field(sol.slices[-1], +1)))
-        for s in sol.slices:
-            lip = np.max(np.abs(gradient_one_sided_field(s, +1)))
+        lip_q = np.max(np.abs(gradient_central_values(grid, sol.values[-1])))
+        for s in sol.values:
+            lip = np.max(np.abs(gradient_central_values(grid, s)))
             assert lip <= lip_q * (1.0 + 1e-9) + 1e-12
 
     def test_two_dimensional_eikonal_tracks_oracle(self):
@@ -308,7 +308,7 @@ class TestDirectSolve:
             exact = hopf_lax_oracle(prob.terminal_cost, 1.0, 0.0, 1.0,
                                     grid.coordinates()[idx], 1.0,
                                     initial_samples=501, tol=1e-5)
-            assert abs(sol.slices[0].values[idx] - exact) <= np.sqrt(grid.spacing)
+            assert abs(sol.values[0][idx] - exact) <= np.sqrt(grid.spacing)
 
     def test_blowup_detected_beyond_stability_region(self):
         # in 2D the equality case of the 1D step bound over-drives the
@@ -447,12 +447,12 @@ class TestCandidateTensors:
         sol = solve_hjb_direct(prob, grid, params)
         assert {params.time(k) for k in range(1, params.steps + 1)} <= seen
         # stepping level by level at each level's own time is the reference
-        field = sol.slices[params.steps]
+        field = Field(grid, sol.values[params.steps], params.T)
         for k in range(params.steps, 0, -1):
             field = apply_step_operator(prob, params, params.time(k), field)
-            assert same_bits(field.values, sol.slices[k - 1].values)
+            assert same_bits(field.values, sol.values[k - 1])
         wrong = solve_hjb_direct(replace(prob, time_invariant=True), grid, params)
-        assert not np.array_equal(wrong.slices[0].values, sol.slices[0].values)
+        assert not np.array_equal(wrong.values[0], sol.values[0])
 
     @pytest.mark.parametrize("time_invariant", [True, False])
     def test_callback_calls_per_pi_run(self, time_invariant):

@@ -20,7 +20,7 @@ from hjbpi.errors import MonotonicityError
 from hjbpi.grid import Field
 from hjbpi.legendre import ConvexHamiltonian, generalized_pi
 from hjbpi.pi import MONOTONE_ABORT, PIConfig, run_policy_iteration
-from hjbpi.scheme import SchemeParams
+from hjbpi.scheme import SchemeParams, solve_hjb_direct
 
 RISE = 100.0 * MONOTONE_ABORT
 
@@ -64,9 +64,7 @@ def raise_pi_iterate(monkeypatch, call):
         calls[0] += 1
         if calls[0] != call:
             return sol
-        slices = [Field(grid=s.grid, values=s.values + RISE, time_label=s.time_label)
-                  for s in sol.slices]
-        return dataclasses.replace(sol, slices=slices)
+        return dataclasses.replace(sol, values=sol.values + RISE)
 
     monkeypatch.setattr(pi_module, "evaluate_policy", lifted)
 
@@ -77,12 +75,11 @@ def raise_legendre_iterate(monkeypatch, call):
     calls = [0]
 
     def lifted(*args, **kwargs):
-        slices = original(*args, **kwargs)
+        values = original(*args, **kwargs)
         calls[0] += 1
         if calls[0] != call + 1:
-            return slices
-        return [Field(grid=s.grid, values=s.values + RISE, time_label=s.time_label)
-                for s in slices]
+            return values
+        return values + RISE
 
     monkeypatch.setattr(legendre_module, "_forward_sweep", lifted)
 
@@ -156,10 +153,8 @@ def test_generalized_pi_takes_one_gradient_per_slice(monkeypatch):
 
 def test_explicit_constant_start_matches_default_start():
     reference = run_legendre(60, 1)
-    grid = reference.fixed_point[0].grid
-    q = reference.fixed_point[0].values
-    v0 = [Field(grid=grid, values=q, time_label=reference.params.time(k))
-          for k in range(reference.params.steps + 1)]
+    q = reference.fixed_point[0]
+    v0 = np.stack([q] * (reference.params.steps + 1))
     run = run_legendre(60, 1, v0=v0)
     assert run.iterations_used == reference.iterations_used
     assert np.array_equal(run.errors_to_fixed_point, reference.errors_to_fixed_point)
@@ -167,4 +162,36 @@ def test_explicit_constant_start_matches_default_start():
     assert np.array_equal(run.gradient_sup, reference.gradient_sup)
     for (n, slices), (m, ref) in zip(run.iterates, reference.iterates):
         assert n == m
-        assert all(np.array_equal(a.values, b.values) for a, b in zip(slices, ref))
+        assert all(np.array_equal(a, b) for a, b in zip(slices, ref))
+
+
+def test_solutions_are_one_read_only_contiguous_array(driver):
+    # the fixed point is a direct solve (or forward sweep), every control
+    # iterate an evaluate_policy solution
+    run = driver[0](60, 1)
+    shape = (run.params.steps + 1, get_benchmark("eikonal-cos").make_grid(0.1).npoints)
+    stored = [run.fixed_point] + [iterate for _, iterate in run.iterates]
+    for values in (getattr(s, "values", s) for s in stored):
+        assert values.shape == shape
+        assert values.dtype == np.float64
+        assert values.flags.c_contiguous
+        assert not values.flags.writeable
+
+
+def test_no_field_is_built_per_level(monkeypatch):
+    calls = [0]
+    original = Field.__post_init__
+
+    def counted(self):
+        calls[0] += 1
+        original(self)
+
+    monkeypatch.setattr(Field, "__post_init__", counted)
+    bench = get_benchmark("eikonal-cos")
+    grid = bench.make_grid(0.1)
+    solve_hjb_direct(bench.problem, grid,
+                     SchemeParams.create(grid.spacing, 1.0, bench.problem.f_sup_bound))
+    run_legendre(60, 10)
+    assert calls[0] == 0
+    Field(grid, np.zeros(grid.npoints), 0.0)
+    assert calls[0] == 1  # the patch does count
