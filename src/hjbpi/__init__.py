@@ -18,7 +18,6 @@ from .pi import (
     PIRun,
     build_initial_policies,
     fit_geometric_rate,
-    policy_distance,
     run_policy_iteration,
 )
 from .problem import (
@@ -27,7 +26,6 @@ from .problem import (
     PolicyField,
     discrete_sup_norms,
     hamiltonian_field,
-    hamiltonian_min,
     improve_policy,
     rollout_cost,
     validate_f_bound,
@@ -40,7 +38,6 @@ from .scheme import (
     cfl_report,
     evaluate_policy,
     solve_hjb_direct,
-    validate_cfl,
 )
 
 __version__ = "0.1.0"

@@ -133,7 +133,7 @@ _PROBLEM_KEYS = {
     "problem.control_samples": ("control_samples", int),
     "problem.f_sup_bound": ("f_sup_bound", float),
 }
-_POSITIVE_KEYS = ("scheme.h", "scheme.tau", "scheme.N", "scheme.T")
+_POSITIVE_KEYS = ("scheme.h", "scheme.tau", "scheme.N", "scheme.T", "legendre.M")
 KNOWN_KEYS = sorted(list(_SCALAR_KEYS) + list(_LIST_KEYS) + list(_PROBLEM_KEYS)
                     + ["problem.box"])
 
@@ -213,10 +213,11 @@ def parse_config(text):
 def validate_config(config):
     """Reject a config, from a file or built in code, before anything runs.
 
-    Scheme numbers that are not finite and > 0 raise ``ConfigParseError``
-    naming the key.  The CFL check builds the grid and scheme parameters
-    the run itself builds, so the snapped spacing, the dimension and
-    legendre-pi's viscosity N = m2/2 are the ones checked.
+    Scheme numbers and ``legendre.M`` that are not finite and > 0, and
+    non-finite control bounds, raise ``ConfigParseError`` naming the key.
+    The CFL check builds the grid and scheme parameters the run itself
+    builds, so the snapped spacing, the dimension and legendre-pi's
+    viscosity N = m2/2 are the ones checked.
     """
     for key in _POSITIVE_KEYS:
         value = getattr(config, _SCALAR_KEYS[key][0])
@@ -229,6 +230,10 @@ def validate_config(config):
         raise ConfigurationError("exactly one of 'benchmark' or 'problem.*' is required")
     if config.problem is not None:
         spec = config.problem
+        for key in ("problem.control_min", "problem.control_max"):
+            value = getattr(spec, _PROBLEM_KEYS[key][0])
+            if not math.isfinite(value):
+                raise ConfigParseError(f"{key!r} must be finite, got {value!r}", key=key)
         if spec.dynamics not in DYNAMICS_FORMS:
             raise ConfigurationError(
                 f"unknown dynamics form {spec.dynamics!r}; forms: {sorted(DYNAMICS_FORMS)}")
@@ -465,6 +470,7 @@ def _legendre_hamiltonian(name, dim):
             dim=dim,
             grad_p=lambda t, x, p: np.asarray(p, dtype=float),
             legendre_L=lambda t, x, mu: 0.5 * np.sum(np.asarray(mu) ** 2, axis=-1),
+            time_invariant=True,
         )
     raise ConfigurationError(f"unknown Hamiltonian form {name!r}")
 

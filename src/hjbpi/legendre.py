@@ -11,9 +11,11 @@ Everything runs forward in time from initial data q.  One forward sweep
 v(t + tau) = v + tau * (term + N*h*lap v) serves both the direct run
 (term = -H~(grad v)) and each linearized run (term = dual - b . grad v);
 the gradients a sweep takes are the next iteration's linearization point.
-The run bookkeeping is the tracker shared with ``pi``.  A time-reversal
-adapter (`reverse_time_slices`) maps these runs onto the backward control
-formulation for cross-checks.
+A linearized run freezes its coefficients for a block of levels per
+Hamiltonian call: ``LINEARIZE_BLOCK`` levels for a time-invariant H, one
+level otherwise.  The run bookkeeping is the tracker shared with ``pi``.
+A time-reversal adapter (`reverse_time_slices`) maps these runs onto the
+backward control formulation for cross-checks.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .scheme import SchemeParams, _check_values
 
 GRAD_FD_STEP = 1e-5   # relative central-difference step for grad_p fallback
 LEGENDRE_POINTS = 41  # probe points per axis and stage in the numeric transform
+LINEARIZE_BLOCK = 16  # levels per Hamiltonian call when H is time-invariant
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,8 +44,15 @@ class ConvexHamiltonian:
     ``func`` receives ``x`` of shape (..., d) and ``p`` of shape (..., d)
     and returns shape (...).  Optional analytic helpers avoid numeric
     fallbacks: ``grad_p`` with the same convention returning (..., d), and
-    ``legendre_L(t, x, mu)`` for the convex dual.  ``probe_times`` and
-    ``probe_points`` tell the clipping construction where to sample.
+    ``legendre_L(t, x, mu)`` for the convex dual.  The iteration passes
+    ``p`` and ``mu`` with a leading axis over a block of time levels and
+    ``x`` broadcast to their shape.  ``probe_times`` and ``probe_points``
+    tell the clipping construction where to sample.
+
+    ``time_invariant`` (default False) promises that the callbacks ignore
+    ``t``, like ``ControlProblem.time_invariant``: the iteration then
+    evaluates them for ``LINEARIZE_BLOCK`` levels at a time, at the block's
+    first time.  Nothing checks the promise.
     """
 
     func: Callable
@@ -52,6 +62,7 @@ class ConvexHamiltonian:
     p_probe_radius: float = 5.0
     probe_times: tuple = (0.0, 0.5, 1.0)
     probe_points: tuple = ((0.0,),)
+    time_invariant: bool = False
 
     def value(self, t, x, p):
         return np.asarray(self.func(t, x, p), dtype=float)
@@ -110,10 +121,6 @@ class ModifiedHamiltonian:
     def N(self):
         return self.m2 / 2.0
 
-    @property
-    def dim(self):
-        return self.base.dim
-
     def value(self, t, x, p):
         p = np.asarray(p, dtype=float)
         norm = np.sqrt(np.sum(p * p, axis=-1))
@@ -126,14 +133,13 @@ class ModifiedHamiltonian:
     def gradient(self, t, x, p):
         p = np.asarray(p, dtype=float)
         norm = np.sqrt(np.sum(p * p, axis=-1, keepdims=True))
-        safe = np.where(norm > 0.0, norm, 1.0)
-        radial = self.m2 * p / safe
-        inner_grad = self.base.gradient(t, x, p)
-        inner_val = np.asarray(self.base.func(t, x, p), dtype=float)[..., None]
-        linear_val = (self.m1 + self.m2 * (norm - 2.0 * self.M))
-        middle = np.where(inner_val >= linear_val, inner_grad, radial)
-        return np.where(norm <= 2.0 * self.M, inner_grad,
-                        np.where(norm <= 3.0 * self.M, middle, radial))
+        # grad_p H where H~ = H, the radial slope elsewhere; the branch
+        # values are dropped at once to keep a block's temporaries few
+        inner = (norm <= 2.0 * self.M) | ((norm <= 3.0 * self.M) & (
+            np.asarray(self.base.func(t, x, p), dtype=float)[..., None]
+            >= self.m1 + self.m2 * (norm - 2.0 * self.M)))
+        radial = self.m2 * p / np.where(norm > 0.0, norm, 1.0)
+        return np.where(inner, self.base.gradient(t, x, p), radial)
 
 
 def _sphere_points(dim, radius, count=64, seed=0):
@@ -153,34 +159,28 @@ def modify_hamiltonian(H, M):
     Also spot-checks convexity of the base and the gradient cap
     |grad_p H~| <= m2 on the probe set.
     """
-    if not M > 0.0:
-        raise ConfigurationError("Lipschitz bound M must be positive")
+    if not (math.isfinite(M) and M > 0.0):
+        raise ConfigurationError(f"Lipschitz bound M must be finite and > 0, got {M!r}")
     H.spot_check_convexity(scale=max(3.0 * M, 1.0))
 
     sphere2 = _sphere_points(H.dim, 2.0 * M)
     sphere3 = _sphere_points(H.dim, 3.0 * M)
-    m1 = math.inf
-    m2_probe = -math.inf
-    for t in H.probe_times:
-        for x0 in H.probe_points:
-            x = np.asarray(x0, dtype=float)[None, :]
-            m1 = min(m1, float(np.min(H.value(t, x, sphere2))))
-    for t in H.probe_times:
-        for x0 in H.probe_points:
-            x = np.asarray(x0, dtype=float)[None, :]
-            m2_probe = max(m2_probe, float(np.max((H.value(t, x, sphere3) - m1) / M)))
+    probes = [(t, np.asarray(x0, dtype=float)[None, :])
+              for t in H.probe_times for x0 in H.probe_points]
+    m1 = float(np.min([np.min(H.value(t, x, sphere2)) for t, x in probes]))
+    m2_probe = float(np.max([np.max((H.value(t, x, sphere3) - m1) / M) for t, x in probes]))
+    if not (math.isfinite(m1) and math.isfinite(m2_probe)):
+        raise ConfigurationError(
+            f"probed m1={m1}, m2={m2_probe} are not finite for M={M!r}")
     mod = ModifiedHamiltonian(base=H, M=float(M), m1=m1, m2=max(2.0, m2_probe))
 
-    rng = np.random.default_rng(1)
-    probes = rng.uniform(-4.0 * M, 4.0 * M, size=(256, H.dim))
-    for t in H.probe_times:
-        for x0 in H.probe_points:
-            x = np.asarray(x0, dtype=float)[None, :]
-            g = mod.gradient(t, x, probes)
-            worst = float(np.max(np.sqrt(np.sum(g * g, axis=-1))))
-            if worst > mod.m2 * (1.0 + 1e-6):
-                raise ConfigurationError(
-                    f"clipped Hamiltonian gradient reaches {worst:.4g} > m2={mod.m2:.4g}")
+    p = np.random.default_rng(1).uniform(-4.0 * M, 4.0 * M, size=(256, H.dim))
+    for t, x in probes:
+        g = mod.gradient(t, x, p)
+        worst = float(np.max(np.sqrt(np.sum(g * g, axis=-1))))
+        if worst > mod.m2 * (1.0 + 1e-6):
+            raise ConfigurationError(
+                f"clipped Hamiltonian gradient reaches {worst:.4g} > m2={mod.m2:.4g}")
     return mod
 
 
@@ -195,10 +195,6 @@ def _probe_radius(H):
     if isinstance(H, ModifiedHamiltonian):
         return 3.0 * H.M + 2.0
     return H.p_probe_radius
-
-
-def _axis_grid(center, radius, n):
-    return center + np.linspace(-radius, radius, n)
 
 
 def legendre_transform_numeric(H, t, x, mu):
@@ -220,7 +216,7 @@ def legendre_transform_numeric(H, t, x, mu):
     radius = _probe_radius(H)
 
     def scan(center, r):
-        axes = [_axis_grid(center[i], r, LEGENDRE_POINTS) for i in range(dim)]
+        axes = [center[i] + np.linspace(-r, r, LEGENDRE_POINTS) for i in range(dim)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
         scores = pts @ mu - evaluate(t, x[None, :], pts)
@@ -261,9 +257,10 @@ def _forward_sweep(grid, params, q_values, threshold, term, gradients):
 
     Returns the read-only (steps + 1, npoints) array of the run; row k is
     level k.  ``term(k, t, grads)`` is the Hamiltonian term at level k given
-    the central gradient of the row being stepped.  ``gradients[k]`` is
-    replaced by that gradient once level k is stepped, so ``term`` can
-    still read the previous run's entry k.
+    the central gradient of the row being stepped.  Row k of the
+    (steps, npoints, dim) array ``gradients`` is replaced by that gradient
+    once level k is stepped, so ``term`` can still read the previous run's
+    row k.
     """
     values = np.empty((params.steps + 1, grid.npoints))
     values[0] = q_values
@@ -319,38 +316,50 @@ def generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations=60,
         h0 = max(h0, float(np.max(np.abs(mod.value(t, coords, np.zeros_like(coords))))))
     threshold = 10.0 * (_finite_sup(q_values, "terminal cost q") + h0 * T + 1.0)
 
+    block = LINEARIZE_BLOCK if H.time_invariant else 1
+
     # the direct run's gradients become the fixed point's advection field
-    fixed_advection = [None] * params.steps
+    fixed_advection = np.empty((params.steps, grid.npoints, grid.dim))
     fixed = _forward_sweep(grid, params, q_values, threshold,
                            lambda k, t, grads: -mod.value(t, coords, grads), fixed_advection)
-    for k, grads in enumerate(fixed_advection):
-        fixed_advection[k] = mod.gradient(params.time(k), coords, grads)
+    for k in range(0, params.steps, block):
+        p = fixed_advection[k:k + block]
+        p[:] = mod.gradient(params.time(k), np.broadcast_to(coords, p.shape), p)
 
     # gradients[k]: central gradient of the previous iterate at level k,
     # where the next linearization freezes its coefficients
+    gradients = np.empty_like(fixed_advection)
     if v0 is None:
-        gradients = [gradient_central_values(grid, q_values)] * params.steps
+        gradients[:] = gradient_central_values(grid, q_values)
     else:
         v0 = np.asarray(v0, dtype=float)
         if v0.shape != fixed.shape:
             raise ConfigurationError(f"v0 must have shape {fixed.shape}, got {v0.shape}")
-        gradients = [gradient_central_values(grid, v0[k]) for k in range(params.steps)]
+        for k in range(params.steps):
+            gradients[k] = gradient_central_values(grid, v0[k])
     analytic_dual = H.legendre_L is not None
     resolution = 0.0 if analytic_dual else legendre_resolution(mod)
     level_grad_sup = np.zeros(params.steps)
     level_adv_l2 = np.zeros(params.steps)
+    b = dual = None
 
     def linear_term(k, t, grads):
-        p_prev = gradients[k]
-        level_grad_sup[k] = np.max(np.abs(p_prev))
-        b = mod.gradient(t, coords, p_prev)
-        bdiff = b - fixed_advection[k]
-        level_adv_l2[k] = np.sqrt(np.sum(bdiff * bdiff))
-        if analytic_dual:
-            dual = np.asarray(H.legendre_L(t, coords, b), dtype=float)
-        else:
-            dual = np.sum(p_prev * b, axis=-1) - mod.value(t, coords, p_prev)
-        return dual - np.sum(b * grads, axis=-1)
+        # a block's coefficients are all frozen before the sweep overwrites
+        # its rows of ``gradients``
+        nonlocal b, dual
+        j = k % block
+        if j == 0:
+            p_prev = gradients[k:k + block]
+            x = np.broadcast_to(coords, p_prev.shape)
+            level_grad_sup[k:k + block] = np.max(np.abs(p_prev), axis=(1, 2))
+            b = mod.gradient(t, x, p_prev)
+            bdiff = b - fixed_advection[k:k + block]
+            level_adv_l2[k:k + block] = np.sqrt(np.sum(bdiff * bdiff, axis=(1, 2)))
+            if analytic_dual:
+                dual = np.asarray(H.legendre_L(t, x, b), dtype=float)
+            else:
+                dual = np.sum(p_prev * b, axis=-1) - mod.value(t, x, p_prev)
+        return dual[j] - np.sum(b[j] * grads, axis=-1)
 
     tracker = _IterationTracker(fixed, slice(None), -1, max_iterations,
                                 stop_tolerance, record_every)

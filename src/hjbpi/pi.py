@@ -226,13 +226,6 @@ def run_policy_iteration(problem, grid, params, config=None):
     )
 
 
-def policy_distance(run, n):
-    """L2 control distance of iterate n to the fixed point (max over levels)."""
-    if not 0 <= n < len(run.policy_l2):
-        raise IndexError(f"iteration {n} not recorded (run has {len(run.policy_l2)})")
-    return float(run.policy_l2[n])
-
-
 def fit_geometric_rate(errors, burn_in=0):
     """Fit log e_n against n; report the per-iteration ratio rho = exp(slope).
 

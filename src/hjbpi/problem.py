@@ -42,6 +42,8 @@ class ControlSet:
             elems = elems[:, None]
         if elems.size == 0:
             raise ConfigurationError("control set must be non-empty")
+        if not np.all(np.isfinite(elems)):
+            raise ConfigurationError("control set elements must be finite")
         if len(np.unique(elems, axis=0)) != len(elems):
             raise ConfigurationError("control set elements must be distinct")
         elems.setflags(write=False)
@@ -163,16 +165,6 @@ def hamiltonian_field(problem, t, points, grads):
     for each row of ``points``/``grads``.
     """
     return _first_argmin(_candidates(_candidate_tensors(problem, t, points), grads))
-
-
-def hamiltonian_min(problem, t, x, p):
-    """Pointwise numerical Hamiltonian: (value, argmin control index)."""
-    p = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(p)):
-        raise ValueError("gradient argument must be finite")
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    values, sel = hamiltonian_field(problem, t, x, p.reshape(1, -1))
-    return float(values[0]), int(sel[0])
 
 
 def improve_policy(problem, value, t):

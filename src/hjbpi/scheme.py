@@ -147,11 +147,6 @@ def cfl_report(h, tau, N, f_sup_bound, dim=1):
     )
 
 
-def validate_cfl(params, f_sup_bound):
-    """CFL report for already-constructed scheme parameters."""
-    return cfl_report(params.h, params.tau, params.N, f_sup_bound, params.dim)
-
-
 @dataclass(eq=False)
 class SpaceTimeSolution:
     """Values at every level k*tau, plus the per-level argmin policies.

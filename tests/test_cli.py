@@ -95,7 +95,8 @@ class TestParseConfig:
         with pytest.raises(ConfigParseError):
             parse_config("benchmark: zero\nscheme.h: fast\n")
 
-    @pytest.mark.parametrize("key", ["scheme.h", "scheme.tau", "scheme.N", "scheme.T"])
+    @pytest.mark.parametrize("key", ["scheme.h", "scheme.tau", "scheme.N", "scheme.T",
+                                     "legendre.M"])
     @pytest.mark.parametrize("bad", ["0", "-0.5", "nan", "inf"])
     def test_scheme_numbers_must_be_finite_and_positive(self, key, bad, tmp_path, capsys):
         (tmp_path / "exp.cfg").write_text(f"benchmark: eikonal-cos\nmode: solve\n{key}: {bad}\n")
@@ -105,6 +106,31 @@ class TestParseConfig:
         assert code == EXIT_VALIDATION
         assert key in err and "line 3" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["problem.control_min", "problem.control_max"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_control_bounds_must_be_finite(self, key, bad, samples, tmp_path, capsys):
+        (tmp_path / "exp.cfg").write_text(
+            f"scheme.h: 0.1\nproblem.control_samples: {samples}\n{key}: {bad}\n")
+        code = main(["solve", "--config", str(tmp_path / "exp.cfg"),
+                     "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert f"line 3: {key!r} must be finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_legendre_m_whose_probes_overflow_rejected(self, tmp_path, capsys):
+        # finite and > 0, but H = |p|^2/2 on |p| = 2M overflows to inf
+        (tmp_path / "exp.cfg").write_text(
+            "benchmark: eikonal-cos\nscheme.h: 0.1\nlegendre.M: 1e300\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["legendre-pi", "--config", str(tmp_path / "exp.cfg"),
+                         "--output", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        assert "are not finite for M=1e+300" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_benchmark_xor_inline_problem(self):
@@ -275,7 +301,8 @@ class TestRunExperiment:
         assert run_experiment(config) == EXIT_INVARIANT
 
     @pytest.mark.parametrize("field, key", [("h", "scheme.h"), ("tau", "scheme.tau"),
-                                            ("N", "scheme.N"), ("T", "scheme.T")])
+                                            ("N", "scheme.N"), ("T", "scheme.T"),
+                                            ("legendre_M", "legendre.M")])
     @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
     def test_code_built_config_gets_positivity_check(self, field, key, bad, tmp_path,
                                                      capsys):
@@ -330,17 +357,15 @@ class TestCommandLine:
         assert result.returncode == EXIT_VALIDATION
         assert "h/(2 tau)" in result.stderr or "N <=" in result.stderr
 
-    @pytest.mark.parametrize("forms, callback", [
-        ("problem.dynamics: control\n", "dynamics"),
-        ("problem.dynamics: zero\nproblem.running_cost: half-square\n", "running_cost"),
-    ])
-    def test_non_finite_inline_callback_exits_2(self, tmp_path, forms, callback):
-        # the single control sample (nan + 1) / 2 makes f = a and c = |a|^2/2 NaN
+    def test_non_finite_inline_callback_exits_2(self, tmp_path):
+        # finite controls +-1e200 make c = |a|^2/2 overflow to inf at control 0
         (tmp_path / "exp.cfg").write_text(
-            "problem.control_min: nan\nproblem.control_samples: 1\nscheme.h: 0.1\n" + forms)
+            "problem.control_min: -1e200\nproblem.control_max: 1e200\n"
+            "problem.control_samples: 3\nproblem.dynamics: zero\n"
+            "problem.running_cost: half-square\nscheme.h: 0.1\n")
         result = run_cli(["solve", "--config", "exp.cfg"], cwd=tmp_path)
         assert result.returncode == EXIT_VALIDATION
-        assert f"error: {callback} returned a non-finite value for control 0 at t=0" \
+        assert "error: running_cost returned a non-finite value for control 0 at t=0" \
             in result.stderr
         assert "Traceback" not in result.stderr
 

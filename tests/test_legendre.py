@@ -1,17 +1,25 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjbpi.benchmarks import get_benchmark
 from hjbpi.errors import ConfigurationError
+from hjbpi.grid import Grid
 from hjbpi.legendre import (
+    LINEARIZE_BLOCK,
     ConvexHamiltonian,
     generalized_pi,
     legendre_resolution,
+    legendre_scheme,
     legendre_transform_numeric,
     modify_hamiltonian,
     reverse_time_slices,
 )
-from hjbpi.pi import PIConfig, run_policy_iteration
+from hjbpi.pi import MONOTONE_SLACK, PIConfig, run_policy_iteration
 from hjbpi.problem import ControlProblem, ControlSet
 from hjbpi.scheme import SchemeParams, solve_hjb_direct
 
@@ -116,6 +124,17 @@ class TestModifyHamiltonian:
         mod = modify_hamiltonian(quadratic_h(analytic=False), 1.0)
         with pytest.raises(ConfigurationError):
             legendre_transform_numeric(mod, 0.0, [0.0], [mod.m2 * 1.5])
+
+    @pytest.mark.parametrize("M", [math.nan, math.inf, -math.inf, 0.0])
+    def test_m_must_be_finite_and_positive(self, M):
+        with pytest.raises(ConfigurationError, match="must be finite and > 0"):
+            modify_hamiltonian(quadratic_h(), M)
+
+    def test_overflowing_probes_rejected(self):
+        # |p|^2/2 on |p| = 2e300 is inf, so m1 and m2 cannot be probed
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConfigurationError, match="are not finite for M=1e"):
+                modify_hamiltonian(quadratic_h(), 1e300)
 
     def test_fd_gradient_matches_analytic(self):
         with_grad = modify_hamiltonian(quadratic_h(True), 1.0)
@@ -251,3 +270,120 @@ def test_resolution_scales_with_radius():
 def test_spot_check_convexity_passes_for_convex():
     quadratic_h().spot_check_convexity()
     abs_h().spot_check_convexity()
+
+
+class TestBlockLinearization:
+    """A time-invariant H linearizes LINEARIZE_BLOCK levels per call; every
+    result must equal the level-by-level run bit for bit."""
+
+    @staticmethod
+    def assert_runs_equal(H, grid, T, M=2.0, q=lambda X: np.cos(X[:, 0])):
+        flagged, unflagged = (
+            generalized_pi(dataclasses.replace(H, time_invariant=flag), q, grid, T, M,
+                           max_iterations=6, stop_tolerance=0.0, record_every=1)
+            for flag in (True, False))
+        assert np.array_equal(flagged.fixed_point, unflagged.fixed_point)
+        assert len(flagged.iterates) == len(unflagged.iterates) == 6
+        for (n, a), (m, b) in zip(flagged.iterates, unflagged.iterates):
+            assert n == m and np.array_equal(a, b)
+        assert np.array_equal(flagged.advection_l2, unflagged.advection_l2)
+        assert np.array_equal(flagged.gradient_sup, unflagged.gradient_sup)
+        return flagged
+
+    @pytest.mark.parametrize("T", [1.0, 0.05])
+    def test_one_dimensional_periodic(self, T):
+        grid = get_benchmark("eikonal-cos").make_grid(0.1)
+        run = self.assert_runs_equal(quadratic_h(), grid, T)
+        # a ragged last block, and a run shorter than one block
+        assert run.params.steps % LINEARIZE_BLOCK != 0
+        assert (run.params.steps < LINEARIZE_BLOCK) == (T < 1.0)
+
+    def test_two_dimensional(self):
+        H = ConvexHamiltonian(
+            func=lambda t, x, p: 0.5 * np.sum(p * p, axis=-1), dim=2,
+            grad_p=lambda t, x, p: p,
+            legendre_L=lambda t, x, mu: 0.5 * np.sum(mu * mu, axis=-1))
+        grid = Grid(spacing=2 * np.pi / 12, points_per_axis=(12, 12))
+        run = self.assert_runs_equal(H, grid, 1.0,
+                                     q=lambda X: np.cos(X[:, 0]) * np.sin(X[:, 1]))
+        assert run.params.steps > LINEARIZE_BLOCK
+
+    def test_numeric_path(self):
+        # no grad_p and no legendre_L: finite differences and the Fenchel dual
+        grid = get_benchmark("eikonal-cos").make_grid(0.2)
+        self.assert_runs_equal(quadratic_h(analytic=False), grid, 1.0)
+
+    def test_grad_p_returning_its_argument(self):
+        # a block of p is a view of the gradient rows the sweep overwrites;
+        # a grad_p handing p back must give what a copying one gives
+        grid = get_benchmark("eikonal-cos").make_grid(0.1)
+        same = quadratic_h()
+        copying = dataclasses.replace(same, grad_p=lambda t, x, p: np.array(p))
+        p = np.ones((2, 3, 1))
+        assert same.gradient(0.0, p, p) is p
+        run = self.assert_runs_equal(same, grid, 1.0)
+        reference = self.assert_runs_equal(copying, grid, 1.0)
+        for (_, a), (_, b) in zip(run.iterates, reference.iterates):
+            assert np.array_equal(a, b)
+
+    def test_time_dependent_h_sees_every_level(self):
+        seen = []
+
+        def grad_p(t, x, p):
+            seen.append(t)
+            return (1.0 + t) * p
+
+        H = ConvexHamiltonian(func=lambda t, x, p: 0.5 * (1.0 + t) * np.sum(p * p, axis=-1),
+                              dim=1, grad_p=grad_p)
+        grid = get_benchmark("eikonal-cos").make_grid(0.2)
+        _, params = legendre_scheme(H, 2.0, grid, 1.0)
+        seen.clear()
+        generalized_pi(H, lambda X: np.cos(X[:, 0]), grid, 1.0, 2.0, max_iterations=2,
+                       stop_tolerance=0.0)
+        levels = [params.time(k) for k in range(params.steps)]
+        # probes, the fixed point's advection field, then two linearized sweeps
+        assert seen[-3 * params.steps:] == levels * 3
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_grad_p_calls_per_linearized_sweep(self, flag):
+        calls = []
+        H = dataclasses.replace(
+            quadratic_h(), time_invariant=flag,
+            grad_p=lambda t, x, p: calls.append(p.shape) or np.asarray(p, dtype=float))
+        grid = get_benchmark("eikonal-cos").make_grid(0.1)
+        counts = []
+        for iterations in (2, 3):
+            calls.clear()
+            run = generalized_pi(H, lambda X: np.cos(X[:, 0]), grid, 1.0, 2.0,
+                                 max_iterations=iterations, stop_tolerance=0.0)
+            counts.append(len(calls))
+        steps = run.params.steps
+        block = LINEARIZE_BLOCK if flag else 1
+        assert counts[1] - counts[0] == math.ceil(steps / block)
+        assert calls[-1] == ((steps - 1) % block + 1, grid.npoints, 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(points=st.integers(min_value=8, max_value=40),
+       M=st.floats(min_value=1.5, max_value=3.0),
+       amplitude=st.floats(min_value=0.0, max_value=1.0),
+       cfl=st.one_of(st.just(1.0), st.floats(min_value=0.2, max_value=1.0)),
+       steps=st.integers(min_value=1, max_value=40))
+def test_iterates_decrease_and_repeat_bitwise(points, M, amplitude, cfl, steps):
+    # tau = cfl * h / (2N) with N = m2/2 the run's own viscosity; cfl = 1 is
+    # the equality case of the step bound; the flag takes the block path
+    H = dataclasses.replace(quadratic_h(), time_invariant=True)
+    grid = Grid(spacing=2 * np.pi / points, points_per_axis=(points,))
+    N = modify_hamiltonian(H, M).N
+    tau = cfl * grid.spacing / (2.0 * N)
+    q = lambda X: amplitude * np.cos(X[:, 0])
+    runs = [generalized_pi(H, q, grid, steps * tau, M, tau=tau, max_iterations=15,
+                           record_every=1) for _ in range(2)]
+    iterates = [values for _, values in runs[0].iterates]
+    for prev, cur in zip(iterates, iterates[1:]):
+        assert np.max(cur - prev) <= MONOTONE_SLACK
+    assert runs[0].monotonicity_violation_count == 0
+    assert np.array_equal(runs[0].fixed_point, runs[1].fixed_point)
+    assert len(runs[0].iterates) == len(runs[1].iterates)
+    for (n, a), (m, b) in zip(runs[0].iterates, runs[1].iterates):
+        assert n == m and np.array_equal(a, b)

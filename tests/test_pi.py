@@ -13,7 +13,6 @@ from hjbpi.pi import (
     PIConfig,
     build_initial_policies,
     fit_geometric_rate,
-    policy_distance,
     run_policy_iteration,
 )
 from hjbpi.problem import ControlProblem, ControlSet, PolicyField, improve_policy
@@ -225,7 +224,7 @@ class TestImprovementFromEvaluation:
 class TestPolicyDistance:
     def test_zero_for_identical_policies(self):
         _, _, _, run = run_benchmark("zero")
-        assert policy_distance(run, 0) == 0.0
+        assert run.policy_l2[0] == 0.0
 
     def test_zero_for_singleton_control_set(self):
         _, _, _, run = run_benchmark("transport-sin")
@@ -241,14 +240,9 @@ class TestPolicyDistance:
         spacing = np.diff(bench.problem.controls.elements[:, 0]).max()
         floor = spacing * np.sqrt(np.count_nonzero(run.measured_mask))
         n = min(20, run.iterations_used - 1)
-        assert policy_distance(run, n) <= floor
+        assert run.policy_l2[n] <= floor
         tail = run.policy_l2[2:]
         assert np.all(np.diff(tail) <= 1e-12)
-
-    def test_out_of_range_iteration(self):
-        _, _, _, run = run_benchmark("zero")
-        with pytest.raises(IndexError):
-            policy_distance(run, 99)
 
 
 def test_pi_config_validation():

@@ -12,7 +12,6 @@ from hjbpi.problem import (
     PolicyField,
     discrete_sup_norms,
     hamiltonian_field,
-    hamiltonian_min,
     improve_policy,
     rollout_cost,
     validate_f_bound,
@@ -34,24 +33,18 @@ def eikonal_problem():
     return get_benchmark("eikonal-cos").problem
 
 
-def test_hamiltonian_min_three_controls():
+def test_hamiltonian_field_three_controls():
     prob = lq_problem(3)  # A = {-1, 0, 1}
-    value, idx = hamiltonian_min(prob, 0.0, [0.0], [-2.0])
-    assert value == -1.5 and prob.controls.elements[idx, 0] == 1.0
-    value, idx = hamiltonian_min(prob, 0.0, [0.0], [0.0])
-    assert value == 0.0 and prob.controls.elements[idx, 0] == 0.0
+    values, idx = hamiltonian_field(prob, 0.0, np.zeros((2, 1)), np.array([[-2.0], [0.0]]))
+    assert values.tolist() == [-1.5, 0.0]
+    assert prob.controls.elements[idx, 0].tolist() == [1.0, 0.0]
 
 
-def test_hamiltonian_min_eikonal():
+def test_hamiltonian_field_eikonal():
     prob = eikonal_problem()
-    value, idx = hamiltonian_min(prob, 0.0, [0.0], [0.3])
-    assert value == pytest.approx(0.7, abs=1e-15)
-    assert prob.controls.elements[idx, 0] == -1.0  # H = 1 - |p|
-
-
-def test_hamiltonian_min_rejects_non_finite_gradient():
-    with pytest.raises(ValueError):
-        hamiltonian_min(lq_problem(), 0.0, [0.0], [np.nan])
+    values, idx = hamiltonian_field(prob, 0.0, np.zeros((1, 1)), np.array([[0.3]]))
+    assert values[0] == pytest.approx(0.7, abs=1e-15)
+    assert prob.controls.elements[idx[0], 0] == -1.0  # H = 1 - |p|
 
 
 def test_callback_result_shapes():
@@ -87,13 +80,12 @@ def test_callback_result_shapes():
                           0.0, X, P)
 
 
-def test_hamiltonian_min_below_all_candidates():
+def test_hamiltonian_field_below_all_candidates():
     prob = lq_problem(21)
-    rng = np.random.default_rng(5)
-    for p in rng.uniform(-3, 3, size=10):
-        value, _ = hamiltonian_min(prob, 0.0, [0.2], [p])
-        for a in prob.controls.elements:
-            assert value <= 0.5 * a[0] ** 2 + p * a[0] + 1e-15
+    P = np.random.default_rng(5).uniform(-3, 3, size=(10, 1))
+    values, _ = hamiltonian_field(prob, 0.0, np.full((10, 1), 0.2), P)
+    for a in prob.controls.elements:
+        assert np.all(values <= 0.5 * a[0] ** 2 + P[:, 0] * a[0] + 1e-15)
 
 
 def test_hamiltonian_concave_and_lipschitz_in_p():
@@ -102,9 +94,8 @@ def test_hamiltonian_concave_and_lipschitz_in_p():
     for _ in range(50):
         p1, p2 = rng.uniform(-2, 2, size=2)
         lam = rng.uniform()
-        h1, _ = hamiltonian_min(prob, 0.0, [1.0], [p1])
-        h2, _ = hamiltonian_min(prob, 0.0, [1.0], [p2])
-        hmid, _ = hamiltonian_min(prob, 0.0, [1.0], [lam * p1 + (1 - lam) * p2])
+        P = np.array([[p1], [p2], [lam * p1 + (1 - lam) * p2]])
+        (h1, h2, hmid), _ = hamiltonian_field(prob, 0.0, np.ones((3, 1)), P)
         assert hmid >= lam * h1 + (1 - lam) * h2 - 1e-12
         assert abs(h1 - h2) <= prob.f_sup_bound * abs(p1 - p2) + 1e-12
 
@@ -158,6 +149,11 @@ def test_control_set_validation():
         ControlSet(np.array([]))
     with pytest.raises(ConfigurationError):
         ControlSet(np.array([1.0, 1.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigurationError, match="elements must be finite"):
+            ControlSet(np.array([0.0, bad]))
+        with pytest.raises(ConfigurationError, match="elements must be finite"):
+            ControlSet.uniform(-1.0, bad, 1)
     cs = ControlSet.uniform(-1.0, 1.0, 21)
     assert cs.size == 21 and cs.elements[10, 0] == 0.0
     assert ControlSet.singleton([2.0]).size == 1
@@ -302,5 +298,5 @@ def test_hamiltonian_field_matches_pointwise():
     P = rng.uniform(-2, 2, size=(17, 1))
     values, sel = hamiltonian_field(prob, 0.3, X, P)
     for i in range(17):
-        v, j = hamiltonian_min(prob, 0.3, X[i], P[i])
-        assert v == values[i] and j == sel[i]
+        v, j = hamiltonian_field(prob, 0.3, X[i:i + 1], P[i:i + 1])
+        assert v[0] == values[i] and j[0] == sel[i]

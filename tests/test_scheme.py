@@ -22,7 +22,6 @@ from hjbpi.scheme import (
     cfl_report,
     evaluate_policy,
     solve_hjb_direct,
-    validate_cfl,
 )
 
 BENCH_NAMES = ("quadratic-lq", "eikonal-cos", "transport-sin", "zero")
@@ -84,10 +83,10 @@ class TestCFLReport:
         report = cfl_report(h=0.1, tau=0.01, N=1.5, f_sup_bound=4.0)
         assert not report.ok and not report.lower_ok and report.upper_ok
 
-    def test_validate_cfl_on_params(self):
+    def test_report_on_constructed_params(self):
         p = SchemeParams.create(0.1, 1.0, f_sup_bound=1.0)
-        assert validate_cfl(p, 1.0).ok
-        assert not validate_cfl(p, 5.0).ok
+        assert cfl_report(p.h, p.tau, p.N, 1.0, p.dim).ok
+        assert not cfl_report(p.h, p.tau, p.N, 5.0, p.dim).ok
 
     def test_two_dimensional_step_bound(self):
         # the centre weight 1 - 2 d N tau / h must stay >= 0 in d dimensions
@@ -97,7 +96,7 @@ class TestCFLReport:
         with pytest.raises(CFLValidationError):
             SchemeParams(h=0.1, tau=0.05, N=1.0, T=1.0, steps=20, dim=2)
         p = SchemeParams.create(0.1, 1.0, 1.0, tau=0.025, N=1.0, dim=2)
-        assert p.dim == 2 and p.tau == 0.025 and validate_cfl(p, 1.0).ok
+        assert p.dim == 2 and p.tau == 0.025 and cfl_report(p.h, p.tau, p.N, 1.0, 2).ok
         report = cfl_report(0.1, 0.05, 1.0, 1.0, dim=2)
         assert not report.upper_ok and report.upper_bound == 0.5
         assert report.admissible_tau_max == 0.025
