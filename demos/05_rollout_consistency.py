@@ -22,7 +22,8 @@ print("\n  start x    rollout J    value V(0,x)   |J - V|")
 worst = 0.0
 for idx in np.linspace(2, grid.npoints - 3, 10).astype(int):
     x0 = grid.coordinates()[idx]
-    cost = rollout_cost(bench.problem, solution.policy_slices[1:], (0.0, x0), dt)
+    cost = rollout_cost(bench.problem, grid, params, solution.policy_slices[1:],
+                        (0.0, x0), dt)
     value = solution.values[0, idx]
     gap = abs(cost - value)
     worst = max(worst, gap)

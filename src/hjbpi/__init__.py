@@ -23,7 +23,6 @@ from .pi import (
 from .problem import (
     ControlProblem,
     ControlSet,
-    PolicyField,
     discrete_sup_norms,
     hamiltonian_field,
     improve_policy,

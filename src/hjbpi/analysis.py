@@ -383,7 +383,7 @@ def policy_pointwise_convergence_probe(benchmark, h_values, probe_points, T,
                                            control=None, oracle_control=None))
                 continue
             gp = grid.nearest_index([point])
-            control = tuple(float(v) for v in elements[policy.choices[gp]])
+            control = tuple(float(v) for v in elements[policy[gp]])
             oracle_control = None
             if benchmark.hopf_lax is not None and problem.controls.control_dim == 1:
                 _, speed = benchmark.hopf_lax

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import Grid
-from .problem import ControlProblem, ControlSet, PolicyField
+from .problem import ControlProblem, ControlSet
 
 TWO_PI = 2.0 * math.pi
 
@@ -153,9 +153,5 @@ def lq_feedback_policies(problem, grid, params):
     spacing = (hi - lo) / (len(samples) - 1)
     target = np.clip(-grid.coordinates()[:, 0], lo, hi)
     idx = np.ceil((target - lo) / spacing - 0.5).astype(np.int64)
-    idx = np.clip(idx, 0, len(samples) - 1)
-    return [
-        PolicyField(grid=grid, time_label=params.time(k), choices=idx,
-                    n_controls=problem.controls.size)
-        for k in range(1, params.steps + 1)
-    ]
+    idx = np.clip(idx, 0, len(samples) - 1).astype(problem.controls.index_dtype)
+    return np.broadcast_to(idx, (params.steps, grid.npoints))

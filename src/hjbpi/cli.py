@@ -35,7 +35,7 @@ from .errors import (
 )
 from .legendre import ConvexHamiltonian, generalized_pi, legendre_scheme
 from .pi import PIConfig, build_initial_policies, fit_geometric_rate, run_policy_iteration
-from .problem import ControlProblem, ControlSet
+from .problem import ControlProblem, ControlSet, discrete_sup_norms, validate_f_bound
 from .scheme import SchemeParams, solve_hjb_direct
 
 MODES = ("solve", "pi", "h-study", "tau-study", "legendre-pi", "probes")
@@ -217,7 +217,8 @@ def validate_config(config):
     non-finite control bounds, raise ``ConfigParseError`` naming the key.
     The CFL check builds the grid and scheme parameters the run itself
     builds, so the snapped spacing, the dimension and legendre-pi's
-    viscosity N = m2/2 are the ones checked.
+    viscosity N = m2/2 are the ones checked.  An inline problem's callbacks
+    are sampled at t = 0 (no named form reads t) before any output exists.
     """
     for key in _POSITIVE_KEYS:
         value = getattr(config, _SCALAR_KEYS[key][0])
@@ -250,6 +251,9 @@ def validate_config(config):
             f"unknown Hamiltonian form {config.legendre_hamiltonian!r}")
     benchmark = _resolve_benchmark(config)
     grid = benchmark.make_grid(config.h)
+    if config.problem is not None:
+        validate_f_bound(benchmark.problem, grid, [0.0])
+        discrete_sup_norms(benchmark.problem, grid, [0.0])
     if config.mode == "legendre-pi":
         legendre_scheme(_legendre_hamiltonian(config.legendre_hamiltonian, grid.dim),
                         config.legendre_M, grid, config.T, config.tau)

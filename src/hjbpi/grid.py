@@ -78,8 +78,8 @@ class Grid:
                 neighbors[(axis, direction)] = np.ravel_multi_index(shifted, pts).ravel()
         object.__setattr__(self, "_neighbors", neighbors)
 
-        # Every Field and PolicyField construction checks its size against
-        # this, so it is computed once here.
+        # Every Field construction and policy check compares its size
+        # against this, so it is computed once here.
         object.__setattr__(self, "npoints", math.prod(pts))
         coords = np.empty((self.npoints, dim))
         for axis in range(dim):

@@ -38,13 +38,11 @@ def write_solution_csv(solution, path):
               + ["value", "control_index"])
     points = [",".join([str(idx)] + [repr(c) for c in row])
               for idx, row in enumerate(grid.coordinates().tolist())]
-    no_policy = ["-1"] * grid.npoints
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for k, row in enumerate(solution.values):
             t = fmt(solution.params.time(k))
-            policy = solution.policy_slices[k] if solution.policy_slices else None
-            controls = no_policy if policy is None else map(str, policy.choices.tolist())
+            controls = map(str, solution.policy_slices[k].tolist())
             values = map(repr, row.tolist())
             fh.write("".join(f"{t},{point},{value},{control}\r\n"
                              for point, value, control in zip(points, values, controls)))

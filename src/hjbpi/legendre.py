@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import gradient_central_values, laplacian_values
-from .pi import _IterationTracker, fit_geometric_rate
+from .pi import _IterationTracker
 from .problem import _finite_sup
 from .scheme import SchemeParams, _check_values
 
@@ -247,9 +247,6 @@ class GeneralizedPIRun:
     iterations_used: int
     stop_reason: str
     legendre_resolution: float            # 0.0 when an analytic dual was used
-
-    def fit(self, burn_in=2):
-        return fit_geometric_rate(self.errors_to_fixed_point, burn_in)
 
 
 def _forward_sweep(grid, params, q_values, threshold, term, gradients):

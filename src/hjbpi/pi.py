@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from .errors import ConfigurationError, MonotonicityError
-from .problem import PolicyField, _first_argmin, _running_costs
+from .problem import _first_argmin, _running_costs
 from .scheme import SchemeParams, SpaceTimeSolution, evaluate_policy, solve_hjb_direct
 
 MONOTONE_SLACK = 1e-10   # accepted pointwise increase (rounding noise)
@@ -41,7 +41,7 @@ INITIAL_POLICY_RULES = ("first-control", "argmin-of-c")
 class PIConfig:
     """How to start, when to stop, and how much to keep."""
 
-    initial_policy: Union[str, Sequence[PolicyField]] = "argmin-of-c"
+    initial_policy: Union[str, np.ndarray] = "argmin-of-c"
     max_iterations: int = 100
     stop_tolerance: float = 1e-10
     record_every: int = 10
@@ -84,27 +84,23 @@ class PIRun:
     stop_reason: str
     measured_mask: np.ndarray
 
-    def fit(self, burn_in=2):
-        return fit_geometric_rate(self.errors_to_fixed_point, burn_in)
-
 
 def build_initial_policies(problem, grid, params, rule):
-    """Named starting rules; both ignore the value function entirely."""
+    """Named starting rules; both ignore the value function entirely.
+
+    A (steps, npoints) array; one row for all levels is a ``broadcast_to`` view.
+    """
+    shape = (params.steps, grid.npoints)
+    dtype = problem.controls.index_dtype
     if rule == "first-control":
-        zeros = np.zeros(grid.npoints, dtype=np.int64)
-        return [PolicyField(grid=grid, time_label=params.time(k), choices=zeros,
-                            n_controls=problem.controls.size)
-                for k in range(1, params.steps + 1)]
+        return np.broadcast_to(np.zeros(grid.npoints, dtype=dtype), shape)
     if rule == "argmin-of-c":
         coords = grid.coordinates()
-        times = [params.time(k) for k in range(1, params.steps + 1)]
         if problem.time_invariant:
-            choices = [_first_argmin(_running_costs(problem, params.T, coords))[1]] * len(times)
-        else:
-            choices = [_first_argmin(_running_costs(problem, t, coords))[1] for t in times]
-        return [PolicyField(grid=grid, time_label=t, choices=sel,
-                            n_controls=problem.controls.size)
-                for t, sel in zip(times, choices)]
+            sel = _first_argmin(_running_costs(problem, params.T, coords))[1]
+            return np.broadcast_to(sel.astype(dtype), shape)
+        return np.array([_first_argmin(_running_costs(problem, params.time(k), coords))[1]
+                         for k in range(1, params.steps + 1)], dtype=dtype)
     raise ConfigurationError(
         f"unknown initial policy rule {rule!r}; known rules: {INITIAL_POLICY_RULES}")
 
@@ -113,8 +109,8 @@ def _policy_l2_distance(problem, policies, fixed_policies, mask):
     """Max over levels of the l2 distance between control vectors."""
     elements = problem.controls.elements
     worst = 0.0
-    for pol, ref in zip(policies, fixed_policies[1:]):
-        diff = elements[pol.choices[mask]] - elements[ref.choices[mask]]
+    for pol, ref in zip(policies, fixed_policies):  # row by row: no full-size temporary
+        diff = elements[pol[mask]] - elements[ref[mask]]
         worst = max(worst, float(np.sqrt(np.sum(diff * diff))))
     return worst
 
@@ -199,21 +195,20 @@ def run_policy_iteration(problem, grid, params, config=None):
     if not np.any(mask):
         raise ConfigurationError("measured region is empty; enlarge the box or shrink T")
 
-    if isinstance(config.initial_policy, str):
-        policies = build_initial_policies(problem, grid, params, config.initial_policy)
-    else:
-        policies = list(config.initial_policy)
+    policies = config.initial_policy
+    if isinstance(policies, str):
+        policies = build_initial_policies(problem, grid, params, policies)
 
     tracker = _IterationTracker(fixed_values, mask, 0, config.max_iterations,
                                 config.stop_tolerance, config.record_every)
     policy_l2, fp_excess = [], []
     for n in range(config.max_iterations):
         sol = evaluate_policy(problem, grid, params, policies, sup_norms=sup_norms)
-        policy_l2.append(_policy_l2_distance(problem, policies, fixed.policy_slices, mask))
+        policy_l2.append(_policy_l2_distance(problem, policies, fixed.policy_slices[1:], mask))
         fp_excess.append(max(0.0, float(np.max(fixed_values - sol.values))))
         if tracker.record(n, sol.values, sol):
             break
-        policies = sol.argmin_slices[1:]
+        policies = sol.policy_slices[1:]
 
     return PIRun(
         config=config,

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, TruncatedRolloutError
-from .grid import Grid, gradient_central_field
+from .grid import gradient_central_field
 
 ARGMIN_TOL = 1e-12  # tie tolerance: first control within this of the minimum wins
 
@@ -70,6 +70,11 @@ class ControlSet:
     def control_dim(self):
         return self.elements.shape[1]
 
+    @property
+    def index_dtype(self):
+        """Policy-array dtype: the smallest signed integer type holding -size."""
+        return np.min_scalar_type(-self.size)
+
 
 @dataclass(frozen=True, eq=False)
 class ControlProblem:
@@ -93,25 +98,6 @@ class ControlProblem:
         if not (np.isfinite(self.f_sup_bound) and self.f_sup_bound >= 0.0):
             raise ConfigurationError("f_sup_bound must be a finite non-negative real")
         object.__setattr__(self, "f_sup_bound", float(self.f_sup_bound))
-
-
-@dataclass(frozen=True, eq=False)
-class PolicyField:
-    """A control-index choice at every grid point of one time level."""
-
-    grid: Grid
-    time_label: float
-    choices: np.ndarray
-    n_controls: int
-
-    def __post_init__(self):
-        choices = np.array(self.choices, dtype=np.int64).ravel()
-        if choices.size != self.grid.npoints:
-            raise ConfigurationError("policy has wrong number of entries for its grid")
-        if choices.min(initial=0) < 0 or choices.max(initial=0) >= self.n_controls:
-            raise ConfigurationError("policy index out of range of the control set")
-        choices.setflags(write=False)
-        object.__setattr__(self, "choices", choices)
 
 
 def _shaped(raw, shape):
@@ -168,34 +154,40 @@ def hamiltonian_field(problem, t, points, grads):
 
 
 def improve_policy(problem, value, t):
-    """Pointwise argmin policy from the central-difference gradient of ``value``."""
-    grid = value.grid
+    """Pointwise argmin control indices from the central-difference gradient of ``value``."""
     grads = gradient_central_field(value)
-    _, sel = hamiltonian_field(problem, t, grid.coordinates(), grads)
-    return PolicyField(grid=grid, time_label=float(t), choices=sel,
-                       n_controls=problem.controls.size)
+    _, sel = hamiltonian_field(problem, t, value.grid.coordinates(), grads)
+    return sel.astype(problem.controls.index_dtype)
 
 
-def rollout_cost(problem, policies, start, dt):
-    """Forward-Euler cost of following a time-indexed policy stack.
+def _checked_policies(problem, grid, steps, policies):
+    """``policies`` as an array; a configuration error unless it is a (steps,
+    npoints) integer table of control indices (row k - 1 for level k)."""
+    policies = np.asarray(policies)
+    if policies.shape != (steps, grid.npoints):
+        raise ConfigurationError(
+            f"need a ({steps}, {grid.npoints}) policy array, one row per level tau..T, "
+            f"got shape {policies.shape}")
+    if not np.issubdtype(policies.dtype, np.integer):
+        raise ConfigurationError(f"policy entries must be integers, got dtype {policies.dtype}")
+    if policies.min() < 0 or policies.max() >= problem.controls.size:
+        raise ConfigurationError("policy index out of range of the control set")
+    return policies
 
-    ``policies`` are the per-level policies at times tau, 2*tau, ..., T (the
-    control stored at level t acts on the interval [t - tau, t)).  Controls
-    are looked up at the nearest grid point; leaving the grid on a clamped
-    axis raises TruncatedRolloutError.
+
+def rollout_cost(problem, grid, params, policies, start, dt):
+    """Forward-Euler cost of following a (steps, npoints) policy array.
+
+    Row k - 1 holds the controls of level k (time t = k*tau), which act on
+    [t - tau, t).  Controls are looked up at the nearest grid point; leaving
+    the grid on a clamped axis raises TruncatedRolloutError.
     """
-    if not policies:
-        raise ConfigurationError("rollout needs at least one policy level")
-    labels = np.array([p.time_label for p in policies])
-    if np.any(np.diff(labels) <= 0):
-        raise ConfigurationError("policy levels must have increasing time labels")
-    tau = labels[0]
-    horizon = labels[-1]
+    policies = _checked_policies(problem, grid, params.steps, policies)
+    tau, horizon = params.tau, params.T
     t0, x0 = start
     t0 = float(t0)
     if dt > tau + 1e-12:
         raise ConfigurationError(f"rollout step dt={dt} exceeds the scheme step tau={tau}")
-    grid = policies[0].grid
 
     def scalar(raw):
         return float(np.broadcast_to(np.asarray(raw, dtype=float), (1,))[0])
@@ -215,7 +207,7 @@ def rollout_cost(problem, policies, start, dt):
         if point is None:
             raise TruncatedRolloutError(
                 f"rollout left the clamped grid at t={s:.6g}, x={x}")
-        a = problem.controls.elements[policies[level].choices[point]]
+        a = problem.controls.elements[policies[level, point]]
         cost += step * scalar(problem.running_cost(s, x[None, :], a))
         drift = np.broadcast_to(
             np.asarray(problem.dynamics(s, x[None, :], a), dtype=float), (1, grid.dim))

@@ -27,9 +27,9 @@ import numpy as np
 from .errors import CFLValidationError, ConfigurationError, NumericalBlowupError
 from .grid import Field, Grid, gradient_central_values, laplacian_values
 from .problem import (
-    PolicyField,
     _candidate_tensors,
     _candidates,
+    _checked_policies,
     _first_argmin,
     discrete_sup_norms,
     validate_f_bound,
@@ -149,24 +149,21 @@ def cfl_report(h, tau, N, f_sup_bound, dim=1):
 
 @dataclass(eq=False)
 class SpaceTimeSolution:
-    """Values at every level k*tau, plus the per-level argmin policies.
+    """Values at every level k*tau, plus the per-level argmin policy.
 
     ``values`` is one read-only, C-contiguous (steps + 1, npoints) float64
-    array; row k is V at time k*tau.  ``policy_slices[0]`` is always None
-    (no step leaves level 0), levels 1..steps hold the control choices used
-    when stepping down from that level.  ``argmin_slices`` has the same
-    layout and holds the first argmin of the candidates at each level: the
-    greedy policy for these values, equal to ``policy_slices`` for a direct
-    solve.
+    array; row k is V at time k*tau.  ``policy_slices`` is a read-only array
+    of the same shape in ``controls.index_dtype``: row k >= 1 is the first
+    argmin at level k (the controls a direct solve used, the improved policy
+    after an evaluation), and row 0 is -1, since no step leaves level 0.
     """
 
     grid: Grid
     params: SchemeParams
     values: np.ndarray
-    policy_slices: list
+    policy_slices: np.ndarray
     q_sup: float
     c_sup: float
-    argmin_slices: list = None
 
     def values_array(self):
         return self.values
@@ -250,32 +247,32 @@ def _checked_sup_norms(problem, grid, params):
 def _sweep(problem, grid, params, sup_norms, frozen=None):
     """Backward recursion from the terminal cost, one ``_step`` per level.
 
-    ``frozen`` is None for the nonlinear scheme, else the stored policy list
-    (entry k drives the step down from level k).  The per-level argmins are
-    recorded either way.  A time-invariant problem's candidate tensors are
-    built once, here, and serve every level.  The terminal cost was checked
+    ``frozen`` is None for the nonlinear scheme, else a checked policy
+    array (row k - 1 drives the step down from level k).  The per-level
+    argmins are recorded either way.  A time-invariant problem's candidate
+    tensors are built once, here, and serve every level.  The terminal cost was checked
     finite with the sup norms; every other row is checked before it is
     written.
     """
     q_sup, c_sup = sup_norms
     threshold = _blowup_threshold(q_sup, c_sup, params.T)
     values = np.empty((params.steps + 1, grid.npoints))
-    argmins = [None] * (params.steps + 1)
+    argmins = np.empty((params.steps + 1, grid.npoints), dtype=problem.controls.index_dtype)
+    argmins[0] = -1
     values[params.steps] = np.asarray(problem.terminal_cost(grid.coordinates()), dtype=float)
     tensors = (_candidate_tensors(problem, params.T, grid.coordinates())
                if problem.time_invariant else None)
     for k in range(params.steps, 0, -1):
         t = params.time(k)
         new, sel = _step(problem, params, grid, t, values[k],
-                         None if frozen is None else frozen[k].choices, tensors)
+                         None if frozen is None else frozen[k - 1], tensors)
         _check_values(new, params.time(k - 1), threshold)
-        argmins[k] = PolicyField(grid=grid, time_label=t, choices=sel,
-                                 n_controls=problem.controls.size)
+        argmins[k] = sel
         values[k - 1] = new
     values.setflags(write=False)
+    argmins.setflags(write=False)
     return SpaceTimeSolution(grid=grid, params=params, values=values,
-                             policy_slices=argmins if frozen is None else frozen,
-                             q_sup=q_sup, c_sup=c_sup, argmin_slices=argmins)
+                             policy_slices=argmins, q_sup=q_sup, c_sup=c_sup)
 
 
 def solve_hjb_direct(problem, grid, params):
@@ -289,20 +286,15 @@ def solve_hjb_direct(problem, grid, params):
 def evaluate_policy(problem, grid, params, policies, *, sup_norms=None):
     """Backward recursion with a frozen policy (the linear half of PI).
 
-    ``policies`` holds one PolicyField per level tau..T in ascending order.
-    The candidate costs are evaluated exactly as in the direct solve, so
-    feeding the recorded argmin policies back in reproduces it, and the
-    solution's ``argmin_slices`` are the improved policy.  ``sup_norms`` is
-    the ``(q_sup, c_sup)`` of an earlier solve of the same problem on the
-    same grid and horizon; passing it skips the |f| check and the sampling.
+    ``policies`` is a (steps, npoints) integer array; row k - 1 drives the
+    step down from level k.  Candidates are evaluated as in the direct
+    solve, so its ``policy_slices[1:]`` replay it (bitwise, but for argmins
+    that are near ties within ARGMIN_TOL); the result's ``policy_slices``
+    are the improved policy.  ``sup_norms`` is the ``(q_sup, c_sup)`` of an
+    earlier solve of the same problem on the same grid and horizon; passing
+    it skips the |f| check and the sampling.
     """
-    if len(policies) != params.steps:
-        raise ConfigurationError(
-            f"need one policy per level tau..T ({params.steps}), got {len(policies)}")
-    for k, pol in enumerate(policies, start=1):
-        if abs(pol.time_label - params.time(k)) > 1e-9:
-            raise ConfigurationError(
-                f"policy level {k} labeled t={pol.time_label}, expected {params.time(k)}")
+    policies = _checked_policies(problem, grid, params.steps, policies)
     if sup_norms is None:
         sup_norms = _checked_sup_norms(problem, grid, params)
-    return _sweep(problem, grid, params, sup_norms, frozen=[None] + list(policies))
+    return _sweep(problem, grid, params, sup_norms, frozen=policies)

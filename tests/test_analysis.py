@@ -306,7 +306,8 @@ def manual_solution(grid, values, T=0.0):
     params = SchemeParams(h=grid.spacing, tau=grid.spacing / 2.0, N=1.0,
                           T=grid.spacing / 2.0, steps=1)
     return SpaceTimeSolution(grid=grid, params=params, values=np.stack([values, values]),
-                             policy_slices=[None, None], q_sup=float(np.max(np.abs(values))),
+                             policy_slices=np.full((2, grid.npoints), -1, dtype=np.int8),
+                             q_sup=float(np.max(np.abs(values))),
                              c_sup=0.0)
 
 

@@ -50,7 +50,7 @@ def test_lq_feedback_matches_bruteforce_nearest():
     grid = bench.make_grid(0.05)
     params = SchemeParams.create(grid.spacing, 1.0, bench.problem.f_sup_bound)
     policies = lq_feedback_policies(bench.problem, grid, params)
-    assert len(policies) == params.steps
+    assert policies.shape == (params.steps, grid.npoints)
     samples = bench.problem.controls.elements[:, 0]
     xs = grid.coordinates()[:, 0]
     for point in range(grid.npoints):
@@ -58,7 +58,7 @@ def test_lq_feedback_matches_bruteforce_nearest():
         dist = np.abs(samples - target)
         best = dist.min()
         expected = int(np.flatnonzero(dist <= best + 1e-12)[0])  # first on ties
-        assert policies[0].choices[point] == expected
+        assert policies[0][point] == expected
 
 
 def test_benchmark_exact_solutions_sane():

@@ -357,17 +357,24 @@ class TestCommandLine:
         assert result.returncode == EXIT_VALIDATION
         assert "h/(2 tau)" in result.stderr or "N <=" in result.stderr
 
-    def test_non_finite_inline_callback_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("problem, message", [
         # finite controls +-1e200 make c = |a|^2/2 overflow to inf at control 0
-        (tmp_path / "exp.cfg").write_text(
-            "problem.control_min: -1e200\nproblem.control_max: 1e200\n"
-            "problem.control_samples: 3\nproblem.dynamics: zero\n"
-            "problem.running_cost: half-square\nscheme.h: 0.1\n")
+        ("problem.control_min: -1e200\nproblem.control_max: 1e200\n"
+         "problem.control_samples: 3\nproblem.dynamics: zero\n"
+         "problem.running_cost: half-square\n",
+         "error: running_cost returned a non-finite value for control 0 at t=0"),
+        # f = a reaches |a| = 2 against a declared bound of 1
+        ("problem.control_min: -2\nproblem.control_max: 2\nproblem.f_sup_bound: 1\n"
+         "scheme.N: 1\n",
+         "error: declared f_sup_bound=1.0 but sampled |f| reaches 2.0"),
+    ], ids=["non-finite-cost", "f-bound"])
+    def test_bad_inline_callback_exits_2_before_any_output(self, problem, message, tmp_path):
+        (tmp_path / "exp.cfg").write_text(problem + "scheme.h: 0.1\n")
         result = run_cli(["solve", "--config", "exp.cfg"], cwd=tmp_path)
         assert result.returncode == EXIT_VALIDATION
-        assert "error: running_cost returned a non-finite value for control 0 at t=0" \
-            in result.stderr
+        assert message in result.stderr
         assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         result = run_cli(["solve", "--config", "nope.cfg"], cwd=tmp_path)

@@ -6,8 +6,8 @@ import pytest
 from hjbpi.benchmarks import get_benchmark
 from hjbpi.grid import Grid
 from hjbpi.io import fmt, write_solution_csv
-from hjbpi.problem import ControlProblem, ControlSet, PolicyField
-from hjbpi.scheme import SchemeParams, SpaceTimeSolution, solve_hjb_direct
+from hjbpi.problem import ControlProblem, ControlSet
+from hjbpi.scheme import SchemeParams, SpaceTimeSolution, evaluate_policy, solve_hjb_direct
 
 
 def reference_solution_csv(solution, path):
@@ -21,12 +21,10 @@ def reference_solution_csv(solution, path):
                         + ["value", "control_index"])
         for k, s in enumerate(solution.values):
             t = solution.params.time(k)
-            policy = solution.policy_slices[k] if solution.policy_slices else None
             for idx in range(grid.npoints):
-                control = -1 if policy is None else int(policy.choices[idx])
                 writer.writerow([fmt(t), idx]
                                 + [fmt(c) for c in coords[idx]]
-                                + [fmt(s[idx]), control])
+                                + [fmt(s[idx]), int(solution.policy_slices[k, idx])])
 
 
 def assert_same_bytes(solution, tmp_path):
@@ -57,19 +55,44 @@ def test_clamped_two_dimensional_solve(tmp_path):
                 periodic=(False, False))
     params = SchemeParams.create(grid.spacing, 0.3, prob.f_sup_bound, dim=2)
     sol = solve_hjb_direct(prob, grid, params)
-    assert any(p is not None and np.any(p.choices > 0) for p in sol.policy_slices)
+    assert np.all(sol.policy_slices[0] == -1) and np.any(sol.policy_slices > 0)
     assert_same_bytes(sol, tmp_path)
 
 
-def manual_solution(values, policy_slices):
+@pytest.mark.parametrize("count, dtype", [(128, np.int8), (129, np.int16)])
+def test_policy_dtype_boundary(tmp_path, count, dtype):
+    # c = 0 and f = a: each argmin is the first or the last control, so the
+    # largest index, count - 1, is stored and written
+    prob = ControlProblem(
+        dynamics=lambda t, x, a: np.full_like(x, a[0]),
+        running_cost=lambda t, x, a: 0.0,
+        terminal_cost=lambda x: np.cos(x[..., 0]),
+        controls=ControlSet.uniform(-1.0, 1.0, count),
+        f_sup_bound=1.0,
+        time_invariant=True,
+    )
+    grid = Grid(spacing=2.0 * np.pi / 16, points_per_axis=(16,))
+    params = SchemeParams.create(grid.spacing, 0.5, prob.f_sup_bound)
+    sol = solve_hjb_direct(prob, grid, params)
+    assert sol.policy_slices.dtype == dtype and not sol.policy_slices.flags.writeable
+    assert_same_bytes(sol, tmp_path)
+    assert f",{count - 1}\r\n".encode() in (tmp_path / "solution.csv").read_bytes()
+    replay = evaluate_policy(prob, grid, params, sol.policy_slices[1:])
+    assert replay.values.tobytes() == sol.values.tobytes()
+
+
+def manual_solution(values, last_policy=None):
     grid = Grid(spacing=0.25, points_per_axis=(len(values),), origin=(-0.5,))
     params = SchemeParams(h=0.25, tau=0.125, N=1.0, T=0.125, steps=1)
+    policy = np.full((2, len(values)), -1, dtype=np.int8)
+    if last_policy is not None:
+        policy[1] = last_policy
     return SpaceTimeSolution(grid=grid, params=params, values=np.stack([values, values[::-1]]),
-                             policy_slices=policy_slices(grid, params), q_sup=0.0, c_sup=0.0)
+                             policy_slices=policy, q_sup=0.0, c_sup=0.0)
 
 
 def test_empty_policy_slices(tmp_path):
-    sol = manual_solution(np.array([0.5, -2.0, 3.25]), lambda grid, params: [])
+    sol = manual_solution(np.array([0.5, -2.0, 3.25]))
     assert_same_bytes(sol, tmp_path)
     assert b",-1\r\n" in (tmp_path / "solution.csv").read_bytes()
 
@@ -77,14 +100,7 @@ def test_empty_policy_slices(tmp_path):
 @pytest.mark.parametrize("with_policy", (False, True))
 def test_extreme_float_values(tmp_path, with_policy):
     values = np.array([-0.0, 1e-300, 1e16, -1e16, 0.1 + 0.2, 5e-324])
-
-    def policies(grid, params):
-        if not with_policy:
-            return [None, None]
-        return [None, PolicyField(grid=grid, time_label=params.T,
-                                  choices=[0, 2, 1, 2, 0, 1], n_controls=3)]
-
-    sol = manual_solution(values, policies)
+    sol = manual_solution(values, [0, 2, 1, 2, 0, 1] if with_policy else None)
     assert_same_bytes(sol, tmp_path)
     text = (tmp_path / "solution.csv").read_text()
     for token in ("-0.0", "1e-300", "1e+16", "0.30000000000000004"):

@@ -9,7 +9,6 @@ from hjbpi.grid import Field, Grid, gradient_central_field
 from hjbpi.problem import (
     ControlProblem,
     ControlSet,
-    PolicyField,
     discrete_sup_norms,
     hamiltonian_field,
     improve_policy,
@@ -104,7 +103,7 @@ def test_improve_policy_constant_field_picks_argmin_of_cost():
     prob = lq_problem(21)
     grid = Grid(spacing=0.1, points_per_axis=(10,), periodic=(True,))
     policy = improve_policy(prob, Field(grid, np.full(grid.npoints, 2.5), 0.0), 0.0)
-    assert np.all(prob.controls.elements[policy.choices, 0] == 0.0)
+    assert np.all(prob.controls.elements[policy, 0] == 0.0)
 
 
 def test_improve_policy_matches_bruteforce_on_lq():
@@ -121,7 +120,7 @@ def test_improve_policy_matches_bruteforce_on_lq():
         cand = [0.5 * a[0] ** 2 + p * a[0] for a in prob.controls.elements]
         best = min(cand)
         expected = next(j for j, c in enumerate(cand) if c <= best + 1e-12)
-        assert policy.choices[point] == expected
+        assert policy[point] == expected
 
 
 def test_improve_policy_sign_rule_on_eikonal():
@@ -130,7 +129,7 @@ def test_improve_policy_sign_rule_on_eikonal():
     value = Field(grid, np.cos(grid.coordinates()[:, 0]), 0.0)
     policy = improve_policy(bench.problem, value, 0.0)
     grads = gradient_central_field(value)[:, 0]
-    controls = bench.problem.controls.elements[policy.choices, 0]
+    controls = bench.problem.controls.elements[policy, 0]
     live = np.abs(grads) > 1e-9
     assert np.all(controls[live] == -np.sign(grads[live]))
 
@@ -141,7 +140,7 @@ def test_improve_policy_invariant_under_constant_shift():
     base = np.cos(grid.coordinates()[:, 0])
     p1 = improve_policy(bench.problem, Field(grid, base, 0.0), 0.0)
     p2 = improve_policy(bench.problem, Field(grid, base + 17.3, 0.0), 0.0)
-    assert np.array_equal(p1.choices, p2.choices)
+    assert np.array_equal(p1, p2)
 
 
 def test_control_set_validation():
@@ -159,25 +158,16 @@ def test_control_set_validation():
     assert ControlSet.singleton([2.0]).size == 1
 
 
-def test_policy_field_validation():
-    grid = Grid(spacing=0.1, points_per_axis=(5,))
-    with pytest.raises(ConfigurationError):
-        PolicyField(grid=grid, time_label=0.1, choices=np.array([0, 0, 0, 0, 3]),
-                    n_controls=3)
-
-
-def make_policies(grid, params, choices, n_controls):
-    return [PolicyField(grid=grid, time_label=params.time(k), choices=choices,
-                        n_controls=n_controls)
-            for k in range(1, params.steps + 1)]
+def make_policies(grid, params, choices):
+    return np.broadcast_to(choices, (params.steps, grid.npoints))
 
 
 def test_rollout_zero_cost_problem():
     bench = get_benchmark("zero")
     grid = bench.make_grid(0.1)
     params = SchemeParams.create(grid.spacing, 1.0, 1.0)
-    pols = make_policies(grid, params, np.zeros(grid.npoints, dtype=int), 3)
-    assert rollout_cost(bench.problem, pols, (0.0, [0.4]), 0.01) == 0.0
+    pols = make_policies(grid, params, np.zeros(grid.npoints, dtype=int))
+    assert rollout_cost(bench.problem, grid, params, pols, (0.0, [0.4]), 0.01) == 0.0
 
 
 def test_rollout_pure_time_quadrature():
@@ -191,9 +181,9 @@ def test_rollout_pure_time_quadrature():
     )
     grid = Grid(spacing=0.25, points_per_axis=(8,), periodic=(True,))
     params = SchemeParams(h=0.25, tau=0.125, N=1.0, T=1.0, steps=8)
-    pols = make_policies(grid, params, np.zeros(grid.npoints, dtype=int), 1)
-    assert rollout_cost(prob, pols, (0.0, [0.5]), 0.125) == 1.0
-    assert rollout_cost(prob, pols, (0.5, [0.5]), 0.125) == 0.5
+    pols = make_policies(grid, params, np.zeros(grid.npoints, dtype=int))
+    assert rollout_cost(prob, grid, params, pols, (0.0, [0.5]), 0.125) == 1.0
+    assert rollout_cost(prob, grid, params, pols, (0.5, [0.5]), 0.125) == 0.5
 
 
 def test_rollout_leaving_clamped_grid_raises():
@@ -202,18 +192,18 @@ def test_rollout_leaving_clamped_grid_raises():
     params = SchemeParams.create(grid.spacing, 1.0, 1.0)
     # constant drift +1 from near the right edge exits the box
     last = np.full(grid.npoints, bench.problem.controls.size - 1, dtype=int)
-    pols = make_policies(grid, params, last, bench.problem.controls.size)
+    pols = make_policies(grid, params, last)
     with pytest.raises(TruncatedRolloutError):
-        rollout_cost(bench.problem, pols, (0.0, [1.9]), 0.01)
+        rollout_cost(bench.problem, grid, params, pols, (0.0, [1.9]), 0.01)
 
 
 def test_rollout_step_must_not_exceed_tau():
     bench = get_benchmark("zero")
     grid = bench.make_grid(0.1)
     params = SchemeParams.create(grid.spacing, 1.0, 1.0)
-    pols = make_policies(grid, params, np.zeros(grid.npoints, dtype=int), 3)
+    pols = make_policies(grid, params, np.zeros(grid.npoints, dtype=int))
     with pytest.raises(ConfigurationError):
-        rollout_cost(bench.problem, pols, (0.0, [0.4]), 10 * params.tau)
+        rollout_cost(bench.problem, grid, params, pols, (0.0, [0.4]), 10 * params.tau)
 
 
 def test_rollout_matches_solver_value():
@@ -224,7 +214,7 @@ def test_rollout_matches_solver_value():
     sol = solve_hjb_direct(bench.problem, grid, params)
     dt = params.tau / 2.0
     x0 = grid.coordinates()[20]
-    cost = rollout_cost(bench.problem, sol.policy_slices[1:], (0.0, x0), dt)
+    cost = rollout_cost(bench.problem, grid, params, sol.policy_slices[1:], (0.0, x0), dt)
     budget = 10.0 * (grid.spacing + params.tau + dt)
     assert abs(cost - sol.values[0][20]) <= budget
 

@@ -10,10 +10,10 @@ from hjbpi.pi import PIConfig, build_initial_policies, run_policy_iteration
 from hjbpi.problem import (
     ControlProblem,
     ControlSet,
-    PolicyField,
     _candidate_tensors,
     _candidates,
     _shaped,
+    rollout_cost,
 )
 from hjbpi.scheme import (
     SchemeParams,
@@ -230,6 +230,20 @@ class TestEvaluatePolicy:
         with pytest.raises(ConfigurationError):
             evaluate_policy(bench.problem, grid, params, policies[:-1])
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda p: p + 2, "out of range"),
+        (lambda p: p - 1, "out of range"),
+        (lambda p: p + 0.5, "must be integers"),  # rejected, not truncated
+        (lambda p: p[:, :-1], "policy array"),
+    ], ids=["index-too-large", "negative-index", "float", "wrong-shape"])
+    def test_policy_array_validated(self, change, message):
+        bench, grid, params = bench_setup("eikonal-cos")  # two controls
+        policies = change(np.zeros((params.steps, grid.npoints), dtype=np.int64))
+        with pytest.raises(ConfigurationError, match=message):
+            evaluate_policy(bench.problem, grid, params, policies)
+        with pytest.raises(ConfigurationError, match=message):
+            rollout_cost(bench.problem, grid, params, policies, (0.0, [0.4]), params.tau)
+
 
 class TestDirectSolve:
     def test_zero_benchmark_is_identically_zero(self):
@@ -419,16 +433,12 @@ class TestCandidateTensors:
         params = SchemeParams.create(grid.spacing, 0.4, flagged.f_sup_bound, dim=grid.dim)
         direct = [solve_hjb_direct(p, grid, params) for p in (flagged, plain)]
         rng = np.random.default_rng(7)
-        policies = [PolicyField(grid=grid, time_label=params.time(k),
-                                choices=rng.integers(0, flagged.controls.size, grid.npoints),
-                                n_controls=flagged.controls.size)
-                    for k in range(1, params.steps + 1)]
+        policies = rng.integers(0, flagged.controls.size, (params.steps, grid.npoints))
         evaluated = [evaluate_policy(p, grid, params, policies) for p in (flagged, plain)]
         for a, b in (direct, evaluated):
             assert (a.q_sup, a.c_sup) == (b.q_sup, b.c_sup)
             assert same_bits(a.values_array(), b.values_array())
-            for pa, pb in zip(a.argmin_slices[1:], b.argmin_slices[1:]):
-                assert same_bits(pa.choices, pb.choices)
+            assert same_bits(a.policy_slices, b.policy_slices)
 
     def test_time_varying_problem_gets_candidates_at_every_level(self):
         seen = set()
@@ -492,7 +502,6 @@ class TestCandidateTensors:
         plain = build_initial_policies(replace(shifted, time_invariant=False), grid, params,
                                        "argmin-of-c")
         assert len(calls) == shifted.controls.size * (1 + params.steps)
-        assert len(flagged) == len(plain) == params.steps
-        for a, b in zip(flagged, plain):
-            assert a.time_label == b.time_label and same_bits(a.choices, b.choices)
-        assert len(set(flagged[0].choices.tolist())) > 1
+        assert flagged.shape == (params.steps, grid.npoints)
+        assert same_bits(flagged, plain)
+        assert len(set(flagged[0].tolist())) > 1
