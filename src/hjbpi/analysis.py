@@ -10,6 +10,14 @@ bitwise equal to ``linspace(-r, r, S)`` (the step halves exactly), so each
 doubling keeps the samples it has and evaluates the terminal cost only on
 the S - 1 new midpoints; minima and minimizers are exactly those of a scan
 over the whole refined grid.
+
+Each round is evaluated a block of centers at a time: a block holds
+``max(1, BLOCK_ELEMENTS // samples)`` centers (``grid.row_blocks``), so q
+sees about ``BLOCK_ELEMENTS`` points per call and the centers x samples
+table never exists whole.  A block's argmins and minima go into (n,)
+arrays; the stop rule (no minimum over all centers moved by ``tol``), the
+first-minimizer tie rule and the finiteness check still apply per round,
+to every center at once, so the results are bitwise those of one scan.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedDimensionError
+from .grid import row_blocks
 from .scheme import SchemeParams, solve_hjb_direct
 
 ORACLE_TOL = 1e-6       # sampling is doubled until the minimum moves less than this
@@ -38,6 +47,20 @@ def _require_finite(minima):
         raise ConfigurationError("terminal cost is not finite inside the oracle's ball")
 
 
+def _scan_blocks(q, xs, offs, minima, argmins):
+    """Row minima and first argmins of q(xs[i] + offs[j]) over j, into (n,) outputs.
+
+    q sees one block of centers at a time (``row_blocks``), so the
+    temporaries hold about ``BLOCK_ELEMENTS`` samples whatever the number
+    of centers; each row's minimum is the same as in one whole scan.
+    """
+    for rows in row_blocks(xs.size, offs.size):
+        vals = np.asarray(q((xs[rows, None] + offs[None, :])[..., None]), dtype=float)
+        idx = np.argmin(vals, axis=1)
+        argmins[rows] = idx
+        minima[rows] = np.take_along_axis(vals, idx[:, None], axis=1)[:, 0]
+
+
 def _ball_min_1d(q, xs, radius, samples, tol):
     """min of q over [x - radius, x + radius] for every center x in ``xs``.
 
@@ -47,17 +70,15 @@ def _ball_min_1d(q, xs, radius, samples, tol):
     q only at the new midpoints: the old samples are the even entries of
     the refined grid, bitwise.
     """
-    offs = np.linspace(-radius, radius, samples)
-    vals = np.asarray(q((xs[:, None] + offs[None, :])[..., None]), dtype=float)
-    idx = np.argmin(vals, axis=1)
-    best = np.take_along_axis(vals, idx[:, None], axis=1)[:, 0]
+    n = xs.size
+    best, idx = np.empty(n), np.empty(n, dtype=np.intp)
+    new_best, new_idx = np.empty(n), np.empty(n, dtype=np.intp)
+    _scan_blocks(q, xs, np.linspace(-radius, radius, samples), best, idx)
     _require_finite(best)
     while True:
         samples = 2 * samples - 1
         offs = np.linspace(-radius, radius, samples)
-        vals = np.asarray(q((xs[:, None] + offs[None, 1::2])[..., None]), dtype=float)
-        new_idx = np.argmin(vals, axis=1)
-        new_best = np.take_along_axis(vals, new_idx[:, None], axis=1)[:, 0]
+        _scan_blocks(q, xs, offs[1::2], new_best, new_idx)
         _require_finite(new_best)
         # old sample j sits at refined index 2j, new sample m at 2m + 1;
         # on a tie the lower refined index is the first minimizer

@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+BLOCK_ELEMENTS = 1 << 15  # float64 values per block of a blocked reduction (256 KiB)
+
 
 def _axis_tuple(value, dim, cast):
     if np.ndim(value) == 0:
@@ -174,6 +176,17 @@ class Field:
 
     def sup_norm(self):
         return float(np.max(np.abs(self.values)))
+
+
+def row_blocks(rows, width):
+    """Slices that cut ``rows`` rows of ``width`` values into blocks.
+
+    Each block has ``max(1, BLOCK_ELEMENTS // width)`` rows, the last one
+    what is left, so a temporary over one block holds about
+    ``BLOCK_ELEMENTS`` values however large the whole array is.
+    """
+    size = max(1, BLOCK_ELEMENTS // width)
+    return [slice(lo, min(lo + size, rows)) for lo in range(0, rows, size)]
 
 
 def gradient_central_values(grid, values):

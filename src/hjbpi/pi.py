@@ -28,6 +28,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigurationError, MonotonicityError
+from .grid import row_blocks
 from .problem import _first_argmin, _running_costs
 from .scheme import SchemeParams, SpaceTimeSolution, evaluate_policy, solve_hjb_direct
 
@@ -121,7 +122,9 @@ class _IterationTracker:
     ``region`` selects the points the sup distance to the fixed point is
     measured over, ``l2_level`` the level of the l2 distance.  ``record``
     books one iterate (values of shape (levels, points)) and says whether
-    the run stops after it.
+    the run stops after it.  It folds the sup distance, the rise, the
+    violation count and the settle test over blocks of rows
+    (``grid.row_blocks``), so no (levels, points) temporary exists.
     """
 
     def __init__(self, fixed_values, region, l2_level, max_iterations, stop_tolerance,
@@ -140,25 +143,35 @@ class _IterationTracker:
         self.prev_values = None
 
     def record(self, n, values, iterate):
-        diff = values[:, self.region] - self.fixed_values[:, self.region]
-        self.errors.append(float(np.max(np.abs(diff))))
-        self.errors_l2.append(float(np.sqrt(np.sum(diff[self.l2_level] ** 2))))
-        del diff  # free it before the step array: one full-size temporary at a time
+        blocks = row_blocks(len(values), values.shape[1])
+        region, fixed = self.region, self.fixed_values
+        sup = []
+        for rows in blocks:
+            diff = values[rows][:, region] - fixed[rows][:, region]
+            sup.append(np.max(np.abs(diff, out=diff)))
+        # np.max over the block maxima propagates a NaN as a whole-array max does
+        self.errors.append(float(np.max(sup)))
+        diff = values[self.l2_level][region] - fixed[self.l2_level][region]
+        self.errors_l2.append(float(np.sqrt(np.sum(diff ** 2))))
 
         settled = False
         if self.prev_values is None:
             self.mono_worst.append(0.0)
         else:
-            step = values - self.prev_values
-            increase = float(np.max(step))
+            rises, moves = [], []
+            for rows in blocks:
+                step = values[rows] - self.prev_values[rows]
+                rises.append(np.max(step))
+                self.violation_count += int(np.count_nonzero(step > MONOTONE_SLACK))
+                moves.append(np.max(np.abs(step, out=step)))
+            increase = float(np.max(rises))
             self.mono_worst.append(max(0.0, increase))
             self.worst_violation = max(self.worst_violation, self.mono_worst[-1])
-            self.violation_count += int(np.count_nonzero(step > MONOTONE_SLACK))
             if increase > MONOTONE_ABORT:
                 raise MonotonicityError(
                     f"iterate {n} rose {increase:.3e} above its predecessor "
                     f"(tolerance {MONOTONE_ABORT:.0e}); scheme bug or CFL breach")
-            settled = float(np.max(np.abs(step))) < self.stop_tolerance
+            settled = float(np.max(moves)) < self.stop_tolerance
         if settled:
             self.stop_reason = "tolerance"
         done = settled or n == self.max_iterations - 1

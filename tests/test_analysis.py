@@ -9,6 +9,7 @@ from hjbpi.analysis import (
     ORACLE_SAMPLES,
     ORACLE_TOL,
     SemiConcavityReport,
+    _ball_min_1d,
     _hopf_lax_values_1d,
     hopf_lax_minimizer,
     hopf_lax_oracle,
@@ -21,7 +22,7 @@ from hjbpi.analysis import (
 )
 from hjbpi.benchmarks import Benchmark, get_benchmark
 from hjbpi.errors import CFLValidationError, ConfigurationError, UnsupportedDimensionError
-from hjbpi.grid import Grid
+from hjbpi.grid import BLOCK_ELEMENTS, Grid
 from hjbpi.problem import ControlProblem, ControlSet
 from hjbpi.scheme import SchemeParams, SpaceTimeSolution, solve_hjb_direct
 
@@ -107,17 +108,45 @@ def reference_scan_1d(q, x, radius, tol=ORACLE_TOL):
         best = refined
 
 
+def reference_bulk_scan_1d(q, xs, radius, tol=ORACLE_TOL):
+    """Full-grid scan of many centers: (minima, first minimizers) over the final grid.
+
+    Like the oracle, it stops when no center's minimum moved by ``tol``.
+    """
+    def scan(samples):
+        offs = np.linspace(-radius, radius, samples)
+        vals = np.asarray(q((xs[:, None] + offs[None, :])[..., None]), dtype=float)
+        idx = np.argmin(vals, axis=1)
+        return np.take_along_axis(vals, idx[:, None], axis=1)[:, 0], xs + offs[idx]
+
+    samples = ORACLE_SAMPLES
+    best, arg = scan(samples)
+    while True:
+        samples = 2 * samples - 1
+        refined, arg = scan(samples)
+        if float(np.max(np.abs(refined - best))) < tol:
+            return refined, arg
+        best = refined
+
+
 def narrow_well(X):
     return -np.exp(-((X[..., 0] - 0.3137) / 0.05) ** 2)
+
+
+def needle(X):
+    # so narrow that the last doublings add more midpoints than one block holds
+    return -np.exp(-((X[..., 0] - 0.3137) / 0.02) ** 2)
 
 
 class CallCounter:
     def __init__(self, q):
         self.q = q
         self.calls = 0
+        self.shapes = []
 
     def __call__(self, X):
         self.calls += 1
+        self.shapes.append(X.shape)
         return self.q(X)
 
 
@@ -148,7 +177,8 @@ class TestNestedRefinement:
         assert counted.calls >= 4  # the initial grid and three or more doublings
         assert np.array_equal(got, reference_values_1d(narrow_well, 0.5, 0.0, 0.9, X, 1.0))
 
-    @pytest.mark.parametrize("q", [cos_q, narrow_well], ids=["cos", "narrow-well"])
+    @pytest.mark.parametrize("q", [cos_q, narrow_well, needle],
+                             ids=["cos", "narrow-well", "needle"])
     def test_single_point_scan_matches_full_grid(self, q):
         radius = 0.9
         most_calls = 0
@@ -180,6 +210,51 @@ class TestNestedRefinement:
             arg = hopf_lax_minimizer(flat, 0.25, 1.0, [x], 1.0)
             assert np.array_equal(arg, reference_scan_1d(flat, x, 0.75)[1])
             assert arg[0] == x - 0.75
+
+
+PER_BLOCK = BLOCK_ELEMENTS // ORACLE_SAMPLES  # centers per block in the first round
+
+
+def assert_full_grid_bitwise(q, xs, minima, args):
+    """A radius-0.9 scan and the bulk oracle equal their full-grid references."""
+    ref_minima, ref_args = reference_bulk_scan_1d(q, xs, 0.9)
+    assert minima.tobytes() == ref_minima.tobytes()
+    assert args.tobytes() == ref_args.tobytes()
+    got = _hopf_lax_values_1d(q, 0.5, 0.1, 1.0, xs[:, None], 1.0)
+    assert got.tobytes() == reference_values_1d(q, 0.5, 0.1, 1.0, xs[:, None], 1.0).tobytes()
+
+
+class TestBlockedScan:
+    """q sees one block of centers at a time; the results are those of one scan."""
+
+    @pytest.mark.parametrize("q", [cos_q, narrow_well], ids=["cos", "narrow-well"])
+    def test_centers_span_several_blocks_with_a_ragged_last_block(self, q):
+        xs = np.linspace(-1.0, 2.5, 3 * PER_BLOCK + 5)
+        counted = CallCounter(q)
+        minima, args = _ball_min_1d(counted, xs, 0.9, ORACLE_SAMPLES, ORACLE_TOL)
+        assert [shape[0] for shape in counted.shapes[:4]] == [PER_BLOCK] * 3 + [5]
+        assert max(shape[0] * shape[1] for shape in counted.shapes) <= BLOCK_ELEMENTS
+        assert_full_grid_bitwise(q, xs, minima, args)
+
+    def test_rounds_wider_than_a_block_take_one_center_per_block(self):
+        xs = np.array([-0.2, 0.3, 0.31, 0.8])
+        counted = CallCounter(needle)
+        minima, args = _ball_min_1d(counted, xs, 0.9, ORACLE_SAMPLES, ORACLE_TOL)
+        wide = [shape for shape in counted.shapes if shape[1] > BLOCK_ELEMENTS]
+        assert wide and all(shape[0] == 1 for shape in wide)
+        assert_full_grid_bitwise(needle, xs, minima, args)
+
+    def test_nan_only_in_the_last_block_stops(self):
+        xs = np.linspace(-1.0, 1.0, 3 * PER_BLOCK + 5)
+
+        def q(X):
+            return np.where(X[..., 0] > 0.995, np.nan, np.cos(X[..., 0]))
+
+        counted = CallCap(q)
+        with pytest.raises(ConfigurationError, match="not finite"):
+            _ball_min_1d(counted, xs, 0.01, ORACLE_SAMPLES, ORACLE_TOL)
+        # only the last center reaches past 0.995; the first round stops
+        assert [shape[0] for shape in counted.shapes] == [PER_BLOCK] * 3 + [5]
 
 
 class CallCap(CallCounter):

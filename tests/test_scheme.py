@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjbpi.benchmarks import get_benchmark, lq_feedback_policies
 from hjbpi.errors import CFLValidationError, ConfigurationError, NumericalBlowupError
@@ -13,6 +15,7 @@ from hjbpi.problem import (
     _candidate_tensors,
     _candidates,
     _shaped,
+    discrete_sup_norms,
     rollout_cost,
 )
 from hjbpi.scheme import (
@@ -505,3 +508,106 @@ class TestCandidateTensors:
         assert flagged.shape == (params.steps, grid.npoints)
         assert same_bits(flagged, plain)
         assert len(set(flagged[0].tolist())) > 1
+
+
+@st.composite
+def step_cases(draw, cfl):
+    """A random problem on a random grid, with tau = cfl * h / (2 d N).
+
+    d = 1 or 2, each axis periodic or clamped.  Controls of norm up to
+    ``amplitude`` drive f = a, so N >= max(1, amplitude / 2) is admissible.
+    The running cost reads t unless the problem is flagged time-invariant.
+    Returns the problem, grid, params and a seed for the random fields.
+    """
+    dim = draw(st.sampled_from((1, 2)))
+    points = draw(st.integers(min_value=3, max_value=16 if dim == 1 else 7))
+    periodic = tuple(draw(st.booleans()) for _ in range(dim))
+    h = draw(st.floats(min_value=0.02, max_value=0.5))
+    amplitude = draw(st.floats(min_value=0.25, max_value=3.0))
+    N = max(1.0, amplitude / 2.0) * draw(st.floats(min_value=1.0, max_value=2.0))
+    tau = draw(cfl) * h / (2.0 * dim * N)
+    steps = draw(st.integers(min_value=1, max_value=12))
+    count = draw(st.integers(min_value=1, max_value=6))
+    if dim == 1:
+        controls = ControlSet(amplitude * np.linspace(-1.0, 1.0, count))
+    else:
+        angles = np.linspace(0.0, 2.0 * np.pi, count + 1, endpoint=False)
+        controls = ControlSet(amplitude * np.stack([np.cos(angles), np.sin(angles)], axis=-1))
+    weight = draw(st.floats(min_value=-1.0, max_value=1.0))
+    time_invariant = draw(st.booleans())
+    phase = 0.0 if time_invariant else 1.0
+    wave = draw(st.integers(min_value=1, max_value=3))
+    problem = ControlProblem(
+        dynamics=lambda t, x, a: np.broadcast_to(a, x.shape),
+        running_cost=lambda t, x, a: (0.5 * np.sum(a * a)
+                                      + weight * np.sin(x[..., 0] + phase * t) * a[0]),
+        terminal_cost=lambda x: np.cos(wave * x[..., 0]) + np.sin(x[..., -1]),
+        controls=controls,
+        f_sup_bound=amplitude,
+        time_invariant=time_invariant,
+    )
+    grid = Grid(spacing=h, points_per_axis=(points,) * dim, origin=(-0.3,) * dim,
+                periodic=periodic)
+    params = SchemeParams(h=h, tau=tau, N=N, T=steps * tau, steps=steps, dim=dim)
+    return problem, grid, params, draw(st.integers(0, 2**32 - 1))
+
+
+ROUNDING = 1e-12  # relative slack for the rounding of one step
+
+
+def assert_step_properties(problem, grid, params, seed):
+    rng = np.random.default_rng(seed)
+    t = params.time(int(rng.integers(1, params.steps + 1)))
+
+    def step(values):
+        return apply_step_operator(problem, params, t, Field(grid, values, t)).values
+
+    # monotone on ordered pairs, equal points included
+    u = rng.uniform(-2.0, 2.0, grid.npoints)
+    v = u + np.where(rng.uniform(size=grid.npoints) < 0.3, 0.0,
+                     rng.uniform(0.0, 1.0, grid.npoints))
+    scale = 1.0 + np.max(np.abs(v))
+    assert np.all(step(u) <= step(v) + ROUNDING * scale)
+
+    # commutes with constants
+    K = rng.uniform(-10.0, 10.0)
+    slack = ROUNDING * (1.0 + abs(K) + np.max(np.abs(u)))
+    assert np.max(np.abs(step(u + K) - (step(u) + K))) <= slack
+
+    # a full sweep keeps the order of ordered data: q1 <= q2 and c1 <= c2
+    lift = rng.uniform(0.0, 0.5)
+    bump = rng.uniform(0.0, 1.0)
+    upper = replace(
+        problem,
+        terminal_cost=lambda x: problem.terminal_cost(x) + bump * (1.0 + np.sin(3.0 * x[..., 0])),
+        running_cost=lambda t, x, a: problem.running_cost(t, x, a) + lift)
+    lower_sol = solve_hjb_direct(problem, grid, params)
+    upper_sol = solve_hjb_direct(upper, grid, params)
+    levels = params.steps + 1
+    slack = ROUNDING * levels * (1.0 + np.max(np.abs(upper_sol.values)))
+    assert np.all(lower_sol.values <= upper_sol.values + slack)
+    policies = rng.integers(0, problem.controls.size, (params.steps, grid.npoints))
+    lower_eval = evaluate_policy(problem, grid, params, policies)
+    upper_eval = evaluate_policy(upper, grid, params, policies)
+    assert np.all(lower_eval.values <= upper_eval.values + slack)
+
+    # |V(t)| <= |q|_sup + |c|_sup (T - t), with |c| over every level's time
+    q_sup, c_sup = discrete_sup_norms(problem, grid, params.times())
+    for k, row in enumerate(lower_sol.values):
+        allowed = q_sup + c_sup * (params.T - params.time(k))
+        assert np.max(np.abs(row)) <= allowed * (1.0 + ROUNDING * levels) + ROUNDING
+    if problem.time_invariant:
+        assert lower_sol.bound_excess() <= ROUNDING * levels * (1.0 + q_sup + c_sup * params.T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(step_cases(st.floats(min_value=0.1, max_value=1.0, exclude_max=True)))
+def test_step_properties_on_random_grids(case):
+    assert_step_properties(*case)
+
+
+@settings(max_examples=25, deadline=None)
+@given(step_cases(st.just(1.0)))
+def test_step_properties_at_cfl_equality(case):
+    # 2 d N tau = h: the largest admissible step, where the diagonal weight is 0
+    assert_step_properties(*case)

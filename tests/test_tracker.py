@@ -195,3 +195,125 @@ def test_no_field_is_built_per_level(monkeypatch):
     assert calls[0] == 0
     Field(grid, np.zeros(grid.npoints), 0.0)
     assert calls[0] == 1  # the patch does count
+
+
+class WholeArrayTracker(pi_module._IterationTracker):
+    """``record`` with whole-array temporaries: the reference the blocked fold must equal."""
+
+    def record(self, n, values, iterate):
+        diff = values[:, self.region] - self.fixed_values[:, self.region]
+        self.errors.append(float(np.max(np.abs(diff))))
+        self.errors_l2.append(float(np.sqrt(np.sum(diff[self.l2_level] ** 2))))
+        settled = False
+        if self.prev_values is None:
+            self.mono_worst.append(0.0)
+        else:
+            step = values - self.prev_values
+            increase = float(np.max(step))
+            self.mono_worst.append(max(0.0, increase))
+            self.worst_violation = max(self.worst_violation, self.mono_worst[-1])
+            self.violation_count += int(np.count_nonzero(step > pi_module.MONOTONE_SLACK))
+            if increase > MONOTONE_ABORT:
+                raise MonotonicityError(
+                    f"iterate {n} rose {increase:.3e} above its predecessor "
+                    f"(tolerance {MONOTONE_ABORT:.0e}); scheme bug or CFL breach")
+            settled = float(np.max(np.abs(step))) < self.stop_tolerance
+        if settled:
+            self.stop_reason = "tolerance"
+        done = settled or n == self.max_iterations - 1
+        if n % self.record_every == 0 or done:
+            self.iterates.append((n, iterate))
+        self.prev_values = values
+        return done
+
+
+def decreasing_iterates(rows, width, count, seed):
+    """Iterates falling toward a fixed point, with rises below MONOTONE_ABORT."""
+    rng = np.random.default_rng(seed)
+    fixed = rng.uniform(-1.0, 1.0, (rows, width))
+    gap = rng.uniform(0.0, 1.0, (rows, width))
+    iterates = [fixed + gap]
+    for k in range(1, count):
+        values = fixed + gap * 0.5 ** (3 * k)
+        rise = rng.uniform(size=values.shape) < 0.01
+        values[rise] = iterates[-1][rise] + rng.uniform(0.0, 1e-9, int(np.count_nonzero(rise)))
+        iterates.append(values)
+    iterates.append(fixed.copy())
+    iterates.append(fixed.copy())  # no step at all: the run settles
+    return fixed, iterates
+
+
+def both_trackers(fixed, region, max_iterations):
+    """The blocked tracker and the whole-array reference, set up alike."""
+    return [cls(fixed, region, 0, max_iterations, 1e-10, 3)
+            for cls in (pi_module._IterationTracker, WholeArrayTracker)]
+
+
+def assert_same_record(blocked, reference):
+    got, want = blocked.fields(), reference.fields()
+    for key in ("errors_to_fixed_point", "errors_l2", "monotonicity_worst"):
+        assert got[key].tobytes() == want[key].tobytes(), key
+    for key in ("iterates", "monotonicity_violation_count", "worst_monotonicity",
+                "iterations_used", "stop_reason"):
+        assert got[key] == want[key], key
+
+
+def block_rows(width):
+    return max(1, grid_module.BLOCK_ELEMENTS // width)
+
+
+@pytest.mark.parametrize("rows, width", [
+    (501, 628),                                  # the legendre-pi shape, ragged last block
+    (3 * block_rows(100) + 7, 100),              # three full blocks and 7 rows
+    (2 * block_rows(100), 100),                  # a whole number of blocks
+    (5, grid_module.BLOCK_ELEMENTS + 3),         # rows wider than a block: one per block
+])
+@pytest.mark.parametrize("region_kind", ["slice", "mask"])
+def test_blocked_record_equals_whole_array_formulas(rows, width, region_kind):
+    assert rows > block_rows(width)  # more than one block
+    fixed, iterates = decreasing_iterates(rows, width, 5, seed=rows)
+    if region_kind == "slice":
+        region = slice(None)
+    else:
+        region = np.random.default_rng(width).uniform(size=width) < 0.6
+    blocked, reference = both_trackers(fixed, region, 100)
+    for tracker in (blocked, reference):
+        done = [tracker.record(n, values, n) for n, values in enumerate(iterates)]
+        assert done[-1] and not any(done[:-1])  # the last two iterates are equal
+    assert_same_record(blocked, reference)
+    assert blocked.violation_count > 0
+    assert blocked.stop_reason == "tolerance"
+
+
+@pytest.mark.parametrize("where", ["error", "step"])
+def test_nan_in_a_late_block_is_reported(where):
+    # one NaN in the last block: a fold through Python's max would drop it
+    rows, width = 3 * block_rows(628) + 11, 628
+    fixed, iterates = decreasing_iterates(rows, width, 2, seed=3)
+    if where == "error":
+        fixed[-1, 5] = np.nan
+    else:
+        iterates[-1][-1, 5] = np.nan  # the last step is 0 but for this NaN
+    trackers = both_trackers(fixed, slice(None), 100)
+    for tracker in trackers:
+        done = [tracker.record(n, values, n) for n, values in enumerate(iterates)]
+        # the last two iterates are equal, unless a NaN step keeps the run going
+        assert done[-1] == (where == "error") and not any(done[:-1])
+    assert_same_record(*trackers)
+    errors = trackers[0].fields()["errors_to_fixed_point"]
+    assert np.isnan(errors[-1])
+    assert np.isnan(errors).all() == (where == "error")
+
+
+def test_rise_in_a_late_block_raises_past_monotone_abort():
+    rows, width = 4 * block_rows(628) + 1, 628
+    fixed, iterates = decreasing_iterates(rows, width, 3, seed=4)
+    iterates[2][-1, -1] = iterates[1][-1, -1] + RISE
+    trackers = both_trackers(fixed, slice(None), 10)
+    for tracker in trackers:
+        tracker.record(0, iterates[0], None)
+        tracker.record(1, iterates[1], None)
+        with pytest.raises(MonotonicityError, match=r"iterate 2 rose 1\.000e-06"):
+            tracker.record(2, iterates[2], None)
+    assert_same_record(*trackers)
+    assert trackers[0].worst_violation > MONOTONE_ABORT

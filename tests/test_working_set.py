@@ -1,0 +1,58 @@
+"""Working-set bounds of the two blocked reductions.
+
+tracemalloc sees numpy's buffers, so the traced peak of one call is the
+largest set of temporaries it held at once.  Both the Hopf-Lax oracle and
+the policy-iteration tracker work a block of ``BLOCK_ELEMENTS`` values at a
+time, so their peaks stay at a few blocks plus their (n,) outputs however
+large the whole problem is.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from hjbpi.analysis import _hopf_lax_values_1d
+from hjbpi.benchmarks import get_benchmark
+from hjbpi.grid import BLOCK_ELEMENTS
+from hjbpi.pi import _IterationTracker
+
+BLOCK_BYTES = 8 * BLOCK_ELEMENTS
+
+
+def bound(npoints):
+    """Four blocks of float64 values plus sixteen (n,) float64 arrays."""
+    return 4 * BLOCK_BYTES + 16 * 8 * npoints
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_peak_on_the_finest_h_study_grid():
+    bench = get_benchmark("eikonal-cos")
+    c0, speed = bench.hopf_lax
+    grid = bench.make_grid(0.025)
+    X = grid.coordinates()[grid.interior_mask(bench.problem.f_sup_bound * 1.0)]
+    # one whole centers x samples table alone would exceed the bound
+    assert 8 * X.shape[0] * 1001 > bound(X.shape[0])
+    for t in (0.0, 0.5):
+        peak = traced_peak(lambda: _hopf_lax_values_1d(bench.problem.terminal_cost, c0, t,
+                                                       1.0, X, speed))
+        assert peak <= bound(X.shape[0]), (t, peak)
+
+
+def test_tracker_record_peak_on_a_legendre_pi_sized_run():
+    rng = np.random.default_rng(0)
+    levels, npoints = 501, 628
+    fixed = rng.uniform(size=(levels, npoints))
+    first, second = fixed + 1.0, fixed + 0.5
+    for region in (slice(None), rng.uniform(size=npoints) < 0.5):
+        tracker = _IterationTracker(fixed, region, 0, 10, 1e-10, 1)
+        tracker.record(0, first, None)
+        peak = traced_peak(lambda: tracker.record(1, second, None))
+        assert peak <= bound(npoints), peak
