@@ -91,15 +91,28 @@ def _ball_min_1d(q, xs, radius, samples, tol):
 
 
 def _ball_min_2d(q, center, radius, samples):
+    """min of q over the samples x samples square's points inside the ball.
+
+    The square is scanned in its raveled order, a block of rows at a time
+    (``row_blocks``), so a block's (points, 2) array holds about
+    ``BLOCK_ELEMENTS`` values.  A later block replaces the best only when
+    strictly lower, so the minimizer is the first of one whole scan.
+    """
     offs = np.linspace(-radius, radius, samples)
-    yy, zz = np.meshgrid(center[0] + offs, center[1] + offs, indexing="ij")
-    pts = np.stack([yy.ravel(), zz.ravel()], axis=-1)
-    inside = np.sum((pts - center) ** 2, axis=-1) <= radius * radius * (1 + 1e-12)
-    pts = pts[inside]
-    vals = np.asarray(q(pts), dtype=float)
-    k = int(np.argmin(vals))
-    _require_finite(vals[k])
-    return float(vals[k]), pts[k]
+    ys, zs = center[0] + offs, center[1] + offs
+    best, arg = math.inf, None
+    for rows in row_blocks(samples, 2 * samples):
+        yy, zz = np.meshgrid(ys[rows], zs, indexing="ij")
+        pts = np.stack([yy.ravel(), zz.ravel()], axis=-1)
+        pts = pts[np.sum((pts - center) ** 2, axis=-1) <= radius * radius * (1 + 1e-12)]
+        vals = np.asarray(q(pts), dtype=float)
+        k = int(np.argmin(vals))
+        if math.isnan(vals[k]):  # then the whole scan's minimum is NaN
+            _require_finite(vals[k])
+        if arg is None or vals[k] < best:
+            best, arg = float(vals[k]), pts[k]
+    _require_finite(best)
+    return best, arg
 
 
 def _hopf_lax_scan(q, t, T, x, speed, initial_samples, tol):

@@ -34,7 +34,13 @@ from .errors import (
     NumericalBlowupError,
 )
 from .legendre import ConvexHamiltonian, generalized_pi, legendre_scheme
-from .pi import PIConfig, build_initial_policies, fit_geometric_rate, run_policy_iteration
+from .pi import (
+    FIT_MIN_ENTRIES,
+    PIConfig,
+    build_initial_policies,
+    fit_geometric_rate,
+    run_policy_iteration,
+)
 from .problem import ControlProblem, ControlSet, discrete_sup_norms, validate_f_bound
 from .scheme import SchemeParams, solve_hjb_direct
 
@@ -355,10 +361,9 @@ def _rate_summary(errors, burn_in=2):
     rather than pretending a fit happened.  A fitted ratio near 1 is flagged
     as stalled so non-contracting runs stand out in summaries.
     """
-    try:
+    fit = None
+    if len(errors) - burn_in >= FIT_MIN_ENTRIES:
         fit = fit_geometric_rate(errors, burn_in)
-    except ValueError:
-        fit = None
     if fit is not None and math.isfinite(fit.rho):
         if fit.rho > 0.99:
             return fit.rho, fit.r_squared, "stalled"

@@ -211,5 +211,43 @@ def laplacian_values(grid, values):
     return out
 
 
+class RowStencil:
+    """The central gradient and the (2d+1)-point Laplacian of one row, fused.
+
+    One neighbor gather per axis and direction serves both.  The arithmetic
+    is that of ``gradient_central_values`` and ``laplacian_values`` bit for
+    bit, down to the ``0.0 +`` the Laplacian sum starts from: it fixes the
+    sign of a zero.  The work buffers are allocated once, so a sweep that
+    keeps one instance allocates nothing per level; calls sharing an
+    instance must not overlap.
+    """
+
+    def __init__(self, grid):
+        self.tables = [(grid.neighbor_table(axis, +1), grid.neighbor_table(axis, -1))
+                       for axis in range(grid.dim)]
+        self.inv = 1.0 / (2.0 * grid.spacing)
+        self.inv2 = 1.0 / (grid.spacing * grid.spacing)
+        self.up, self.dn, self.twice = (np.empty(grid.npoints) for _ in range(3))
+
+    def __call__(self, v, grads, lap):
+        """Write the gradient of row ``v`` into ``grads`` and its Laplacian into ``lap``."""
+        up, dn, twice = self.up, self.dn, self.twice
+        np.multiply(v, 2.0, out=twice)
+        for axis, (up_table, dn_table) in enumerate(self.tables):
+            # the tables are in range; "raise" would copy through a buffer
+            v.take(up_table, out=up, mode="clip")
+            v.take(dn_table, out=dn, mode="clip")
+            col = grads[:, axis]
+            np.subtract(up, dn, out=col)
+            np.multiply(col, self.inv, out=col)
+            np.subtract(up, twice, out=up)
+            np.add(up, dn, out=up)
+            np.multiply(up, self.inv2, out=up)
+            if axis == 0:
+                np.add(up, 0.0, out=lap)
+            else:
+                np.add(lap, up, out=lap)
+
+
 def gradient_central_field(field):
     return gradient_central_values(field.grid, field.values)

@@ -16,6 +16,18 @@ Hamiltonian call: ``LINEARIZE_BLOCK`` levels for a time-invariant H, one
 level otherwise.  The run bookkeeping is the tracker shared with ``pi``.
 A time-reversal adapter (`reverse_time_slices`) maps these runs onto the
 backward control formulation for cross-checks.
+
+A level is one fused kernel on preallocated rows: one neighbor gather per
+axis serves the gradient and the Laplacian (``grid.RowStencil``), and the
+update is written in place.  New rows are checked against the a-priori
+threshold before any callback could see them: every level in the direct
+run, which calls H per level, and once per frozen block in a linearized
+run.  The check raises the error a check of every level would, from its
+first bad row, and the arithmetic in between runs with numpy's overflow
+and invalid warnings off.  Where every |p| of a call lies in the ball
+|p| <= 2M, the clipped Hamiltonian returns H and grad_p H without the
+three-branch formula, which there gives the same values.  Every result
+is bitwise that of a level-by-level sweep with the three-branch formula.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import gradient_central_values, laplacian_values
+from .grid import RowStencil, gradient_central_values
 from .pi import _IterationTracker
 from .problem import _finite_sup
 from .scheme import SchemeParams, _check_values
@@ -125,6 +137,8 @@ class ModifiedHamiltonian:
         p = np.asarray(p, dtype=float)
         norm = np.sqrt(np.sum(p * p, axis=-1))
         inner = np.asarray(self.base.func(t, x, p), dtype=float)
+        if _inside_ball(norm, self.M):
+            return _fresh(inner, norm.shape)
         linear = self.m1 + self.m2 * (norm - 2.0 * self.M)
         out = np.where(norm <= 2.0 * self.M, inner,
                        np.where(norm <= 3.0 * self.M, np.maximum(inner, linear), linear))
@@ -133,6 +147,8 @@ class ModifiedHamiltonian:
     def gradient(self, t, x, p):
         p = np.asarray(p, dtype=float)
         norm = np.sqrt(np.sum(p * p, axis=-1, keepdims=True))
+        if _inside_ball(norm, self.M):
+            return _fresh(self.base.gradient(t, x, p), p.shape)
         # grad_p H where H~ = H, the radial slope elsewhere; the branch
         # values are dropped at once to keep a block's temporaries few
         inner = (norm <= 2.0 * self.M) | ((norm <= 3.0 * self.M) & (
@@ -140,6 +156,21 @@ class ModifiedHamiltonian:
             >= self.m1 + self.m2 * (norm - 2.0 * self.M)))
         radial = self.m2 * p / np.where(norm > 0.0, norm, 1.0)
         return np.where(inner, self.base.gradient(t, x, p), radial)
+
+
+def _inside_ball(norm, M):
+    """Whether every |p| is at most 2M, where H~ is H itself; False for a NaN."""
+    return norm.max(initial=0.0) <= 2.0 * M
+
+
+def _fresh(inner, shape):
+    """``inner`` broadcast to ``shape`` as a new array, as ``np.where`` would
+    return it: never a view of ``p`` or of anything the callback keeps."""
+    if inner.shape != shape:
+        shape = np.broadcast_shapes(inner.shape, shape)
+    out = np.empty(shape)
+    out[...] = inner
+    return out
 
 
 def _sphere_points(dim, radius, count=64, seed=0):
@@ -249,27 +280,74 @@ class GeneralizedPIRun:
     legendre_resolution: float            # 0.0 when an analytic dual was used
 
 
-def _forward_sweep(grid, params, q_values, threshold, term, gradients):
+def _row_dot(a, b, out, work):
+    """``np.sum(a * b, axis=-1)`` of two (n, d) arrays into ``out``, bit for bit.
+
+    numpy 2 sums an axis shorter than 8 left to right starting from 0.0,
+    so a loop over the axes gives the same bits without the (n, d)
+    product; a longer axis is summed pairwise and is left to ``np.sum``.
+    ``tests/test_legendre_sweep.py`` checks the bits against ``np.sum``.
+    """
+    if a.shape[-1] >= 8:
+        return np.sum(a * b, axis=-1, out=out)
+    np.multiply(a[:, 0], b[:, 0], out=out)
+    np.add(out, 0.0, out=out)
+    for axis in range(1, a.shape[-1]):
+        np.multiply(a[:, axis], b[:, axis], out=work)
+        np.add(out, work, out=out)
+    return out
+
+
+def _check_rows(values, lo, hi, params, threshold):
+    """Raise for the first of rows lo..hi-1 that ``_check_values`` rejects.
+
+    The error is the one a check of each level as it is stepped raises:
+    the first bad level, and in it the first bad point.
+    """
+    ok = np.abs(values[lo:hi]) <= threshold  # False for NaN and +-inf too
+    if not ok.all():
+        first = lo + int(np.argmin(ok.all(axis=1)))
+        _check_values(values[first], params.time(first), threshold)
+
+
+def _forward_sweep(grid, params, q_values, threshold, gradients, term, freeze=None,
+                   block=1):
     """Step v(t + tau) = v + tau * (term + N*h*lap v) forward from v(0) = q.
 
     Returns the read-only (steps + 1, npoints) array of the run; row k is
-    level k.  ``term(k, t, grads)`` is the Hamiltonian term at level k given
-    the central gradient of the row being stepped.  Row k of the
-    (steps, npoints, dim) array ``gradients`` is replaced by that gradient
-    once level k is stepped, so ``term`` can still read the previous run's
-    row k.
+    level k.  The levels run in blocks of ``block``: ``freeze(lo, hi)``,
+    when given, runs first for the block of levels lo..hi-1, then
+    ``term(k, grads, out)`` writes the Hamiltonian term of each level k
+    into ``out`` given the central gradient of the row being stepped.
+    Row k of the (steps, npoints, dim) array ``gradients`` is replaced by
+    that gradient once level k is stepped, so ``freeze`` can still read
+    the previous run's rows.
+
+    A block's new rows are checked against ``threshold`` once it is
+    stepped, before the next ``freeze`` or the caller sees them; the error
+    is the one a check after every level would raise.  The arithmetic in
+    between, callbacks included, runs with numpy's overflow and invalid
+    warnings off, so a blowup ends in that error alone.
     """
     values = np.empty((params.steps + 1, grid.npoints))
     values[0] = q_values
-    for k in range(params.steps):
-        t = params.time(k)
-        v = values[k]
-        grads = gradient_central_values(grid, v)
-        lap = laplacian_values(grid, v)
-        new = v + params.tau * (term(k, t, grads) + params.N * params.h * lap)
-        _check_values(new, params.time(k + 1), threshold)
-        values[k + 1] = new
-        gradients[k] = grads
+    stencil = RowStencil(grid)
+    lap, update = np.empty(grid.npoints), np.empty(grid.npoints)
+    viscosity = params.N * params.h
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, params.steps, block):
+            hi = min(lo + block, params.steps)
+            if freeze is not None:
+                freeze(lo, hi)
+            for k in range(lo, hi):
+                grads = gradients[k]
+                stencil(values[k], grads, lap)
+                term(k, grads, update)
+                np.multiply(lap, viscosity, out=lap)
+                np.add(update, lap, out=update)
+                np.multiply(update, params.tau, out=update)
+                np.add(values[k], update, out=values[k + 1])
+            _check_rows(values, lo + 1, hi + 1, params, threshold)
     values.setflags(write=False)
     return values
 
@@ -315,10 +393,13 @@ def generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations=60,
 
     block = LINEARIZE_BLOCK if H.time_invariant else 1
 
-    # the direct run's gradients become the fixed point's advection field
+    def direct_term(k, grads, out):
+        np.negative(mod.value(params.time(k), coords, grads), out=out)
+
+    # the direct run's gradients become the fixed point's advection field;
+    # it calls H at every level, so every row is checked before H sees it
     fixed_advection = np.empty((params.steps, grid.npoints, grid.dim))
-    fixed = _forward_sweep(grid, params, q_values, threshold,
-                           lambda k, t, grads: -mod.value(t, coords, grads), fixed_advection)
+    fixed = _forward_sweep(grid, params, q_values, threshold, fixed_advection, direct_term)
     for k in range(0, params.steps, block):
         p = fixed_advection[k:k + block]
         p[:] = mod.gradient(params.time(k), np.broadcast_to(coords, p.shape), p)
@@ -339,30 +420,34 @@ def generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations=60,
     level_grad_sup = np.zeros(params.steps)
     level_adv_l2 = np.zeros(params.steps)
     b = dual = None
+    work = np.empty(grid.npoints)
 
-    def linear_term(k, t, grads):
+    def freeze(lo, hi):
         # a block's coefficients are all frozen before the sweep overwrites
         # its rows of ``gradients``
         nonlocal b, dual
+        t = params.time(lo)
+        p_prev = gradients[lo:hi]
+        x = np.broadcast_to(coords, p_prev.shape)
+        level_grad_sup[lo:hi] = np.max(np.abs(p_prev), axis=(1, 2))
+        b = mod.gradient(t, x, p_prev)
+        bdiff = b - fixed_advection[lo:hi]
+        level_adv_l2[lo:hi] = np.sqrt(np.sum(bdiff * bdiff, axis=(1, 2)))
+        if analytic_dual:
+            dual = np.asarray(H.legendre_L(t, x, b), dtype=float)
+        else:
+            dual = np.sum(p_prev * b, axis=-1) - mod.value(t, x, p_prev)
+
+    def linear_term(k, grads, out):
         j = k % block
-        if j == 0:
-            p_prev = gradients[k:k + block]
-            x = np.broadcast_to(coords, p_prev.shape)
-            level_grad_sup[k:k + block] = np.max(np.abs(p_prev), axis=(1, 2))
-            b = mod.gradient(t, x, p_prev)
-            bdiff = b - fixed_advection[k:k + block]
-            level_adv_l2[k:k + block] = np.sqrt(np.sum(bdiff * bdiff, axis=(1, 2)))
-            if analytic_dual:
-                dual = np.asarray(H.legendre_L(t, x, b), dtype=float)
-            else:
-                dual = np.sum(p_prev * b, axis=-1) - mod.value(t, x, p_prev)
-        return dual[j] - np.sum(b[j] * grads, axis=-1)
+        np.subtract(dual[j], _row_dot(b[j], grads, out, work), out=out)
 
     tracker = _IterationTracker(fixed, slice(None), -1, max_iterations,
                                 stop_tolerance, record_every)
     adv_l2, grad_sup = [], []
     for n in range(max_iterations):
-        values = _forward_sweep(grid, params, q_values, threshold, linear_term, gradients)
+        values = _forward_sweep(grid, params, q_values, threshold, gradients, linear_term,
+                                freeze, block)
         adv_l2.append(float(np.max(level_adv_l2)))
         grad_sup.append(float(np.max(level_grad_sup)))
         if tracker.record(n, values, values):

@@ -34,6 +34,7 @@ from .scheme import SchemeParams, SpaceTimeSolution, evaluate_policy, solve_hjb_
 
 MONOTONE_SLACK = 1e-10   # accepted pointwise increase (rounding noise)
 MONOTONE_ABORT = 1e-8    # beyond this the run is broken, not noisy
+FIT_MIN_ENTRIES = 4      # post-burn-in errors a geometric rate fit needs
 
 INITIAL_POLICY_RULES = ("first-control", "argmin-of-c")
 
@@ -114,6 +115,13 @@ def _policy_l2_distance(problem, policies, fixed_policies, mask):
         diff = elements[pol[mask]] - elements[ref[mask]]
         worst = max(worst, float(np.sqrt(np.sum(diff * diff))))
     return worst
+
+
+def _max_difference(a, b):
+    """``float(np.max(a - b))`` of two (levels, points) arrays, a block of
+    rows at a time (``grid.row_blocks``); a NaN propagates as in the
+    whole-array max."""
+    return float(np.max([np.max(a[rows] - b[rows]) for rows in row_blocks(len(a), a.shape[1])]))
 
 
 class _IterationTracker:
@@ -218,7 +226,7 @@ def run_policy_iteration(problem, grid, params, config=None):
     for n in range(config.max_iterations):
         sol = evaluate_policy(problem, grid, params, policies, sup_norms=sup_norms)
         policy_l2.append(_policy_l2_distance(problem, policies, fixed.policy_slices[1:], mask))
-        fp_excess.append(max(0.0, float(np.max(fixed_values - sol.values))))
+        fp_excess.append(max(0.0, _max_difference(fixed_values, sol.values)))
         if tracker.record(n, sol.values, sol):
             break
         policies = sol.policy_slices[1:]
@@ -242,8 +250,8 @@ def fit_geometric_rate(errors, burn_in=0):
     and is flagged as floored.
     """
     errors = np.asarray(errors, dtype=float)
-    if len(errors) - burn_in < 4:
-        raise ValueError("need at least 4 post-burn-in entries to fit a rate")
+    if len(errors) - burn_in < FIT_MIN_ENTRIES:
+        raise ValueError(f"need at least {FIT_MIN_ENTRIES} post-burn-in entries to fit a rate")
     scale = float(np.max(errors)) if len(errors) else 0.0
     floor = 100.0 * np.finfo(float).eps * scale
     below = np.flatnonzero(errors <= floor)

@@ -10,6 +10,7 @@ from hjbpi.analysis import (
     ORACLE_TOL,
     SemiConcavityReport,
     _ball_min_1d,
+    _ball_min_2d,
     _hopf_lax_values_1d,
     hopf_lax_minimizer,
     hopf_lax_oracle,
@@ -255,6 +256,54 @@ class TestBlockedScan:
             _ball_min_1d(counted, xs, 0.01, ORACLE_SAMPLES, ORACLE_TOL)
         # only the last center reaches past 0.995; the first round stops
         assert [shape[0] for shape in counted.shapes] == [PER_BLOCK] * 3 + [5]
+
+
+def reference_ball_min_2d(q, center, radius, samples):
+    """The whole samples x samples square in one call of q."""
+    offs = np.linspace(-radius, radius, samples)
+    yy, zz = np.meshgrid(center[0] + offs, center[1] + offs, indexing="ij")
+    pts = np.stack([yy.ravel(), zz.ravel()], axis=-1)
+    inside = np.sum((pts - center) ** 2, axis=-1) <= radius * radius * (1 + 1e-12)
+    pts = pts[inside]
+    vals = np.asarray(q(pts), dtype=float)
+    k = int(np.argmin(vals))
+    if not np.isfinite(vals[k]):
+        raise ConfigurationError("terminal cost is not finite inside the oracle's ball")
+    return float(vals[k]), pts[k]
+
+
+class TestBlockedBall2D:
+    """The 2-D ball is scanned a block of square rows at a time; value,
+    first minimizer and errors are those of one whole scan."""
+
+    @pytest.mark.parametrize("q", [
+        lambda X: X[..., 0] + 0.5 * X[..., 1],
+        lambda X: np.cos(3.0 * X[..., 0]) * np.sin(2.0 * X[..., 1]),
+        # plateaus: ties across blocks, the first in raveled order wins
+        lambda X: np.floor(2.0 * X[..., 0] * X[..., 0] + X[..., 1]),
+        lambda X: np.where(X[..., 0] > 0.3, np.inf, X[..., 1]),
+    ], ids=["linear", "cos-sin", "plateaus", "plus-inf-beyond"])
+    @pytest.mark.parametrize("samples", [41, 1001])
+    def test_matches_one_whole_scan(self, q, samples):
+        center = np.array([0.2, -0.4])
+        counted = CallCounter(q)
+        value, arg = _ball_min_2d(counted, center, 0.9, samples)
+        ref_value, ref_arg = reference_ball_min_2d(q, center, 0.9, samples)
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+        assert arg.tobytes() == ref_arg.tobytes()
+        assert max(shape[0] for shape in counted.shapes) * 2 <= BLOCK_ELEMENTS
+
+    @pytest.mark.parametrize("q", [
+        lambda X: np.where(X[..., 0] > 0.85, np.nan, X[..., 1]),
+        lambda X: np.where(X[..., 0] > 0.85, -np.inf, X[..., 1]),
+        lambda X: np.full(X.shape[:-1], np.inf),
+    ], ids=["nan-in-a-late-block", "minus-inf-in-a-late-block", "plus-inf"])
+    def test_non_finite_raises_like_one_whole_scan(self, q):
+        center = np.zeros(2)
+        with pytest.raises(ConfigurationError, match="not finite"):
+            reference_ball_min_2d(q, center, 0.9, 1001)
+        with pytest.raises(ConfigurationError, match="not finite"):
+            _ball_min_2d(q, center, 0.9, 1001)
 
 
 class CallCap(CallCounter):

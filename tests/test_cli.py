@@ -27,6 +27,7 @@ from hjbpi.errors import (
     MonotonicityError,
     NumericalBlowupError,
 )
+from hjbpi.pi import fit_geometric_rate
 
 MINIMAL = """
 # minimal experiment
@@ -428,3 +429,36 @@ class TestCommandLine:
             with open(tmp_path / "a" / name, "rb") as fa, \
                     open(tmp_path / "b" / name, "rb") as fb:
                 assert fa.read() == fb.read(), name
+
+
+def reference_rate_summary(errors, burn_in=2):
+    """The summary as first written: the fit's ValueError marked a short run."""
+    try:
+        fit = fit_geometric_rate(errors, burn_in)
+    except ValueError:
+        fit = None
+    if fit is not None and math.isfinite(fit.rho):
+        if fit.rho > 0.99:
+            return fit.rho, fit.r_squared, "stalled"
+        return fit.rho, fit.r_squared, "floored" if fit.floored else "least-squares"
+    if len(errors) and min(errors) <= 1e2 * np.finfo(float).eps * max(max(errors), 1.0):
+        return 0.0, math.nan, "finite-termination"
+    return math.nan, math.nan, "unavailable"
+
+
+@pytest.mark.parametrize("errors", [
+    [], [0.3], [0.2, 0.03, 0.0, 0.0, 0.0], [0.2, 0.1, 0.05, 0.02, 0.01],
+    [0.5, 0.4, 0.2, 0.1, 0.05, 0.025], [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+    [0.5, 0.3, 0.1, 0.01, 0.0, 0.0], [0.5, 0.3, 0.1, 0.01, 0.001, 0.0],
+])
+def test_rate_summary_fits_only_long_enough_runs(errors, monkeypatch):
+    lengths = []
+
+    def spy(errors, burn_in):
+        lengths.append(len(errors) - burn_in)
+        return fit_geometric_rate(errors, burn_in)
+
+    monkeypatch.setattr(cli, "fit_geometric_rate", spy)
+    # repr: the same floats and notes, NaN included
+    assert repr(cli._rate_summary(errors)) == repr(reference_rate_summary(errors))
+    assert all(n >= 4 for n in lengths)

@@ -5,6 +5,7 @@ from hjbpi.errors import ConfigurationError
 from hjbpi.grid import (
     Field,
     Grid,
+    RowStencil,
     gradient_central_field,
     gradient_central_values,
     laplacian_values,
@@ -72,6 +73,23 @@ def test_central_is_mean_of_one_sided(shape, periodic):
     mean = 0.5 * (forward + backward)
     tol = 8 * np.finfo(float).eps * f.sup_norm() / grid.spacing
     assert np.max(np.abs(central - mean)) <= tol
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("shape", [(16,), (7, 9), (4, 5, 6)])
+def test_row_stencil_has_the_bits_of_the_two_operators(shape, periodic):
+    rng = np.random.default_rng(3)
+    grid = Grid(spacing=0.3, points_per_axis=shape, periodic=(periodic,) * len(shape))
+    stencil = RowStencil(grid)
+    # rows of a (levels, points, dim) array, one instance for all of them
+    grads = np.empty((3, grid.npoints, grid.dim))
+    lap = np.empty(grid.npoints)
+    for level, scale in enumerate((1.0, 1e-300, 0.0)):
+        v = rng.uniform(-1, 1, grid.npoints) * scale
+        v[::5] = -0.0  # a flat patch of signed zeros
+        stencil(v, grads[level], lap)
+        assert grads[level].tobytes() == gradient_central_values(grid, v).tobytes()
+        assert lap.tobytes() == laplacian_values(grid, v).tobytes()
 
 
 def test_operators_linear():

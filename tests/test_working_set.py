@@ -1,20 +1,22 @@
-"""Working-set bounds of the two blocked reductions.
+"""Working-set bounds of the blocked reductions.
 
 tracemalloc sees numpy's buffers, so the traced peak of one call is the
-largest set of temporaries it held at once.  Both the Hopf-Lax oracle and
-the policy-iteration tracker work a block of ``BLOCK_ELEMENTS`` values at a
-time, so their peaks stay at a few blocks plus their (n,) outputs however
-large the whole problem is.
+largest set of temporaries it held at once.  The Hopf-Lax oracle in one
+and two dimensions, the policy-iteration tracker and PI's fixed-point
+excess work a block of ``BLOCK_ELEMENTS`` values at a time, so their peaks
+stay at a few blocks plus their (n,) outputs however large the whole
+problem is.
 """
 
 import tracemalloc
 
 import numpy as np
 
-from hjbpi.analysis import _hopf_lax_values_1d
+from hjbpi.analysis import _hopf_lax_values_1d, hopf_lax_oracle
 from hjbpi.benchmarks import get_benchmark
 from hjbpi.grid import BLOCK_ELEMENTS
-from hjbpi.pi import _IterationTracker
+from hjbpi.pi import PIConfig, _IterationTracker, _max_difference, run_policy_iteration
+from hjbpi.scheme import SchemeParams
 
 BLOCK_BYTES = 8 * BLOCK_ELEMENTS
 
@@ -56,3 +58,31 @@ def test_tracker_record_peak_on_a_legendre_pi_sized_run():
         tracker.record(0, first, None)
         peak = traced_peak(lambda: tracker.record(1, second, None))
         assert peak <= bound(npoints), peak
+
+
+def test_two_dimensional_oracle_peak():
+    # the ball call of test_analysis: the whole 1001 x 1001 square of one
+    # scan would be 8 MB per float64 array, the doubling's 2001 x 2001 32 MB
+    q = lambda X: X[..., 0] + 0.5 * X[..., 1]
+    peak = traced_peak(lambda: hopf_lax_oracle(q, 0.0, 0.0, 1.0, [0.0, 0.0], 1.0))
+    assert peak <= 8 * BLOCK_BYTES, peak
+
+
+def test_fixed_point_excess_of_a_run_wider_than_a_block():
+    bench = get_benchmark("eikonal-cos")
+    grid = bench.make_grid(0.01)
+    params = SchemeParams.create(grid.spacing, 1.0, bench.problem.f_sup_bound)
+    run = run_policy_iteration(bench.problem, grid, params,
+                               PIConfig(max_iterations=2, record_every=1))
+    fixed = run.fixed_point.values
+    # one whole (steps + 1, n) difference would hold several blocks
+    assert fixed.nbytes > 2 * BLOCK_BYTES
+    for (n, sol), excess in zip(run.iterates, run.fixed_point_excess):
+        assert excess == max(0.0, float(np.max(fixed - sol.values))), n
+        # one block's difference at a time, and the list of block maxima
+        peak = traced_peak(lambda: _max_difference(fixed, sol.values))
+        assert peak <= BLOCK_BYTES + 16 * 8 * grid.npoints, peak
+    # a NaN propagates as in the whole-array max
+    broken = np.array(fixed)
+    broken[-1, -1] = np.nan
+    assert np.isnan(_max_difference(broken, fixed))
