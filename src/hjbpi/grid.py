@@ -249,5 +249,25 @@ class RowStencil:
                 np.add(lap, up, out=lap)
 
 
+def _row_dot(a, b, out=None, work=None):
+    """``np.sum(a * b, axis=-1)`` of two broadcasting arrays, bit for bit.
+
+    numpy 2 sums an axis shorter than 8 left to right starting from 0.0
+    (so a lone -0.0 sums to 0.0), and a loop over the axes gives the same
+    bits without the full product; a longer axis is summed pairwise and is
+    left to ``np.sum``.  ``out`` and ``work`` are optional buffers of the
+    result's shape.  ``tests/test_legendre_sweep.py`` checks the bits
+    against ``np.sum``.
+    """
+    if a.shape[-1] >= 8:
+        return np.sum(a * b, axis=-1, out=out)
+    out = np.multiply(a[..., 0], b[..., 0], out=out)
+    np.add(out, 0.0, out=out)
+    for axis in range(1, a.shape[-1]):
+        work = np.multiply(a[..., axis], b[..., axis], out=work)
+        np.add(out, work, out=out)
+    return out
+
+
 def gradient_central_field(field):
     return gradient_central_values(field.grid, field.values)

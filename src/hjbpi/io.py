@@ -31,21 +31,29 @@ def write_solution_csv(solution, path):
 
     Written level by level with the bytes ``csv.writer`` would produce for
     these rows (``\\r\\n`` line ends; no field needs quoting), holding one
-    level's text at a time.
+    level's text at a time.  A level's row pieces are interleaved into one
+    list by slice assignment and joined once: the time, the fixed
+    ``"index,x,"`` prefix of each point, the values' ``repr`` (a list's
+    ``repr`` is its items' ``repr`` joined by ``", "``), and a lookup of
+    the ``",control\\r\\n"`` endings by control index.
     """
     grid = solution.grid
+    n = grid.npoints
     header = (["t", "linear_index"] + [f"x_{i}" for i in range(grid.dim)]
               + ["value", "control_index"])
-    points = [",".join([str(idx)] + [repr(c) for c in row])
-              for idx, row in enumerate(grid.coordinates().tolist())]
+    lo, hi = int(solution.policy_slices.min()), int(solution.policy_slices.max())
+    # a negative list index counts from the end, so the negative controls go last
+    endings = [f",{c}\r\n" for c in (*range(hi + 1), *range(lo, 0))]
+    parts = [None] * (4 * n)
+    parts[1::4] = [",".join([str(idx)] + [repr(c) for c in row]) + ","
+                   for idx, row in enumerate(grid.coordinates().tolist())]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for k, row in enumerate(solution.values):
-            t = fmt(solution.params.time(k))
-            controls = map(str, solution.policy_slices[k].tolist())
-            values = map(repr, row.tolist())
-            fh.write("".join(f"{t},{point},{value},{control}\r\n"
-                             for point, value, control in zip(points, values, controls)))
+            parts[0::4] = [fmt(solution.params.time(k)) + ","] * n
+            parts[2::4] = repr(row.tolist())[1:-1].split(", ")
+            parts[3::4] = map(endings.__getitem__, solution.policy_slices[k].tolist())
+            fh.write("".join(parts))
 
 
 def write_pi_csv(run, path):

@@ -39,7 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import RowStencil, gradient_central_values
+from .grid import RowStencil, _row_dot, gradient_central_values
 from .pi import _IterationTracker
 from .problem import _finite_sup
 from .scheme import SchemeParams, _check_values
@@ -278,24 +278,6 @@ class GeneralizedPIRun:
     iterations_used: int
     stop_reason: str
     legendre_resolution: float            # 0.0 when an analytic dual was used
-
-
-def _row_dot(a, b, out, work):
-    """``np.sum(a * b, axis=-1)`` of two (n, d) arrays into ``out``, bit for bit.
-
-    numpy 2 sums an axis shorter than 8 left to right starting from 0.0,
-    so a loop over the axes gives the same bits without the (n, d)
-    product; a longer axis is summed pairwise and is left to ``np.sum``.
-    ``tests/test_legendre_sweep.py`` checks the bits against ``np.sum``.
-    """
-    if a.shape[-1] >= 8:
-        return np.sum(a * b, axis=-1, out=out)
-    np.multiply(a[:, 0], b[:, 0], out=out)
-    np.add(out, 0.0, out=out)
-    for axis in range(1, a.shape[-1]):
-        np.multiply(a[:, axis], b[:, axis], out=work)
-        np.add(out, work, out=out)
-    return out
 
 
 def _check_rows(values, lo, hi, params, threshold):

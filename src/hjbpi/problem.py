@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, TruncatedRolloutError
-from .grid import gradient_central_field
+from .grid import _row_dot, gradient_central_field
 
 ARGMIN_TOL = 1e-12  # tie tolerance: first control within this of the minimum wins
 
@@ -131,16 +131,29 @@ def _candidate_tensors(problem, t, points):
     return _running_costs(problem, t, points), drifts
 
 
-def _candidates(tensors, grads):
-    """Cost-plus-advection value of every control at every point, (n, k)."""
+def _candidates(tensors, grads, out=None, work=None):
+    """Cost-plus-advection value of every control at every point, (n, k).
+
+    The bits are those of ``costs + np.sum(grads[:, None, :] * drifts,
+    axis=-1)``; ``out`` and ``work`` are optional (n, k) float buffers, and
+    ``work`` is only used when d > 1.
+    """
     costs, drifts = tensors
-    return costs + np.sum(grads[:, None, :] * drifts, axis=-1)
+    out = _row_dot(grads[:, None, :], drifts, out, work)
+    return np.add(costs, out, out=out)
 
 
-def _first_argmin(cand):
-    vmin = cand.min(axis=1)
-    sel = (cand <= vmin[:, None] + ARGMIN_TOL).argmax(axis=1)
-    return vmin, sel
+def _first_argmin(cand, out=None):
+    """(min, first index within ARGMIN_TOL of the min) of each row of ``cand``.
+
+    ``out`` is an optional tuple of buffers (min, min + ARGMIN_TOL, (n, k)
+    bool mask, intp index) that the results are written into.
+    """
+    vmin, limit, mask, sel = (None,) * 4 if out is None else out
+    vmin = cand.min(axis=1, out=vmin)
+    limit = np.add(vmin, ARGMIN_TOL, out=limit)
+    mask = np.less_equal(cand, limit[:, None], out=mask)
+    return vmin, mask.argmax(axis=1, out=sel)
 
 
 def hamiltonian_field(problem, t, points, grads):
@@ -161,8 +174,9 @@ def improve_policy(problem, value, t):
 
 
 def _checked_policies(problem, grid, steps, policies):
-    """``policies`` as an array; a configuration error unless it is a (steps,
-    npoints) integer table of control indices (row k - 1 for level k)."""
+    """``policies`` as an array in ``controls.index_dtype`` (no copy when it
+    is one already); a configuration error unless it is a (steps, npoints)
+    integer table of control indices (row k - 1 for level k)."""
     policies = np.asarray(policies)
     if policies.shape != (steps, grid.npoints):
         raise ConfigurationError(
@@ -172,7 +186,7 @@ def _checked_policies(problem, grid, steps, policies):
         raise ConfigurationError(f"policy entries must be integers, got dtype {policies.dtype}")
     if policies.min() < 0 or policies.max() >= problem.controls.size:
         raise ConfigurationError("policy index out of range of the control set")
-    return policies
+    return policies.astype(problem.controls.index_dtype, copy=False)
 
 
 def rollout_cost(problem, grid, params, policies, start, dt):

@@ -15,6 +15,10 @@ for d = 1 this is the largest admissible step.
 Each backward step is a pure map over grid points reading only the
 previous level, so it is safe to parallelize pointwise; time
 levels are strictly sequential.
+
+A sweep steps every level with one kernel on buffers it allocates once
+(``_step_kernel``); its results are bitwise those of the level-by-level
+sweep that ``tests/test_scheme_sweep.py`` keeps as the reference.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CFLValidationError, ConfigurationError, NumericalBlowupError
-from .grid import Field, Grid, gradient_central_values, laplacian_values
+from .grid import Field, Grid, RowStencil
 from .problem import (
     _candidate_tensors,
     _candidates,
@@ -202,32 +206,62 @@ def _check_values(values, t, threshold):
                 time_label=t, point=point, value=float(values[point]))
 
 
-def _step(problem, params, grid, t, values, frozen=None, tensors=None):
-    """One backward step on raw arrays: (new values, first-argmin indices).
+def _step_kernel(problem, grid, params, tensors=None):
+    """The backward step as one level kernel whose buffers are allocated once.
 
-    The Hamiltonian term is the min over controls, or with ``frozen`` the
-    candidate of the frozen control index at each point.  The argmin is
-    returned either way: after an evaluation it is the improved policy.
-    ``tensors`` are the candidate tensors of a time-invariant problem; by
-    default they are built at time t.
+    ``step(t, v, out, frozen=None)`` writes the level below time t of the
+    row ``v`` into ``out`` (not overlapping ``v``) and returns the first
+    argmin at t, in an intp buffer the next call overwrites; after an
+    evaluation it is the improved policy.  ``tensors`` are a time-invariant
+    problem's candidate tensors, by default built at each t.  The update
+    is ``v + tau*h + (N*h*tau)*lap`` in that order.
+
+    h is the exact minimum over the controls.  With a ``frozen`` row of
+    control indices it is the frozen control's candidate, except where
+    that control is the first argmin, which may be a near tie within
+    ``ARGMIN_TOL``: there h stays the exact minimum, so replaying a direct
+    solve's recorded argmins reproduces it bit for bit.
     """
-    grads = gradient_central_values(grid, values)
-    lap = laplacian_values(grid, values)
-    if tensors is None:
-        tensors = _candidate_tensors(problem, t, grid.coordinates())
-    cand = _candidates(tensors, grads)
-    hmin, sel = _first_argmin(cand)
-    if frozen is not None:
-        hmin = np.take_along_axis(cand, frozen[:, None], axis=1)[:, 0]
-    new = values + params.tau * hmin + params.N * params.h * params.tau * lap
-    return new, sel
+    n, k = grid.npoints, problem.controls.size
+    coords = grid.coordinates()
+    stencil = RowStencil(grid)
+    grads, lap = np.empty((n, grid.dim)), np.empty(n)
+    cand = np.empty((n, k))
+    work = np.empty((n, k)) if grid.dim > 1 else None
+    argmin = (np.empty(n), np.empty(n), np.empty((n, k), dtype=bool),
+              np.empty(n, dtype=np.intp))
+    base = np.arange(n) * k  # flat index of each point's first candidate
+    flat, picked, moved = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n, dtype=bool)
+    tau, viscosity = params.tau, params.N * params.h * params.tau
+
+    def step(t, v, out, frozen=None):
+        stencil(v, grads, lap)
+        at_t = _candidate_tensors(problem, t, coords) if tensors is None else tensors
+        _candidates(at_t, grads, cand, work)
+        h, sel = _first_argmin(cand, argmin)
+        if frozen is not None:
+            # moved = frozen != sel by a subtraction: numpy's integer comparison
+            # loops would map 128 KiB more of its library into a run's memory
+            np.subtract(frozen, sel, out=flat)
+            np.copyto(moved, flat, casting="unsafe")
+            np.add(base, frozen, out=flat)
+            cand.take(flat, out=picked, mode="clip")  # in range; "raise" would buffer
+            np.copyto(h, picked, where=moved)
+        np.multiply(h, tau, out=h)
+        np.add(v, h, out=out)
+        np.multiply(lap, viscosity, out=lap)
+        np.add(out, lap, out=out)
+        return sel
+
+    return step
 
 
 def apply_step_operator(problem, params, t, U):
     """The monotone explicit step: field at time t -> field at time t - tau."""
     if t < params.tau - 1e-12:
         raise ConfigurationError(f"cannot step below time zero from t={t}")
-    new, _ = _step(problem, params, U.grid, t, U.values)
+    new = np.empty(U.grid.npoints)
+    _step_kernel(problem, U.grid, params)(t, U.values, new)
     _check_values(new, t - params.tau, threshold=None)
     return Field(grid=U.grid, values=new, time_label=t - params.tau)
 
@@ -245,14 +279,17 @@ def _checked_sup_norms(problem, grid, params):
 
 
 def _sweep(problem, grid, params, sup_norms, frozen=None):
-    """Backward recursion from the terminal cost, one ``_step`` per level.
+    """Backward recursion from the terminal cost, one level kernel call per level.
 
     ``frozen`` is None for the nonlinear scheme, else a checked policy
     array (row k - 1 drives the step down from level k).  The per-level
-    argmins are recorded either way.  A time-invariant problem's candidate
-    tensors are built once, here, and serve every level.  The terminal cost was checked
-    finite with the sup norms; every other row is checked before it is
-    written.
+    argmins are recorded either way.  The kernel is built once per sweep,
+    with a time-invariant problem's candidate tensors, and writes each new
+    level in place into its row.  The terminal cost was checked finite
+    with the sup norms; every other row is checked as soon as it is
+    written, so the error names the first bad level and point.  The
+    arithmetic runs with numpy's overflow and invalid warnings off, so a
+    blowup ends in that error alone.
     """
     q_sup, c_sup = sup_norms
     threshold = _blowup_threshold(q_sup, c_sup, params.T)
@@ -262,13 +299,15 @@ def _sweep(problem, grid, params, sup_norms, frozen=None):
     values[params.steps] = np.asarray(problem.terminal_cost(grid.coordinates()), dtype=float)
     tensors = (_candidate_tensors(problem, params.T, grid.coordinates())
                if problem.time_invariant else None)
-    for k in range(params.steps, 0, -1):
-        t = params.time(k)
-        new, sel = _step(problem, params, grid, t, values[k],
-                         None if frozen is None else frozen[k - 1], tensors)
-        _check_values(new, params.time(k - 1), threshold)
-        argmins[k] = sel
-        values[k - 1] = new
+    step = _step_kernel(problem, grid, params, tensors)
+    magnitude = np.empty(grid.npoints)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(params.steps, 0, -1):
+            argmins[k] = step(params.time(k), values[k], values[k - 1],
+                              None if frozen is None else frozen[k - 1])
+            # the max of |v| is NaN if any v is: one comparison covers both checks
+            if not np.abs(values[k - 1], out=magnitude).max() <= threshold:
+                _check_values(values[k - 1], params.time(k - 1), threshold)
     values.setflags(write=False)
     argmins.setflags(write=False)
     return SpaceTimeSolution(grid=grid, params=params, values=values,
@@ -287,12 +326,14 @@ def evaluate_policy(problem, grid, params, policies, *, sup_norms=None):
     """Backward recursion with a frozen policy (the linear half of PI).
 
     ``policies`` is a (steps, npoints) integer array; row k - 1 drives the
-    step down from level k.  Candidates are evaluated as in the direct
-    solve, so its ``policy_slices[1:]`` replay it (bitwise, but for argmins
-    that are near ties within ARGMIN_TOL); the result's ``policy_slices``
-    are the improved policy.  ``sup_norms`` is the ``(q_sup, c_sup)`` of an
-    earlier solve of the same problem on the same grid and horizon; passing
-    it skips the |f| check and the sampling.
+    step down from level k.  Where the policy's control is the level's own
+    first argmin the step takes the exact minimum over the controls, so
+    the policy is evaluated against candidates moved by less than
+    ARGMIN_TOL, and a direct solve's ``policy_slices[1:]`` replay it
+    bitwise.  The result's ``policy_slices`` are the improved policy.
+    ``sup_norms`` is the ``(q_sup, c_sup)`` of an earlier solve of the
+    same problem on the same grid and horizon; passing it skips the |f|
+    check and the sampling.
     """
     policies = _checked_policies(problem, grid, params.steps, policies)
     if sup_norms is None:

@@ -105,3 +105,22 @@ def test_extreme_float_values(tmp_path, with_policy):
     text = (tmp_path / "solution.csv").read_text()
     for token in ("-0.0", "1e-300", "1e+16", "0.30000000000000004"):
         assert token in text
+
+
+@pytest.mark.parametrize("shape", [(9,), (3, 3)], ids=["1d", "2d"])
+def test_level_assembly_matches_csv_writer(tmp_path, shape):
+    # int16 policies (129 controls) up to the last index, row 0's -1, and
+    # values whose repr takes every form: -0.0, exponents, the subnormal
+    grid = Grid(spacing=0.25, points_per_axis=shape, origin=(-0.5,) * len(shape),
+                periodic=(False,) * len(shape))
+    params = SchemeParams(h=0.25, tau=0.0625, N=1.0, T=0.125, steps=2, dim=len(shape))
+    specials = np.array([-0.0, 1e-05, 1e16, 5e-324, -2.5, 0.1 + 0.2, -1e-300, 3.0, -1e16])
+    values = np.stack([np.roll(specials, k) for k in range(3)])
+    policy = np.array([[-1] * 9, [0, 128, 5, 127, 1, 128, 9, 0, 2],
+                       [128, 0, 0, 64, 3, 2, 128, 1, 7]], dtype=np.int16)
+    sol = SpaceTimeSolution(grid=grid, params=params, values=values, policy_slices=policy,
+                            q_sup=0.0, c_sup=0.0)
+    assert_same_bytes(sol, tmp_path)
+    written = (tmp_path / "solution.csv").read_bytes()
+    for token in (b",-0.0,", b",1e-05,", b",1e+16,", b",5e-324,", b",128\r\n", b",-1\r\n"):
+        assert token in written

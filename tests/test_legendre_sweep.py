@@ -21,13 +21,12 @@ from hypothesis import strategies as st
 from hjbpi.benchmarks import get_benchmark
 from hjbpi.cli import EXIT_BLOWUP
 from hjbpi.errors import MonotonicityError, NumericalBlowupError
-from hjbpi.grid import Grid, gradient_central_values, laplacian_values
+from hjbpi.grid import Grid, _row_dot, gradient_central_values, laplacian_values
 from hjbpi.legendre import (
     LINEARIZE_BLOCK,
     ConvexHamiltonian,
     GeneralizedPIRun,
     ModifiedHamiltonian,
-    _row_dot,
     generalized_pi,
     legendre_resolution,
     legendre_scheme,
