@@ -11,7 +11,7 @@ from .errors import (
     TruncatedRolloutError,
     UnsupportedDimensionError,
 )
-from .grid import Field, Grid, gradient_central_field
+from .grid import Grid
 from .pi import (
     GeometricFit,
     PIConfig,
@@ -33,7 +33,6 @@ from .scheme import (
     CFLReport,
     SchemeParams,
     SpaceTimeSolution,
-    apply_step_operator,
     cfl_report,
     evaluate_policy,
     solve_hjb_direct,

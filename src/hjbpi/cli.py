@@ -145,7 +145,8 @@ _PROBLEM_KEYS = {
     "problem.control_samples": ("control_samples", int),
     "problem.f_sup_bound": ("f_sup_bound", float),
 }
-_POSITIVE_KEYS = ("scheme.h", "scheme.tau", "scheme.N", "scheme.T", "legendre.M")
+_POSITIVE_KEYS = ("scheme.h", "scheme.tau", "scheme.N", "scheme.T", "legendre.M",
+                  "study.h_values", "study.tau_values", "probes.h_values")
 KNOWN_KEYS = sorted(list(_SCALAR_KEYS) + list(_LIST_KEYS) + list(_PROBLEM_KEYS)
                     + ["problem.box"])
 
@@ -163,10 +164,10 @@ def _parse_bool(raw, line_no, key):
 def parse_config(text, mode=None):
     """Parse the flat key-value schema into a fully resolved config.
 
-    Unknown keys, duplicate keys, type errors, and scheme numbers (h, tau,
-    N, T) that are not finite and positive are parse errors carrying the
-    offending line; the resolved (h, tau, N) must satisfy the CFL
-    constraint or a validation error is raised before anything runs.
+    Unknown keys, duplicate keys, type errors and the out-of-range values
+    ``validate_config`` names by key are parse errors carrying the offending
+    line; the resolved (h, tau, N) must satisfy the CFL constraint or a
+    validation error is raised before anything runs.
     ``mode`` (a subcommand) replaces the file's mode before the config is
     validated, so the checks are those of the run that follows.
     """
@@ -229,8 +230,9 @@ def parse_config(text, mode=None):
 def validate_config(config):
     """Reject a config, from a file or built in code, before anything runs.
 
-    Scheme numbers and ``legendre.M`` that are not finite and > 0, and
-    non-finite control bounds, raise ``ConfigParseError`` naming the key.
+    Scheme numbers, ``legendre.M`` and spacing or step list entries that
+    are not finite and > 0, non-finite control bounds, and probe points not
+    finite or outside a clamped box raise ``ConfigParseError`` naming the key.
     The CFL check builds the grid and scheme parameters the run itself
     builds, so the snapped spacing, the dimension and legendre-pi's
     viscosity N = m2/2 are the ones checked.  An inline problem's callbacks
@@ -239,10 +241,11 @@ def validate_config(config):
     warning.
     """
     for key in _POSITIVE_KEYS:
-        value = getattr(config, _SCALAR_KEYS[key][0])
-        if value is not None and not (math.isfinite(value) and value > 0.0):
-            raise ConfigParseError(f"{key!r} must be a finite number > 0, got {value!r}",
-                                   key=key)
+        value = getattr(config, _SCALAR_KEYS[key][0] if key in _SCALAR_KEYS else _LIST_KEYS[key])
+        for entry in (value,) if key in _SCALAR_KEYS else value or ():
+            if entry is not None and not (math.isfinite(entry) and entry > 0.0):
+                raise ConfigParseError(f"{key!r} must be a finite number > 0, got {entry!r}",
+                                       key=key)
     if config.mode is not None and config.mode not in MODES:
         raise ConfigurationError(f"unknown mode {config.mode!r}; modes: {MODES}")
     if (config.benchmark is None) == (config.problem is None):
@@ -268,6 +271,11 @@ def validate_config(config):
         raise ConfigurationError(
             f"unknown Hamiltonian form {config.legendre_hamiltonian!r}")
     benchmark = _resolve_benchmark(config)
+    lo, hi = benchmark.box
+    for point in config.probe_points or ():
+        if not (math.isfinite(point) and (benchmark.periodic or lo <= point <= hi)):
+            raise ConfigParseError(f"'probes.points' must be finite and, on a clamped box, "
+                                   f"in [{lo}, {hi}], got {point!r}", key="probes.points")
     grid = benchmark.make_grid(config.h)
     if config.problem is not None:
         with np.errstate(over="ignore", invalid="ignore"):

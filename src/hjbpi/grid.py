@@ -1,4 +1,4 @@
-"""Uniform lattices, scalar fields on them, and finite-difference operators.
+"""Uniform lattices and finite-difference operators on flat value arrays.
 
 The lattice is an axis-aligned box with equal spacing ``h`` on every axis.
 Each axis is either periodic (neighbor lookups wrap around) or clamped
@@ -6,9 +6,10 @@ Each axis is either periodic (neighbor lookups wrap around) or clamped
 one-sided zero-gradient extension).  Linear indices are row-major so that
 iteration order, tie-breaking, and file output are reproducible.
 
-Operators are pure maps over grid points (read-only input, disjoint
-writes) and safe to evaluate concurrently; Field values are frozen at
-construction.
+A grid function at one time level is a flat float64 array of
+``npoints`` values in that order.  Operators are pure maps over grid
+points (read-only input, disjoint writes) and safe to evaluate
+concurrently.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ class Grid:
                 neighbors[(axis, direction)] = np.ravel_multi_index(shifted, pts).ravel()
         object.__setattr__(self, "_neighbors", neighbors)
 
-        # Every Field construction and policy check compares its size
-        # against this, so it is computed once here.
+        # Every level and policy check compares its size against this,
+        # so it is computed once here.
         object.__setattr__(self, "npoints", math.prod(pts))
         coords = np.empty((self.npoints, dim))
         for axis in range(dim):
@@ -107,10 +108,6 @@ class Grid:
 
     def ravel_index(self, multi):
         return int(np.ravel_multi_index(tuple(int(m) for m in multi), self.points_per_axis))
-
-    def unravel_index(self, index):
-        self._check_index(index)
-        return tuple(int(m) for m in np.unravel_index(int(index), self.points_per_axis))
 
     def neighbor_table(self, axis, direction):
         return self._neighbors[(axis, direction)]
@@ -148,34 +145,6 @@ class Grid:
             hi = self.origin[axis] + self.axis_extent(axis) - collar + 1e-12
             mask &= (coords[:, axis] >= lo) & (coords[:, axis] <= hi)
         return mask
-
-    def _check_index(self, index):
-        if not 0 <= int(index) < self.npoints:
-            raise IndexError(f"linear index {index} out of range [0, {self.npoints})")
-
-
-@dataclass(frozen=True, eq=False)
-class Field:
-    """Scalar values over a grid at one time level.  Values are immutable."""
-
-    grid: Grid
-    values: np.ndarray
-    time_label: float = 0.0
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float).ravel()
-        if values.size != self.grid.npoints:
-            raise ConfigurationError(
-                f"field has {values.size} values for a grid of {self.grid.npoints} points")
-        if not np.all(np.isfinite(values)):
-            bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise ConfigurationError(f"non-finite field value at linear index {bad}")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "time_label", float(self.time_label))
-
-    def sup_norm(self):
-        return float(np.max(np.abs(self.values)))
 
 
 def row_blocks(rows, width):
@@ -268,6 +237,3 @@ def _row_dot(a, b, out=None, work=None):
         np.add(out, work, out=out)
     return out
 
-
-def gradient_central_field(field):
-    return gradient_central_values(field.grid, field.values)

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, TruncatedRolloutError
-from .grid import _row_dot, gradient_central_field
+from .grid import _row_dot, gradient_central_values
 
 ARGMIN_TOL = 1e-12  # tie tolerance: first control within this of the minimum wins
 
@@ -166,10 +166,19 @@ def hamiltonian_field(problem, t, points, grads):
     return _first_argmin(_candidates(_candidate_tensors(problem, t, points), grads))
 
 
-def improve_policy(problem, value, t):
-    """Pointwise argmin control indices from the central-difference gradient of ``value``."""
-    grads = gradient_central_field(value)
-    _, sel = hamiltonian_field(problem, t, value.grid.coordinates(), grads)
+def improve_policy(problem, grid, values, t):
+    """Argmin control indices from the central gradient of one flat (npoints,) level.
+
+    A level of another shape or with a non-finite entry is a configuration error."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (grid.npoints,):
+        raise ConfigurationError(
+            f"need {grid.npoints} values, one per grid point, got shape {values.shape}")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ConfigurationError(f"non-finite value at linear index {int(bad[0])}")
+    _, sel = hamiltonian_field(problem, t, grid.coordinates(),
+                               gradient_central_values(grid, values))
     return sel.astype(problem.controls.index_dtype)
 
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CFLValidationError, ConfigurationError, NumericalBlowupError
-from .grid import Field, Grid, RowStencil
+from .errors import CFLValidationError, NumericalBlowupError
+from .grid import Grid, RowStencil
 from .problem import (
     _candidate_tensors,
     _candidates,
@@ -98,9 +98,6 @@ class SchemeParams:
         if k == self.steps:
             return self.T
         return k * self.tau
-
-    def times(self):
-        return np.array([self.time(k) for k in range(self.steps + 1)])
 
 
 @dataclass(frozen=True)
@@ -187,8 +184,7 @@ def _blowup_threshold(q_sup, c_sup, T):
 
 def _check_values(values, t, threshold):
     # one pass on success: |v| <= threshold is False for NaN and +-inf too
-    ok = np.isfinite(values) if threshold is None else np.abs(values) <= threshold
-    if ok.all():
+    if (np.abs(values) <= threshold).all():
         return
     bad = ~np.isfinite(values)
     if np.any(bad):
@@ -196,14 +192,11 @@ def _check_values(values, t, threshold):
         raise NumericalBlowupError(
             f"non-finite value at t={t:.6g}, linear index {point}",
             time_label=t, point=point, value=float(values[point]))
-    if threshold is not None:
-        over = np.abs(values) > threshold
-        if np.any(over):
-            point = int(np.flatnonzero(over)[0])
-            raise NumericalBlowupError(
-                f"value {values[point]:.6g} at t={t:.6g}, linear index {point} "
-                f"exceeds the a-priori threshold {threshold:.6g}",
-                time_label=t, point=point, value=float(values[point]))
+    point = int(np.flatnonzero(np.abs(values) > threshold)[0])
+    raise NumericalBlowupError(
+        f"value {values[point]:.6g} at t={t:.6g}, linear index {point} "
+        f"exceeds the a-priori threshold {threshold:.6g}",
+        time_label=t, point=point, value=float(values[point]))
 
 
 def _step_kernel(problem, grid, params, tensors=None):
@@ -254,16 +247,6 @@ def _step_kernel(problem, grid, params, tensors=None):
         return sel
 
     return step
-
-
-def apply_step_operator(problem, params, t, U):
-    """The monotone explicit step: field at time t -> field at time t - tau."""
-    if t < params.tau - 1e-12:
-        raise ConfigurationError(f"cannot step below time zero from t={t}")
-    new = np.empty(U.grid.npoints)
-    _step_kernel(problem, U.grid, params)(t, U.values, new)
-    _check_values(new, t - params.tau, threshold=None)
-    return Field(grid=U.grid, values=new, time_label=t - params.tau)
 
 
 def _probe_times(params, count):

@@ -122,6 +122,42 @@ class TestParseConfig:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mode, key", [("h-study", "study.h_values"),
+                                           ("tau-study", "study.tau_values"),
+                                           ("probes", "probes.h_values")])
+    @pytest.mark.parametrize("bad", ["0", "-0.5", "nan", "inf"])
+    def test_list_entries_must_be_finite_and_positive(self, mode, key, bad, tmp_path, capsys):
+        (tmp_path / "exp.cfg").write_text(
+            f"benchmark: eikonal-cos\nprobes.points: 0.5\n{key}: 0.1, 0.05, {bad}\n")
+        code = main([mode, "--config", str(tmp_path / "exp.cfg"),
+                     "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert f"line 3: {key!r} must be a finite number > 0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, bad", [
+        ("eikonal-cos", "nan"), ("eikonal-cos", "inf"), ("eikonal-cos", "-inf"),
+        ("quadratic-lq", "nan"), ("quadratic-lq", "100"), ("quadratic-lq", "-2.5")])
+    def test_probe_points_must_be_finite_and_in_the_box(self, name, bad, tmp_path, capsys):
+        (tmp_path / "exp.cfg").write_text(f"benchmark: {name}\nprobes.points: 0.5, {bad}\n")
+        code = main(["probes", "--config", str(tmp_path / "exp.cfg"),
+                     "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert "line 2: 'probes.points' must be finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_probe_points_on_the_clamped_box_edge_run(self, tmp_path, capsys):
+        (tmp_path / "exp.cfg").write_text(
+            "benchmark: quadratic-lq\nprobes.points: -2.0, 2.0\nprobes.h_values: 0.5\n")
+        code = main(["probes", "--config", str(tmp_path / "exp.cfg"),
+                     "--output", str(tmp_path / "out")])
+        capsys.readouterr()
+        assert code == EXIT_OK
+
     @pytest.mark.parametrize("key", ["problem.control_min", "problem.control_max"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("samples", [1, 3])

@@ -10,7 +10,7 @@ import hjbpi
 from hjbpi import problem as problem_module
 from hjbpi.benchmarks import get_benchmark, lq_feedback_policies
 from hjbpi.errors import ConfigurationError
-from hjbpi.grid import Field, Grid
+from hjbpi.grid import Grid
 from hjbpi.pi import (
     MONOTONE_SLACK,
     PIConfig,
@@ -175,8 +175,7 @@ class TestImprovementFromEvaluation:
         sol = evaluate_policy(problem, grid, params, policies)
         assert np.all(sol.policy_slices[0] == -1)
         for k in range(1, params.steps + 1):
-            expected = improve_policy(problem, Field(grid, sol.values[k], params.time(k)),
-                                      params.time(k))
+            expected = improve_policy(problem, grid, sol.values[k], params.time(k))
             greedy = sol.policy_slices[k]
             assert greedy.dtype == expected.dtype
             assert np.array_equal(greedy, expected)

@@ -5,7 +5,7 @@ import pytest
 
 from hjbpi.benchmarks import get_benchmark
 from hjbpi.errors import ConfigurationError, TruncatedRolloutError
-from hjbpi.grid import Field, Grid, gradient_central_field
+from hjbpi.grid import Grid, gradient_central_values
 from hjbpi.problem import (
     ControlProblem,
     ControlSet,
@@ -102,7 +102,7 @@ def test_hamiltonian_concave_and_lipschitz_in_p():
 def test_improve_policy_constant_field_picks_argmin_of_cost():
     prob = lq_problem(21)
     grid = Grid(spacing=0.1, points_per_axis=(10,), periodic=(True,))
-    policy = improve_policy(prob, Field(grid, np.full(grid.npoints, 2.5), 0.0), 0.0)
+    policy = improve_policy(prob, grid, np.full(grid.npoints, 2.5), 0.0)
     assert np.all(prob.controls.elements[policy, 0] == 0.0)
 
 
@@ -111,10 +111,10 @@ def test_improve_policy_matches_bruteforce_on_lq():
     bench = get_benchmark("quadratic-lq")
     grid = bench.make_grid(0.05)
     prob = bench.problem
-    value = Field(grid, 0.5 * grid.coordinates()[:, 0] ** 2, 0.0)
-    policy = improve_policy(prob, value, 0.0)
+    value = 0.5 * grid.coordinates()[:, 0] ** 2
+    policy = improve_policy(prob, grid, value, 0.0)
 
-    grads = gradient_central_field(value)
+    grads = gradient_central_values(grid, value)
     for point in range(grid.npoints):
         p = grads[point, 0]
         cand = [0.5 * a[0] ** 2 + p * a[0] for a in prob.controls.elements]
@@ -126,9 +126,9 @@ def test_improve_policy_matches_bruteforce_on_lq():
 def test_improve_policy_sign_rule_on_eikonal():
     bench = get_benchmark("eikonal-cos")
     grid = bench.make_grid(0.1)
-    value = Field(grid, np.cos(grid.coordinates()[:, 0]), 0.0)
-    policy = improve_policy(bench.problem, value, 0.0)
-    grads = gradient_central_field(value)[:, 0]
+    value = np.cos(grid.coordinates()[:, 0])
+    policy = improve_policy(bench.problem, grid, value, 0.0)
+    grads = gradient_central_values(grid, value)[:, 0]
     controls = bench.problem.controls.elements[policy, 0]
     live = np.abs(grads) > 1e-9
     assert np.all(controls[live] == -np.sign(grads[live]))
@@ -138,9 +138,26 @@ def test_improve_policy_invariant_under_constant_shift():
     bench = get_benchmark("eikonal-cos")
     grid = bench.make_grid(0.2)
     base = np.cos(grid.coordinates()[:, 0])
-    p1 = improve_policy(bench.problem, Field(grid, base, 0.0), 0.0)
-    p2 = improve_policy(bench.problem, Field(grid, base + 17.3, 0.0), 0.0)
+    p1 = improve_policy(bench.problem, grid, base, 0.0)
+    p2 = improve_policy(bench.problem, grid, base + 17.3, 0.0)
     assert np.array_equal(p1, p2)
+
+
+@pytest.mark.parametrize("shape", [(8,), (1, 9), (9, 1)])
+def test_improve_policy_rejects_a_level_of_the_wrong_shape(shape):
+    grid = Grid(spacing=0.5, points_per_axis=(9,), origin=(-2.0,), periodic=(False,))
+    with pytest.raises(ConfigurationError, match="need 9 values"):
+        improve_policy(lq_problem(), grid, np.zeros(shape), 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_improve_policy_rejects_a_non_finite_level(bad):
+    grid = Grid(spacing=0.5, points_per_axis=(9,), origin=(-2.0,), periodic=(False,))
+    values = np.zeros(grid.npoints)
+    values[3] = bad
+    values[5] = bad
+    with pytest.raises(ConfigurationError, match="linear index 3"):
+        improve_policy(lq_problem(), grid, values, 0.0)
 
 
 def test_control_set_validation():

@@ -1,0 +1,55 @@
+"""The functions the benchmark's tracer wraps exist, and it puts them all back.
+
+``bench/tracing.py`` looks up hjbpi's public functions by name and rebinds
+every module attribute that holds one.  Deleting or renaming such a name
+would otherwise surface only in a traced benchmark run.  The file is
+loaded by its path, since ``bench`` is not a package.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from hjbpi.benchmarks import Benchmark
+
+TRACING_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACING = load_tracing()
+
+
+def bindings():
+    """Every attribute of hjbpi and its layer modules, plus ``Benchmark``'s own."""
+    owners = [importlib.import_module("hjbpi")] + [
+        importlib.import_module(f"hjbpi.{layer}") for layer in TRACING.LAYERS] + [Benchmark]
+    return [(owner, dict(vars(owner))) for owner in owners]
+
+
+def test_install_wraps_the_traced_surface_and_restore_puts_it_back():
+    before = bindings()
+    try:
+        handle = TRACING.install(TRACING.Recorder())
+        wrapped = {attr for owner, attrs in before for attr, value in attrs.items()
+                   if vars(owner)[attr] is not value}
+        for name in ("gradient_central_values", "laplacian_values", "improve_policy",
+                     "solve_hjb_direct", "evaluate_policy", "make_grid"):
+            assert name in wrapped
+        handle.restore()
+        for owner, attrs in before:
+            now = vars(owner)
+            assert set(now) == set(attrs), owner
+            for attr, value in attrs.items():
+                assert now[attr] is value, (owner, attr)
+    finally:
+        # a failed install or restore must not leave wrappers for later tests
+        for owner, attrs in before:
+            for attr, value in attrs.items():
+                if vars(owner).get(attr) is not value:
+                    setattr(owner, attr, value)

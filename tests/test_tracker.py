@@ -17,10 +17,9 @@ from hjbpi import legendre as legendre_module
 from hjbpi import pi as pi_module
 from hjbpi.benchmarks import get_benchmark
 from hjbpi.errors import MonotonicityError
-from hjbpi.grid import Field
 from hjbpi.legendre import ConvexHamiltonian, generalized_pi
 from hjbpi.pi import MONOTONE_ABORT, PIConfig, run_policy_iteration
-from hjbpi.scheme import SchemeParams, solve_hjb_direct
+from hjbpi.scheme import SchemeParams
 
 RISE = 100.0 * MONOTONE_ABORT
 
@@ -185,25 +184,6 @@ def test_solutions_are_one_read_only_contiguous_array(driver):
         assert values.dtype == np.float64
         assert values.flags.c_contiguous
         assert not values.flags.writeable
-
-
-def test_no_field_is_built_per_level(monkeypatch):
-    calls = [0]
-    original = Field.__post_init__
-
-    def counted(self):
-        calls[0] += 1
-        original(self)
-
-    monkeypatch.setattr(Field, "__post_init__", counted)
-    bench = get_benchmark("eikonal-cos")
-    grid = bench.make_grid(0.1)
-    solve_hjb_direct(bench.problem, grid,
-                     SchemeParams.create(grid.spacing, 1.0, bench.problem.f_sup_bound))
-    run_legendre(60, 10)
-    assert calls[0] == 0
-    Field(grid, np.zeros(grid.npoints), 0.0)
-    assert calls[0] == 1  # the patch does count
 
 
 class WholeArrayTracker(pi_module._IterationTracker):
