@@ -30,11 +30,15 @@ import numpy as np
 
 from .errors import ConfigurationError, UnsupportedDimensionError
 from .grid import row_blocks
+from .pi import _linear_fit
 from .scheme import SchemeParams, solve_hjb_direct
 
 ORACLE_TOL = 1e-6       # sampling is doubled until the minimum moves less than this
 ORACLE_SAMPLES = 1001   # initial samples per axis
 _DEGENERATE = 1e-12     # below this every error is treated as identically zero
+KINK_TOL = 1e-9         # policy probes this close to a declared kink are skipped
+RATE_STUDY_LEVELS = 4   # spacings an h-refinement rate fit needs
+TAU_STUDY_LEVELS = 2    # steps a tau-refinement study needs
 
 
 def _require_finite(minima):
@@ -180,15 +184,19 @@ def oracle_for(benchmark, T):
     return None
 
 
-def _loglog_fit(h_values, errors):
-    x = np.log(np.asarray(h_values, dtype=float))
-    y = np.log(np.asarray(errors, dtype=float))
-    slope, intercept = np.polyfit(x, y, 1)
-    predicted = slope * x + intercept
-    ss_res = float(np.sum((y - predicted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 and ss_res < 1e-20 else 1.0 - ss_res / ss_tot
-    return float(slope), float(np.exp(intercept)), float(r_squared)
+def check_refinement(values, least, study):
+    """Reject a refinement list shorter than ``least`` or not strictly decreasing."""
+    if len(values) < least:
+        raise ConfigurationError(f"{study} needs at least {least} values, got {len(values)}")
+    if np.any(np.diff(values) >= 0):
+        raise ConfigurationError(f"{study} values must be strictly decreasing")
+
+
+def spacing_params(benchmark, h, T, tau=None):
+    """Grid and scheme parameters a study or probe run uses at spacing ``h``."""
+    grid = benchmark.make_grid(h)
+    return grid, SchemeParams.create(grid.spacing, T, benchmark.problem.f_sup_bound,
+                                     tau=tau, dim=grid.dim)
 
 
 @dataclass(frozen=True)
@@ -221,26 +229,21 @@ def solution_error_vs_oracle(solution, oracle, mask=None):
     return sup, l2
 
 
-def run_h_rate_study(benchmark, h_values, T, oracle=None, tau_rule=None):
+def run_h_rate_study(benchmark, h_values, T, tau_rule=None):
     """Solve at each spacing and fit  error ~ constant * h^order  by log-log
     least squares.  Spacings may be snapped by the benchmark grid; the fit
     uses the spacings actually run.
     """
-    if len(h_values) < 4:
-        raise ConfigurationError("rate study needs at least 4 spacings")
-    if np.any(np.diff(h_values) >= 0):
-        raise ConfigurationError("rate study spacings must be strictly decreasing")
+    check_refinement(h_values, RATE_STUDY_LEVELS, "rate study")
     problem = benchmark.problem
+    ref = oracle_for(benchmark, T)
+    if ref is None:
+        raise ConfigurationError(f"benchmark {benchmark.name} has no oracle")
     actual_h, taus, errors, l2s = [], [], [], []
     for h in h_values:
-        grid = benchmark.make_grid(h)
-        tau = None if tau_rule is None else tau_rule(grid.spacing)
-        params = SchemeParams.create(grid.spacing, T, problem.f_sup_bound,
-                                     tau=tau, dim=grid.dim)
+        tau = None if tau_rule is None else tau_rule(benchmark.make_grid(h).spacing)
+        grid, params = spacing_params(benchmark, h, T, tau)
         sol = solve_hjb_direct(problem, grid, params)
-        ref = oracle if oracle is not None else oracle_for(benchmark, T)
-        if ref is None:
-            raise ConfigurationError(f"benchmark {benchmark.name} has no oracle")
         mask = grid.interior_mask(problem.f_sup_bound * T)
         sup, l2 = solution_error_vs_oracle(sol, ref, mask)
         actual_h.append(grid.spacing)
@@ -252,7 +255,8 @@ def run_h_rate_study(benchmark, h_values, T, oracle=None, tau_rule=None):
     if degenerate:
         order, constant, r2 = math.nan, math.nan, math.nan
     else:
-        order, constant, r2 = _loglog_fit(actual_h, errors)
+        slope, intercept, r2 = _linear_fit(np.log(actual_h), np.log(errors))
+        order, constant = float(slope), float(np.exp(intercept))
     return RateStudy(h_values=tuple(actual_h), tau_values=tuple(taus),
                      errors=tuple(errors), l2_errors=tuple(l2s),
                      fitted_order=order, fitted_constant=constant,
@@ -275,16 +279,11 @@ class TauRefinementStudy:
 
 
 def run_tau_refinement_study(benchmark, h, tau_values, T):
-    if len(tau_values) < 2:
-        raise ConfigurationError("tau study needs at least 2 step sizes")
-    if np.any(np.diff(tau_values) >= 0):
-        raise ConfigurationError("tau values must be strictly decreasing")
+    check_refinement(tau_values, TAU_STUDY_LEVELS, "tau study")
     problem = benchmark.problem
-    grid = benchmark.make_grid(h)
     sols, taus = [], []
     for tau in tau_values:
-        params = SchemeParams.create(grid.spacing, T, problem.f_sup_bound, tau=tau,
-                                     dim=grid.dim)
+        grid, params = spacing_params(benchmark, h, T, tau)
         sols.append(solve_hjb_direct(problem, grid, params))
         taus.append(params.tau)
     mask = grid.interior_mask(problem.f_sup_bound * T)
@@ -323,16 +322,15 @@ def _offset_spec(grid, offset):
     return axis, int(round(steps))
 
 
-def semi_concavity_probe(solution, offsets, mask=None):
+def semi_concavity_probe(solution, offsets):
     """Max of [V(t,x+y) + V(t,x-y) - 2 V(t,x)] / (|y|^2 + sqrt(h)).
 
     Offsets must be lattice vectors along grid axes.  Only points whose
-    shifted partners stay inside the grid (and the mask, when given) count.
+    shifted partners stay inside the grid count.
     """
     grid = solution.grid
     h = grid.spacing
     denom_base = math.sqrt(h)
-    base_mask = np.ones(grid.npoints, dtype=bool) if mask is None else np.asarray(mask, bool)
 
     specs = [_offset_spec(grid, off) for off in offsets]
     per_offset = []
@@ -342,19 +340,17 @@ def semi_concavity_probe(solution, offsets, mask=None):
         multi = np.array(np.unravel_index(idx, grid.shape))
         j = multi[axis]
         if grid.periodic[axis]:
-            ok = base_mask.copy()
+            ok = np.ones(grid.npoints, dtype=bool)
             up = (j + steps) % n
             dn = (j - steps) % n
         else:
-            ok = base_mask & (j + steps <= n - 1) & (j - steps >= 0)
+            ok = (j + steps <= n - 1) & (j - steps >= 0)
             up = np.clip(j + steps, 0, n - 1)
             dn = np.clip(j - steps, 0, n - 1)
         multi_up = multi.copy(); multi_up[axis] = up
         multi_dn = multi.copy(); multi_dn[axis] = dn
         flat_up = np.ravel_multi_index(tuple(multi_up), grid.shape)
         flat_dn = np.ravel_multi_index(tuple(multi_dn), grid.shape)
-        if mask is not None:
-            ok &= base_mask[flat_up] & base_mask[flat_dn]
         y2 = (steps * h) ** 2
         worst = -math.inf
         for v in solution.values:
@@ -392,8 +388,7 @@ class PolicyProbeTable:
         return True
 
 
-def policy_pointwise_convergence_probe(benchmark, h_values, probe_points, T,
-                                       kink_tolerance=1e-9):
+def policy_pointwise_convergence_probe(benchmark, h_values, probe_points, T):
     """Fixed-point control at probe points across spacings, vs the oracle argmin.
 
     Probes inside the declared non-unique-argmin set are skipped.  For
@@ -404,15 +399,14 @@ def policy_pointwise_convergence_probe(benchmark, h_values, probe_points, T,
     elements = problem.controls.elements
     rows = []
     for h in h_values:
-        grid = benchmark.make_grid(h)
-        params = SchemeParams.create(grid.spacing, T, problem.f_sup_bound, dim=grid.dim)
+        grid, params = spacing_params(benchmark, h, T)
         sol = solve_hjb_direct(problem, grid, params)
         level = 1  # the level that drives the final step to t=0
         policy = sol.policy_slices[level]
         t = params.time(level)
         for point in probe_points:
             point = float(point)
-            if any(abs(point - k) <= kink_tolerance for k in benchmark.kink_points):
+            if any(abs(point - k) <= KINK_TOL for k in benchmark.kink_points):
                 rows.append(PolicyProbeRow(h=grid.spacing, point=point, skipped=True,
                                            control=None, oracle_control=None))
                 continue

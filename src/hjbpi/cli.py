@@ -1,7 +1,7 @@
 """Batch front-end: config files in, CSV artifacts and summaries out.
 
 Config files are flat ``key: value`` text (``#`` starts a comment).  The
-documented keys are listed in ``KNOWN_KEYS`` below and in the README.
+documented keys are the rows of ``_KEYS`` below and of the README table.
 Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
 blowup, 4 invariant (monotonicity) violation, 1 unexpected internal error.
 """
@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -19,12 +20,15 @@ import numpy as np
 
 from . import io as artifact_io
 from .analysis import (
-    oracle_for,
+    RATE_STUDY_LEVELS,
+    TAU_STUDY_LEVELS,
+    check_refinement,
     policy_pointwise_convergence_probe,
     run_h_rate_study,
     run_tau_refinement_study,
+    spacing_params,
 )
-from .benchmarks import Benchmark, get_benchmark, lq_feedback_policies
+from .benchmarks import BENCHMARK_NAMES, Benchmark, get_benchmark, lq_feedback_policies
 from .errors import (
     CFLValidationError,
     ConfigParseError,
@@ -36,6 +40,7 @@ from .errors import (
 from .legendre import ConvexHamiltonian, generalized_pi, legendre_scheme
 from .pi import (
     FIT_MIN_ENTRIES,
+    INITIAL_POLICY_RULES,
     PIConfig,
     build_initial_policies,
     fit_geometric_rate,
@@ -68,7 +73,16 @@ TERMINAL_FORMS = {
     "sin": (lambda x: np.sin(x[..., 0]), "q = sin(x)"),
     "zero": (lambda x: np.zeros(x.shape[:-1]), "q = 0"),
 }
-LEGENDRE_FORMS = ("half-square",)
+LEGENDRE_FORMS = {
+    "half-square": (lambda dim: ConvexHamiltonian(
+        func=lambda t, x, p: 0.5 * np.sum(np.asarray(p) ** 2, axis=-1),
+        dim=dim,
+        grad_p=lambda t, x, p: np.asarray(p, dtype=float),
+        legendre_L=lambda t, x, mu: 0.5 * np.sum(np.asarray(mu) ** 2, axis=-1),
+        time_invariant=True,
+    ), "H = |p|^2/2"),
+}
+INITIAL_POLICIES = ("benchmark-default", "lq-feedback", *INITIAL_POLICY_RULES)
 
 
 @dataclass(frozen=True)
@@ -107,73 +121,95 @@ class ExperimentConfig:
     probe_h_values: Optional[tuple] = None
 
 
-def _mode(value):
-    if value not in MODES:
-        raise ValueError(f"unknown mode {value!r}; modes: {MODES}")
-    return value
+def _choice(kind, names):
+    """A cast that accepts only ``names``; ``validate_config`` reruns it."""
+    def cast(value):
+        if value not in names:
+            raise ValueError(f"unknown {kind} {value!r}; choose from {', '.join(names)}")
+        return value
+    cast.names = names
+    return cast
 
 
-_SCALAR_KEYS = {
-    "mode": ("mode", _mode),
-    "benchmark": ("benchmark", str),
-    "output_dir": ("output_dir", str),
-    "scheme.h": ("h", float),
-    "scheme.tau": ("tau", float),
-    "scheme.N": ("N", float),
-    "scheme.T": ("T", float),
-    "pi.max_iterations": ("pi_max_iterations", int),
-    "pi.stop_tolerance": ("pi_stop_tolerance", float),
-    "pi.record_every": ("pi_record_every", int),
-    "pi.initial_policy": ("pi_initial_policy", str),
-    "legendre.M": ("legendre_M", float),
-    "legendre.hamiltonian": ("legendre_hamiltonian", str),
-}
-_LIST_KEYS = {
-    "study.h_values": "study_h_values",
-    "study.tau_values": "study_tau_values",
-    "probes.points": "probe_points",
-    "probes.h_values": "probe_h_values",
-}
-_PROBLEM_KEYS = {
+def _floats(value):
+    return tuple(float(p) for p in value.split(",") if p.strip())
+
+
+def _pair(value):
+    lo, hi = (float(p) for p in value.split(","))
+    return lo, hi
+
+
+def _bool(value):
+    if value.lower() not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError(f"expected a boolean, got {value!r}")
+    return value.lower() in ("true", "yes", "1")
+
+
+# The config schema: key -> (attribute, cast).  "problem.*" keys are
+# attributes of the InlineProblemSpec, the rest of the ExperimentConfig.
+# serialize_config writes the keys in this order.
+_KEYS = {
+    "mode": ("mode", _choice("mode", MODES)),
+    "benchmark": ("benchmark", _choice("benchmark", BENCHMARK_NAMES)),
     "problem.dimension": ("dimension", int),
-    "problem.periodic": ("periodic", None),
-    "problem.dynamics": ("dynamics", str),
-    "problem.running_cost": ("running_cost", str),
-    "problem.terminal_cost": ("terminal_cost", str),
+    "problem.box": ("box", _pair),
+    "problem.periodic": ("periodic", _bool),
+    "problem.dynamics": ("dynamics", _choice("dynamics form", DYNAMICS_FORMS)),
+    "problem.running_cost": ("running_cost", _choice("running cost form", RUNNING_COST_FORMS)),
+    "problem.terminal_cost": ("terminal_cost", _choice("terminal cost form", TERMINAL_FORMS)),
     "problem.control_min": ("control_min", float),
     "problem.control_max": ("control_max", float),
     "problem.control_samples": ("control_samples", int),
     "problem.f_sup_bound": ("f_sup_bound", float),
+    "scheme.h": ("h", float),
+    "scheme.tau": ("tau", float),
+    "scheme.N": ("N", float),
+    "scheme.T": ("T", float),
+    "output_dir": ("output_dir", str),
+    "pi.max_iterations": ("pi_max_iterations", int),
+    "pi.stop_tolerance": ("pi_stop_tolerance", float),
+    "pi.record_every": ("pi_record_every", int),
+    "pi.initial_policy": ("pi_initial_policy", _choice("initial policy", INITIAL_POLICIES)),
+    "study.h_values": ("study_h_values", _floats),
+    "study.tau_values": ("study_tau_values", _floats),
+    "legendre.M": ("legendre_M", float),
+    "legendre.hamiltonian": ("legendre_hamiltonian", _choice("Hamiltonian", LEGENDRE_FORMS)),
+    "probes.points": ("probe_points", _floats),
+    "probes.h_values": ("probe_h_values", _floats),
 }
 _POSITIVE_KEYS = ("scheme.h", "scheme.tau", "scheme.N", "scheme.T", "legendre.M",
                   "study.h_values", "study.tau_values", "probes.h_values")
-KNOWN_KEYS = sorted(list(_SCALAR_KEYS) + list(_LIST_KEYS) + list(_PROBLEM_KEYS)
-                    + ["problem.box"])
+_FINITE_KEYS = ("problem.control_min", "problem.control_max")
+KNOWN_KEYS = sorted(_KEYS)
 
 
-def _parse_bool(raw, line_no, key):
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ConfigParseError(f"line {line_no}: key {key!r} expects a boolean, got {raw!r}",
-                           line_no=line_no, key=key)
+def _get(config, key):
+    """The value ``key`` names in ``config``; None without an inline problem."""
+    owner = config.problem if key.startswith("problem.") else config
+    return None if owner is None else getattr(owner, _KEYS[key][0])
+
+
+@contextmanager
+def _blame(key):
+    """Report a failure inside the block as a bad value of ``key``."""
+    try:
+        yield
+    except (ValueError, ConfigurationError, CFLValidationError) as exc:
+        raise ConfigParseError(f"{key!r}: {exc}", key=key) from None
 
 
 def parse_config(text, mode=None):
     """Parse the flat key-value schema into a fully resolved config.
 
-    Unknown keys, duplicate keys, type errors and the out-of-range values
-    ``validate_config`` names by key are parse errors carrying the offending
-    line; the resolved (h, tau, N) must satisfy the CFL constraint or a
-    validation error is raised before anything runs.
+    Unknown keys, duplicate keys, type errors, unknown names and the
+    out-of-range values ``validate_config`` names by key are parse errors
+    carrying the offending line; the resolved (h, tau, N) must satisfy the
+    CFL constraint or a validation error is raised before anything runs.
     ``mode`` (a subcommand) replaces the file's mode before the config is
     validated, so the checks are those of the run that follows.
     """
-    values = {}
-    problem_values = {}
-    lines = {}
+    values, problem_values, lines = {}, {}, {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -183,34 +219,21 @@ def parse_config(text, mode=None):
                                    line_no=line_no)
         key, _, value = line.partition(":")
         key = key.strip()
-        value = value.strip()
         if key in lines:
             raise ConfigParseError(f"line {line_no}: duplicate key {key!r}",
                                    line_no=line_no, key=key)
+        if key not in _KEYS:
+            raise ConfigParseError(f"line {line_no}: unknown key {key!r}",
+                                   line_no=line_no, key=key)
         lines[key] = line_no
+        attr, cast = _KEYS[key]
         try:
-            if key in _SCALAR_KEYS:
-                attr, cast = _SCALAR_KEYS[key]
-                values[attr] = cast(value)
-            elif key in _LIST_KEYS:
-                parts = [p for p in value.split(",") if p.strip()]
-                values[_LIST_KEYS[key]] = tuple(float(p) for p in parts)
-            elif key == "problem.box":
-                lo, hi = (float(p) for p in value.split(","))
-                problem_values["box"] = (lo, hi)
-            elif key in _PROBLEM_KEYS:
-                attr, cast = _PROBLEM_KEYS[key]
-                if cast is None:
-                    problem_values[attr] = _parse_bool(value, line_no, key)
-                else:
-                    problem_values[attr] = cast(value)
-            else:
-                raise ConfigParseError(f"line {line_no}: unknown key {key!r}",
-                                       line_no=line_no, key=key)
+            parsed = cast(value.strip())
         except (ValueError, TypeError) as exc:
             raise ConfigParseError(
                 f"line {line_no}: bad value for {key!r}: {exc}",
                 line_no=line_no, key=key) from None
+        (problem_values if key.startswith("problem.") else values)[attr] = parsed
 
     if problem_values:
         values["problem"] = InlineProblemSpec(**problem_values)
@@ -230,9 +253,12 @@ def parse_config(text, mode=None):
 def validate_config(config):
     """Reject a config, from a file or built in code, before anything runs.
 
-    Scheme numbers, ``legendre.M`` and spacing or step list entries that
-    are not finite and > 0, non-finite control bounds, and probe points not
-    finite or outside a clamped box raise ``ConfigParseError`` naming the key.
+    A name outside its choices, scheme numbers, ``legendre.M`` and spacing
+    or step list entries that are not finite and > 0, non-finite control
+    bounds, and probe points not finite or outside a clamped box raise
+    ``ConfigParseError`` naming the key.  So do study lists too short or
+    not strictly decreasing, and list entries whose grid or scheme
+    parameters, built as the study or probe run builds them, are rejected.
     The CFL check builds the grid and scheme parameters the run itself
     builds, so the snapped spacing, the dimension and legendre-pi's
     viscosity N = m2/2 are the ones checked.  An inline problem's callbacks
@@ -240,36 +266,24 @@ def validate_config(config):
     a form that overflows there is reported as non-finite, with no numpy
     warning.
     """
-    for key in _POSITIVE_KEYS:
-        value = getattr(config, _SCALAR_KEYS[key][0] if key in _SCALAR_KEYS else _LIST_KEYS[key])
-        for entry in (value,) if key in _SCALAR_KEYS else value or ():
-            if entry is not None and not (math.isfinite(entry) and entry > 0.0):
+    for key, (_, cast) in _KEYS.items():
+        value = _get(config, key)
+        if value is None:
+            continue
+        if hasattr(cast, "names"):
+            with _blame(key):
+                cast(value)
+        for entry in value if cast is _floats else (value,):
+            if key in _POSITIVE_KEYS and not (math.isfinite(entry) and entry > 0.0):
                 raise ConfigParseError(f"{key!r} must be a finite number > 0, got {entry!r}",
                                        key=key)
-    if config.mode is not None and config.mode not in MODES:
-        raise ConfigurationError(f"unknown mode {config.mode!r}; modes: {MODES}")
+            if key in _FINITE_KEYS and not math.isfinite(entry):
+                raise ConfigParseError(f"{key!r} must be finite, got {entry!r}", key=key)
     if (config.benchmark is None) == (config.problem is None):
         raise ConfigurationError("exactly one of 'benchmark' or 'problem.*' is required")
-    if config.problem is not None:
-        spec = config.problem
-        for key in ("problem.control_min", "problem.control_max"):
-            value = getattr(spec, _PROBLEM_KEYS[key][0])
-            if not math.isfinite(value):
-                raise ConfigParseError(f"{key!r} must be finite, got {value!r}", key=key)
-        if spec.dynamics not in DYNAMICS_FORMS:
-            raise ConfigurationError(
-                f"unknown dynamics form {spec.dynamics!r}; forms: {sorted(DYNAMICS_FORMS)}")
-        if spec.running_cost not in RUNNING_COST_FORMS:
-            raise ConfigurationError(
-                f"unknown running cost form {spec.running_cost!r}")
-        if spec.terminal_cost not in TERMINAL_FORMS:
-            raise ConfigurationError(
-                f"unknown terminal cost form {spec.terminal_cost!r}")
-        if spec.dimension != 1:
-            raise ConfigurationError("inline problems are one-dimensional")
-    if config.legendre_hamiltonian not in LEGENDRE_FORMS:
-        raise ConfigurationError(
-            f"unknown Hamiltonian form {config.legendre_hamiltonian!r}")
+    if config.problem is not None and config.problem.dimension != 1:
+        raise ConfigParseError("'problem.dimension' must be 1: inline problems are "
+                               "one-dimensional", key="problem.dimension")
     benchmark = _resolve_benchmark(config)
     lo, hi = benchmark.box
     for point in config.probe_points or ():
@@ -286,56 +300,39 @@ def validate_config(config):
                         config.legendre_M, grid, config.T, config.tau)
     else:
         _make_params(config, grid, benchmark.problem)
+    with _blame("study.h_values"):
+        if config.study_h_values is not None:
+            check_refinement(config.study_h_values, RATE_STUDY_LEVELS, "rate study")
+            for h in config.study_h_values:
+                spacing_params(benchmark, h, config.T)
+    with _blame("study.tau_values"):
+        if config.study_tau_values is not None:
+            check_refinement(config.study_tau_values, TAU_STUDY_LEVELS, "tau study")
+            for tau in config.study_tau_values:
+                spacing_params(benchmark, config.h, config.T, tau)
+    with _blame("probes.h_values"):
+        for h in config.probe_h_values or ():
+            spacing_params(benchmark, h, config.T)
+
+
+def _text(value):
+    if isinstance(value, (tuple, list)):
+        return ", ".join(artifact_io.fmt(v) for v in value)
+    return str(value).lower() if isinstance(value, bool) else artifact_io.fmt(value)
 
 
 def serialize_config(config):
-    """Canonical text form; parse_config(serialize_config(c)) == c."""
-    lines = []
-
-    def emit(key, value):
-        if value is None:
-            return
-        if isinstance(value, tuple):
-            lines.append(f"{key}: {', '.join(artifact_io.fmt(v) for v in value)}")
-        elif isinstance(value, bool):
-            lines.append(f"{key}: {str(value).lower()}")
-        else:
-            lines.append(f"{key}: {artifact_io.fmt(value)}")
-
-    emit("mode", config.mode)
-    emit("benchmark", config.benchmark)
-    if config.problem is not None:
-        spec = config.problem
-        emit("problem.dimension", spec.dimension)
-        lines.append(f"problem.box: {artifact_io.fmt(spec.box[0])}, "
-                     f"{artifact_io.fmt(spec.box[1])}")
-        emit("problem.periodic", spec.periodic)
-        emit("problem.dynamics", spec.dynamics)
-        emit("problem.running_cost", spec.running_cost)
-        emit("problem.terminal_cost", spec.terminal_cost)
-        emit("problem.control_min", spec.control_min)
-        emit("problem.control_max", spec.control_max)
-        emit("problem.control_samples", spec.control_samples)
-        emit("problem.f_sup_bound", spec.f_sup_bound)
-    emit("scheme.h", config.h)
-    emit("scheme.tau", config.tau)
-    emit("scheme.N", config.N)
-    emit("scheme.T", config.T)
-    emit("output_dir", config.output_dir)
-    emit("pi.max_iterations", config.pi_max_iterations)
-    emit("pi.stop_tolerance", config.pi_stop_tolerance)
-    emit("pi.record_every", config.pi_record_every)
-    emit("pi.initial_policy", config.pi_initial_policy)
-    emit("study.h_values", config.study_h_values)
-    emit("study.tau_values", config.study_tau_values)
-    emit("legendre.M", config.legendre_M)
-    emit("legendre.hamiltonian", config.legendre_hamiltonian)
-    emit("probes.points", config.probe_points)
-    emit("probes.h_values", config.probe_h_values)
+    """Canonical text form, one line per set key in ``_KEYS`` order;
+    parse_config(serialize_config(c)) == c."""
+    lines = [f"{key}: {_text(_get(config, key))}" for key in _KEYS
+             if _get(config, key) is not None]
     return "\n".join(lines) + "\n"
 
 
-def _inline_benchmark(spec):
+def _resolve_benchmark(config):
+    if config.benchmark is not None:
+        return get_benchmark(config.benchmark)
+    spec = config.problem
     problem = ControlProblem(
         dynamics=DYNAMICS_FORMS[spec.dynamics][0],
         running_cost=RUNNING_COST_FORMS[spec.running_cost][0],
@@ -345,14 +342,7 @@ def _inline_benchmark(spec):
         f_sup_bound=spec.f_sup_bound,
         time_invariant=True,  # no named form reads t
     )
-    return Benchmark(name="inline", problem=problem, box=spec.box,
-                     periodic=spec.periodic)
-
-
-def _resolve_benchmark(config):
-    if config.benchmark is not None:
-        return get_benchmark(config.benchmark)
-    return _inline_benchmark(config.problem)
+    return Benchmark(name="inline", problem=problem, box=spec.box, periodic=spec.periodic)
 
 
 def _make_params(config, grid, problem):
@@ -391,15 +381,12 @@ def _initial_policies(config, benchmark, grid, params):
     return build_initial_policies(benchmark.problem, grid, params, rule)
 
 
-def _run_solve(config, outdir):
-    benchmark = _resolve_benchmark(config)
+def _run_solve(config, benchmark, outdir):
     grid = benchmark.make_grid(config.h)
     params = _make_params(config, grid, benchmark.problem)
     sol = solve_hjb_direct(benchmark.problem, grid, params)
     artifact_io.write_solution_csv(sol, os.path.join(outdir, "solution.csv"))
-    artifact_io.write_summary(os.path.join(outdir, "summary.txt"), [
-        ("mode", "solve"),
-        ("benchmark", benchmark.name),
+    return [
         ("h", grid.spacing),
         ("tau", params.tau),
         ("N", params.N),
@@ -411,11 +398,10 @@ def _run_solve(config, outdir):
         ("bound_excess", sol.bound_excess()),
         ("value_min_t0", float(np.min(sol.values[0]))),
         ("value_max_t0", float(np.max(sol.values[0]))),
-    ])
+    ]
 
 
-def _run_pi(config, outdir):
-    benchmark = _resolve_benchmark(config)
+def _run_pi(config, benchmark, outdir):
     grid = benchmark.make_grid(config.h)
     params = _make_params(config, grid, benchmark.problem)
     pi_config = PIConfig(initial_policy=_initial_policies(config, benchmark, grid, params),
@@ -427,9 +413,7 @@ def _run_pi(config, outdir):
     artifact_io.write_pi_csv(run, os.path.join(outdir, "pi_run.csv"))
     artifact_io.write_solution_csv(run.fixed_point,
                                    os.path.join(outdir, "fixed_point.csv"))
-    artifact_io.write_summary(os.path.join(outdir, "summary.txt"), [
-        ("mode", "pi"),
-        ("benchmark", benchmark.name),
+    return [
         ("h", grid.spacing),
         ("tau", params.tau),
         ("N", params.N),
@@ -442,15 +426,12 @@ def _run_pi(config, outdir):
         ("final_sup_error", float(run.errors_to_fixed_point[-1])),
         ("worst_monotonicity", run.worst_monotonicity),
         ("monotonicity_violations", run.monotonicity_violation_count),
-    ])
+    ]
 
 
-def _run_h_study(config, outdir):
+def _run_h_study(config, benchmark, outdir):
     if not config.study_h_values:
         raise ConfigurationError("h-study mode needs study.h_values")
-    benchmark = _resolve_benchmark(config)
-    if oracle_for(benchmark, config.T) is None:
-        raise ConfigurationError(f"benchmark {benchmark.name} has no reference solution")
     study = run_h_rate_study(benchmark, list(config.study_h_values), config.T)
     artifact_io.write_rate_study_csv(study, os.path.join(outdir, "study.csv"))
     artifact_io.write_gnuplot_dat(list(zip(study.h_values, study.errors)),
@@ -462,20 +443,17 @@ def _run_h_study(config, outdir):
         "r_squared": study.r_squared,
         "degenerate": study.degenerate,
     })
-    artifact_io.write_summary(os.path.join(outdir, "summary.txt"), [
-        ("mode", "h-study"),
-        ("benchmark", benchmark.name),
+    return [
         ("fitted_order", study.fitted_order),
         ("fitted_constant", study.fitted_constant),
         ("r_squared", study.r_squared),
         ("degenerate", study.degenerate),
-    ])
+    ]
 
 
-def _run_tau_study(config, outdir):
+def _run_tau_study(config, benchmark, outdir):
     if not config.study_tau_values:
         raise ConfigurationError("tau-study mode needs study.tau_values")
-    benchmark = _resolve_benchmark(config)
     study = run_tau_refinement_study(benchmark, config.h,
                                      list(config.study_tau_values), config.T)
     artifact_io.write_tau_study_csv(study, os.path.join(outdir, "study.csv"))
@@ -483,30 +461,19 @@ def _run_tau_study(config, outdir):
                                   os.path.join(outdir, "study.dat"),
                                   "tau distance_to_next")
     decreasing = bool(np.all(np.diff(study.distances) < 0)) if len(study.distances) > 1 else True
-    artifact_io.write_summary(os.path.join(outdir, "summary.txt"), [
-        ("mode", "tau-study"),
-        ("benchmark", benchmark.name),
+    return [
         ("h", study.h),
         ("levels", len(study.tau_values)),
         ("distances_decreasing", decreasing),
         ("finest_distance", study.distances[-1] if study.distances else math.nan),
-    ])
+    ]
 
 
 def _legendre_hamiltonian(name, dim):
-    if name == "half-square":
-        return ConvexHamiltonian(
-            func=lambda t, x, p: 0.5 * np.sum(np.asarray(p) ** 2, axis=-1),
-            dim=dim,
-            grad_p=lambda t, x, p: np.asarray(p, dtype=float),
-            legendre_L=lambda t, x, mu: 0.5 * np.sum(np.asarray(mu) ** 2, axis=-1),
-            time_invariant=True,
-        )
-    raise ConfigurationError(f"unknown Hamiltonian form {name!r}")
+    return LEGENDRE_FORMS[name][0](dim)
 
 
-def _run_legendre_pi(config, outdir):
-    benchmark = _resolve_benchmark(config)
+def _run_legendre_pi(config, benchmark, outdir):
     grid = benchmark.make_grid(config.h)
     H = _legendre_hamiltonian(config.legendre_hamiltonian, grid.dim)
     run = generalized_pi(H, benchmark.problem.terminal_cost, grid, config.T,
@@ -516,9 +483,7 @@ def _run_legendre_pi(config, outdir):
                          record_every=config.pi_record_every)
     rho, r_squared, note = _rate_summary(run.errors_to_fixed_point)
     artifact_io.write_generalized_csv(run, os.path.join(outdir, "legendre_run.csv"))
-    artifact_io.write_summary(os.path.join(outdir, "summary.txt"), [
-        ("mode", "legendre-pi"),
-        ("benchmark", benchmark.name),
+    return [
         ("hamiltonian", config.legendre_hamiltonian),
         ("M", config.legendre_M),
         ("m1", run.modified.m1),
@@ -535,22 +500,18 @@ def _run_legendre_pi(config, outdir):
         ("worst_monotonicity", run.worst_monotonicity),
         ("gradient_sup_max", float(np.max(run.gradient_sup))),
         ("legendre_resolution", run.legendre_resolution),
-    ])
+    ]
 
 
-def _run_probes(config, outdir):
+def _run_probes(config, benchmark, outdir):
     if not config.probe_points:
         raise ConfigurationError("probes mode needs probes.points")
-    benchmark = _resolve_benchmark(config)
     h_values = config.probe_h_values or (config.h, config.h / 2.0, config.h / 4.0)
     table = policy_pointwise_convergence_probe(benchmark, list(h_values),
                                                list(config.probe_points), config.T)
     artifact_io.write_probes_csv(table, os.path.join(outdir, "probes.csv"))
-    items = [("mode", "probes"), ("benchmark", benchmark.name)]
-    for point in config.probe_points:
-        items.append((f"stabilized_{artifact_io.fmt(point)}",
-                      table.stabilized(float(point))))
-    artifact_io.write_summary(os.path.join(outdir, "summary.txt"), items)
+    return [(f"stabilized_{artifact_io.fmt(point)}", table.stabilized(float(point)))
+            for point in config.probe_points]
 
 
 _MODE_RUNNERS = {
@@ -574,22 +535,22 @@ def _run(config, validate):
             validate_config(config)
         if config.mode is None:
             raise ConfigurationError("no mode given (config key 'mode' or subcommand)")
+        benchmark = _resolve_benchmark(config)
         outdir = config.output_dir
         os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, "config.txt"), "w") as fh:
             fh.write(serialize_config(config))
-        _MODE_RUNNERS[config.mode](config, outdir)
+        items = _MODE_RUNNERS[config.mode](config, benchmark, outdir)
+        artifact_io.write_summary(os.path.join(outdir, "summary.txt"),
+                                  [("mode", config.mode), ("benchmark", benchmark.name), *items])
         return EXIT_OK
-    except (ConfigParseError, ConfigurationError, CFLValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except NumericalBlowupError as exc:
         print(f"numerical blowup: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
     except MonotonicityError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except HJBPIError as exc:
+    except (HJBPIError, OSError) as exc:  # configuration, step size, I/O
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # never crash with a traceback

@@ -42,11 +42,12 @@ from .errors import ConfigurationError
 from .grid import RowStencil, _row_dot, gradient_central_values
 from .pi import _IterationTracker
 from .problem import _finite_sup
-from .scheme import SchemeParams, _check_values
+from .scheme import SchemeParams, _blowup_threshold, _check_values
 
 GRAD_FD_STEP = 1e-5   # relative central-difference step for grad_p fallback
 LEGENDRE_POINTS = 41  # probe points per axis and stage in the numeric transform
 LINEARIZE_BLOCK = 16  # levels per Hamiltonian call when H is time-invariant
+CONVEXITY_PROBES = 64  # random p pairs per probe point in the convexity spot check
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,15 +85,15 @@ class ConvexHamiltonian:
             return np.asarray(self.grad_p(t, x, p), dtype=float)
         return _fd_gradient(self.func, t, x, p)
 
-    def spot_check_convexity(self, rng=None, n_probes=64, scale=None):
+    def spot_check_convexity(self, scale=None):
         """Midpoint convexity on random p pairs; raises on a clear violation."""
-        rng = rng or np.random.default_rng(0)
+        rng = np.random.default_rng(0)
         scale = scale if scale is not None else self.p_probe_radius
         for t in self.probe_times:
             for x0 in self.probe_points:
                 x = np.asarray(x0, dtype=float)[None, :]
-                p1 = rng.uniform(-scale, scale, size=(n_probes, self.dim))
-                p2 = rng.uniform(-scale, scale, size=(n_probes, self.dim))
+                p1 = rng.uniform(-scale, scale, size=(CONVEXITY_PROBES, self.dim))
+                p2 = rng.uniform(-scale, scale, size=(CONVEXITY_PROBES, self.dim))
                 mid = self.value(t, x, 0.5 * (p1 + p2))
                 avg = 0.5 * (self.value(t, x, p1) + self.value(t, x, p2))
                 gap = float(np.max(mid - avg))
@@ -371,7 +372,7 @@ def generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations=60,
     h0 = 0.0
     for t in H.probe_times:
         h0 = max(h0, float(np.max(np.abs(mod.value(t, coords, np.zeros_like(coords))))))
-    threshold = 10.0 * (_finite_sup(q_values, "terminal cost q") + h0 * T + 1.0)
+    threshold = _blowup_threshold(_finite_sup(q_values, "terminal cost q"), h0, T)
 
     block = LINEARIZE_BLOCK if H.time_invariant else 1
 

@@ -260,12 +260,17 @@ def fit_geometric_rate(errors, burn_in=0):
     tail = errors[burn_in:cut]
     if len(tail) < 2:
         return GeometricFit(rho=math.nan, r_squared=math.nan, floored=True, n_used=len(tail))
-    x = np.arange(len(tail), dtype=float)
-    y = np.log(tail)
-    slope, intercept = np.polyfit(x, y, 1)
-    predicted = slope * x + intercept
-    ss_res = float(np.sum((y - predicted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 and ss_res < 1e-20 else 1.0 - ss_res / ss_tot
-    return GeometricFit(rho=float(np.exp(slope)), r_squared=float(r_squared),
+    slope, _, r_squared = _linear_fit(np.arange(len(tail), dtype=float), np.log(tail))
+    return GeometricFit(rho=float(np.exp(slope)), r_squared=r_squared,
                         floored=floored, n_used=len(tail))
+
+
+def _linear_fit(x, y):
+    """Least-squares line y ~ slope x + intercept: (slope, intercept, R^2).
+
+    R^2 is 1.0 when y is constant and the line fits it exactly.
+    """
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    return slope, intercept, 1.0 if ss_tot == 0.0 and ss_res < 1e-20 else 1.0 - ss_res / ss_tot

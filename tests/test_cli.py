@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,50 @@ class TestParseConfig:
         capsys.readouterr()
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("mode, text, line", [
+        ("h-study", "study.h_values: 0.2, 0.1, 1.5\n", 3),
+        ("h-study", "study.h_values: 0.2, 0.1, 0.05, 0.08\n", 3),
+        ("tau-study", "study.tau_values: 0.05, 0.2\n", 3),
+        ("tau-study", "study.tau_values: 0.05\n", 3),
+        ("tau-study", "study.tau_values: 0.2, 0.1\n", 3),  # tau > h/(2N) at h = 0.1
+        ("probes", "probes.h_values: 0.1, 3\nprobes.points: 0.5\n", 3),
+        ("solve", "probes.points: 0.5\nprobes.h_values: 0.1, 3\n", 4),
+    ], ids=["h-too-few", "h-not-decreasing", "tau-not-decreasing", "tau-too-few",
+            "tau-cfl", "probe-h-too-large", "probe-h-in-solve"])
+    def test_list_entries_checked_before_any_output(self, mode, text, line, tmp_path,
+                                                   capsys):
+        (tmp_path / "exp.cfg").write_text(f"benchmark: eikonal-cos\nscheme.h: 0.1\n{text}")
+        code = main([mode, "--config", str(tmp_path / "exp.cfg"),
+                     "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        key = text.splitlines()[line - 3].partition(":")[0]
+        assert f"error: line {line}: {key!r}: " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode, text", [
+        ("solve", "problem.dynamics: warp\n"),
+        ("solve", "problem.running_cost: warp\n"),
+        ("solve", "problem.terminal_cost: warp\n"),
+        ("solve", "problem.periodic: maybe\n"),
+        ("legendre-pi", "benchmark: eikonal-cos\nlegendre.hamiltonian: warp\n"),
+        ("solve", "benchmark: warp\n"),
+        ("pi", "benchmark: eikonal-cos\npi.initial_policy: warp\n"),
+    ])
+    def test_unknown_names_are_parse_errors(self, mode, text, tmp_path, capsys):
+        (tmp_path / "exp.cfg").write_text("scheme.h: 0.1\n" + text)
+        code = main([mode, "--config", str(tmp_path / "exp.cfg"),
+                     "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        line = len(text.splitlines()) + 1
+        key = text.splitlines()[-1].partition(":")[0]
+        assert code == EXIT_VALIDATION
+        assert f"error: line {line}: bad value for {key!r}: " in err
+        assert "maybe" in err or "unknown" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["problem.control_min", "problem.control_max"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("samples", [1, 3])
@@ -250,6 +295,60 @@ def test_roundtrip_with_inline_problem():
     assert parse_config(serialize_config(config)) == config
 
 
+EVERY_KEY = ExperimentConfig(
+    mode="pi", benchmark="quadratic-lq",
+    problem=InlineProblemSpec(dimension=1, box=(0.0, 2.5), periodic=False,
+                              dynamics="unit", running_cost="one", terminal_cost="sin",
+                              control_min=-2.0, control_max=2.0, control_samples=5,
+                              f_sup_bound=2.0),
+    h=0.05, tau=0.01, N=2.0, T=0.5, output_dir="artifacts", pi_max_iterations=7,
+    pi_stop_tolerance=1e-8, pi_record_every=3, pi_initial_policy="argmin-of-c",
+    study_h_values=(0.2, 0.1, 0.05, 0.025), study_tau_values=(0.02, 0.01),
+    legendre_M=1.5, legendre_hamiltonian="half-square", probe_points=(0.5, -1.0),
+    probe_h_values=(0.1, 0.05))
+
+EVERY_KEY_TEXT = """\
+mode: pi
+benchmark: quadratic-lq
+problem.dimension: 1
+problem.box: 0.0, 2.5
+problem.periodic: false
+problem.dynamics: unit
+problem.running_cost: one
+problem.terminal_cost: sin
+problem.control_min: -2.0
+problem.control_max: 2.0
+problem.control_samples: 5
+problem.f_sup_bound: 2.0
+scheme.h: 0.05
+scheme.tau: 0.01
+scheme.N: 2.0
+scheme.T: 0.5
+output_dir: artifacts
+pi.max_iterations: 7
+pi.stop_tolerance: 1e-08
+pi.record_every: 3
+pi.initial_policy: argmin-of-c
+study.h_values: 0.2, 0.1, 0.05, 0.025
+study.tau_values: 0.02, 0.01
+legendre.M: 1.5
+legendre.hamiltonian: half-square
+probes.points: 0.5, -1.0
+probes.h_values: 0.1, 0.05
+"""
+
+
+def test_serialize_key_order_is_pinned():
+    assert serialize_config(EVERY_KEY) == EVERY_KEY_TEXT
+    keys = [line.partition(":")[0] for line in EVERY_KEY_TEXT.splitlines()]
+    assert sorted(keys) == cli.KNOWN_KEYS
+
+
+def test_every_known_key_is_documented_in_the_readme():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert [key for key in cli.KNOWN_KEYS if f"`{key}`" not in readme] == []
+
+
 class TestRunExperiment:
     def test_solve_zero_writes_zero_solution(self, tmp_path):
         config = ExperimentConfig(mode="solve", benchmark="zero", h=0.1,
@@ -279,6 +378,26 @@ class TestRunExperiment:
 
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["fitted_order"] >= 0.9
+
+    def test_list_valued_keys_built_in_code_are_written_as_lists(self, tmp_path):
+        config = ExperimentConfig(mode="h-study", benchmark="eikonal-cos",
+                                  study_h_values=[0.2, 0.1, 0.05, 0.025],
+                                  output_dir=str(tmp_path / "out"))
+        assert run_experiment(config) == EXIT_OK
+        written = parse_config((tmp_path / "out" / "config.txt").read_text())
+        assert written == replace(config, study_h_values=(0.2, 0.1, 0.05, 0.025))
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        assert summary[:2] == ["mode: h-study", "benchmark: eikonal-cos"]
+
+    @pytest.mark.parametrize("field, key", [("dynamics", "problem.dynamics"),
+                                            ("running_cost", "problem.running_cost"),
+                                            ("terminal_cost", "problem.terminal_cost")])
+    def test_code_built_config_gets_choice_check(self, field, key, tmp_path, capsys):
+        config = ExperimentConfig(mode="solve", problem=InlineProblemSpec(**{field: "warp"}),
+                                  output_dir=str(tmp_path / "out"))
+        assert run_experiment(config) == EXIT_VALIDATION
+        assert f"error: {key!r}: unknown " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_study_values_is_validation_error(self, tmp_path):
         config = ExperimentConfig(mode="h-study", benchmark="zero", h=0.1,
@@ -331,7 +450,7 @@ class TestRunExperiment:
     def test_blowup_maps_to_exit_3(self, tmp_path, monkeypatch):
         from hjbpi import cli
 
-        def boom(config, outdir):
+        def boom(config, benchmark, outdir):
             raise NumericalBlowupError("synthetic blowup")
 
         monkeypatch.setitem(cli._MODE_RUNNERS, "solve", boom)
@@ -342,7 +461,7 @@ class TestRunExperiment:
     def test_monotonicity_breach_maps_to_exit_4(self, tmp_path, monkeypatch):
         from hjbpi import cli
 
-        def breach(config, outdir):
+        def breach(config, benchmark, outdir):
             raise MonotonicityError("synthetic ordering violation")
 
         monkeypatch.setitem(cli._MODE_RUNNERS, "pi", breach)
