@@ -269,6 +269,8 @@ class TauRefinementStudy:
 
     ``extrapolated`` is the linear-in-tau extrapolation of the two finest
     t=0 slices, standing in for the time-continuous solution on this grid.
+    ``distances`` compare successive slices over the measured region; ``errors`` (sup)
+    and ``l2_errors`` over every point, and the finest slice with ``extrapolated``.
     """
 
     h: float
@@ -276,6 +278,8 @@ class TauRefinementStudy:
     distances: tuple
     extrapolated: np.ndarray
     solutions: tuple
+    errors: tuple
+    l2_errors: tuple
 
 
 def run_tau_refinement_study(benchmark, h, tau_values, T):
@@ -287,16 +291,17 @@ def run_tau_refinement_study(benchmark, h, tau_values, T):
         sols.append(solve_hjb_direct(problem, grid, params))
         taus.append(params.tau)
     mask = grid.interior_mask(problem.f_sup_bound * T)
-    distances = tuple(
-        float(np.max(np.abs(a.values[0][mask] - b.values[0][mask])))
-        for a, b in zip(sols, sols[1:]))
-    t1, t2 = taus[-2], taus[-1]
-    v1 = sols[-2].values[0]
-    v2 = sols[-1].values[0]
+    slices = [s.values[0] for s in sols]
+    distances = tuple(float(np.max(np.abs(a[mask] - b[mask])))
+                      for a, b in zip(slices, slices[1:]))
+    (t1, t2), (v1, v2) = taus[-2:], slices[-2:]
     extrapolated = (t1 * v2 - t2 * v1) / (t1 - t2)
+    diffs = [a - b for a, b in zip(slices, slices[1:] + [extrapolated])]
     return TauRefinementStudy(h=grid.spacing, tau_values=tuple(taus),
                               distances=distances, extrapolated=extrapolated,
-                              solutions=tuple(sols))
+                              solutions=tuple(sols),
+                              errors=tuple(float(np.max(np.abs(d))) for d in diffs),
+                              l2_errors=tuple(float(np.sqrt(np.sum(d ** 2))) for d in diffs))
 
 
 @dataclass(frozen=True)

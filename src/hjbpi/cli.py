@@ -14,6 +14,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -178,10 +179,15 @@ _KEYS = {
     "probes.points": ("probe_points", _floats),
     "probes.h_values": ("probe_h_values", _floats),
 }
-_POSITIVE_KEYS = ("scheme.h", "scheme.tau", "scheme.N", "scheme.T", "legendre.M",
+_POSITIVE_KEYS = ("scheme.h", "scheme.tau", "scheme.N", "scheme.T", "pi.max_iterations",
+                  "pi.stop_tolerance", "pi.record_every", "legendre.M",
                   "study.h_values", "study.tau_values", "probes.h_values")
 _FINITE_KEYS = ("problem.control_min", "problem.control_max")
 KNOWN_KEYS = sorted(_KEYS)
+# The type a cast gives (of each entry, for a list) and its name; any other
+# cast gives a str.  Code may build a config with an int for a float, a list for a tuple.
+_TYPES = {int: (Integral, "an integer"), float: (Real, "a number"), _bool: (bool, "a boolean"),
+          _floats: (Real, "a list of numbers"), _pair: (Real, "a pair of numbers")}
 
 
 def _get(config, key):
@@ -253,7 +259,8 @@ def parse_config(text, mode=None):
 def validate_config(config):
     """Reject a config, from a file or built in code, before anything runs.
 
-    A name outside its choices, scheme numbers, ``legendre.M`` and spacing
+    A value of a type its key's cast does not give, a name outside its
+    choices, scheme numbers, ``pi.*`` numbers, ``legendre.M`` and spacing
     or step list entries that are not finite and > 0, non-finite control
     bounds, and probe points not finite or outside a clamped box raise
     ``ConfigParseError`` naming the key.  So do study lists too short or
@@ -270,10 +277,15 @@ def validate_config(config):
         value = _get(config, key)
         if value is None:
             continue
+        kind, want = _TYPES.get(cast, (str, "a string"))
+        entries = value if cast in (_floats, _pair) else (value,)
+        if (not isinstance(entries, (tuple, list)) or cast is _pair and len(entries) != 2
+                or not all(isinstance(entry, kind) for entry in entries)):
+            raise ConfigParseError(f"{key!r} must be {want}, got {value!r}", key=key)
         if hasattr(cast, "names"):
             with _blame(key):
                 cast(value)
-        for entry in value if cast is _floats else (value,):
+        for entry in entries:
             if key in _POSITIVE_KEYS and not (math.isfinite(entry) and entry > 0.0):
                 raise ConfigParseError(f"{key!r} must be a finite number > 0, got {entry!r}",
                                        key=key)
@@ -359,14 +371,11 @@ def _rate_summary(errors, burn_in=2):
     rather than pretending a fit happened.  A fitted ratio near 1 is flagged
     as stalled so non-contracting runs stand out in summaries.
     """
-    fit = None
     if len(errors) - burn_in >= FIT_MIN_ENTRIES:
         fit = fit_geometric_rate(errors, burn_in)
-    if fit is not None and math.isfinite(fit.rho):
-        if fit.rho > 0.99:
-            return fit.rho, fit.r_squared, "stalled"
-        note = "floored" if fit.floored else "least-squares"
-        return fit.rho, fit.r_squared, note
+        if math.isfinite(fit.rho):
+            note = "stalled" if fit.rho > 0.99 else "floored" if fit.floored else "least-squares"
+            return fit.rho, fit.r_squared, note
     if len(errors) and min(errors) <= 1e2 * np.finfo(float).eps * max(max(errors), 1.0):
         return 0.0, math.nan, "finite-termination"
     return math.nan, math.nan, "unavailable"
@@ -409,15 +418,29 @@ def _run_pi(config, benchmark, outdir):
                          stop_tolerance=config.pi_stop_tolerance,
                          record_every=config.pi_record_every)
     run = run_policy_iteration(benchmark.problem, grid, params, pi_config)
-    rho, r_squared, note = _rate_summary(run.errors_to_fixed_point)
-    artifact_io.write_pi_csv(run, os.path.join(outdir, "pi_run.csv"))
-    artifact_io.write_solution_csv(run.fixed_point,
-                                   os.path.join(outdir, "fixed_point.csv"))
+    items = _report_iterations(run, os.path.join(outdir, "pi_run.csv"), run.policy_l2)
+    artifact_io.write_solution_csv(run.fixed_point, os.path.join(outdir, "fixed_point.csv"))
     return [
         ("h", grid.spacing),
         ("tau", params.tau),
         ("N", params.N),
         ("T", params.T),
+        *items,
+        ("monotonicity_violations", run.monotonicity_violation_count),
+    ]
+
+
+def _report_iterations(run, path, policy_l2, *constants):
+    """Write a PI or Legendre run's iteration table, with ``policy_l2`` its
+    third column and each (name, value) of ``constants`` one more column
+    holding ``value``; return the summary items both modes share."""
+    extra = dict(constants)
+    artifact_io.write_table(
+        path, ["iteration", "sup_error", "l2_error", "policy_l2", "monotonicity_worst", *extra],
+        ([n, *row, *extra.values()] for n, row in enumerate(zip(
+            run.errors_to_fixed_point, run.errors_l2, policy_l2, run.monotonicity_worst))))
+    rho, r_squared, note = _rate_summary(run.errors_to_fixed_point)
+    return [
         ("iterations_used", run.iterations_used),
         ("stop_reason", run.stop_reason),
         ("rho", rho),
@@ -425,47 +448,40 @@ def _run_pi(config, benchmark, outdir):
         ("rate_fit", note),
         ("final_sup_error", float(run.errors_to_fixed_point[-1])),
         ("worst_monotonicity", run.worst_monotonicity),
-        ("monotonicity_violations", run.monotonicity_violation_count),
     ]
 
 
+def _write_study(outdir, study, h_values, dat_pairs, dat_header):
+    """``study.csv``, one (h, tau, sup_error, l2_error) row per level, and ``study.dat``."""
+    artifact_io.write_table(os.path.join(outdir, "study.csv"),
+                            ["h", "tau", "sup_error", "l2_error"],
+                            zip(h_values, study.tau_values, study.errors, study.l2_errors))
+    artifact_io.write_gnuplot_dat(dat_pairs, os.path.join(outdir, "study.dat"), dat_header)
+
+
 def _run_h_study(config, benchmark, outdir):
-    if not config.study_h_values:
-        raise ConfigurationError("h-study mode needs study.h_values")
     study = run_h_rate_study(benchmark, list(config.study_h_values), config.T)
-    artifact_io.write_rate_study_csv(study, os.path.join(outdir, "study.csv"))
-    artifact_io.write_gnuplot_dat(list(zip(study.h_values, study.errors)),
-                                  os.path.join(outdir, "study.dat"),
-                                  "h sup_error")
-    artifact_io.write_json_summary(os.path.join(outdir, "summary.json"), {
-        "fitted_order": study.fitted_order,
-        "fitted_constant": study.fitted_constant,
-        "r_squared": study.r_squared,
-        "degenerate": study.degenerate,
-    })
-    return [
+    _write_study(outdir, study, study.h_values, zip(study.h_values, study.errors), "h sup_error")
+    items = [
         ("fitted_order", study.fitted_order),
         ("fitted_constant", study.fitted_constant),
         ("r_squared", study.r_squared),
         ("degenerate", study.degenerate),
     ]
+    artifact_io.write_json_summary(os.path.join(outdir, "summary.json"), dict(items))
+    return items
 
 
 def _run_tau_study(config, benchmark, outdir):
-    if not config.study_tau_values:
-        raise ConfigurationError("tau-study mode needs study.tau_values")
     study = run_tau_refinement_study(benchmark, config.h,
                                      list(config.study_tau_values), config.T)
-    artifact_io.write_tau_study_csv(study, os.path.join(outdir, "study.csv"))
-    artifact_io.write_gnuplot_dat(list(zip(study.tau_values[:-1], study.distances)),
-                                  os.path.join(outdir, "study.dat"),
-                                  "tau distance_to_next")
-    decreasing = bool(np.all(np.diff(study.distances) < 0)) if len(study.distances) > 1 else True
+    _write_study(outdir, study, [study.h] * len(study.tau_values),
+                 zip(study.tau_values[:-1], study.distances), "tau distance_to_next")
     return [
         ("h", study.h),
         ("levels", len(study.tau_values)),
-        ("distances_decreasing", decreasing),
-        ("finest_distance", study.distances[-1] if study.distances else math.nan),
+        ("distances_decreasing", bool(np.all(np.diff(study.distances) < 0))),
+        ("finest_distance", study.distances[-1]),
     ]
 
 
@@ -481,8 +497,10 @@ def _run_legendre_pi(config, benchmark, outdir):
                          max_iterations=config.pi_max_iterations,
                          stop_tolerance=config.pi_stop_tolerance,
                          record_every=config.pi_record_every)
-    rho, r_squared, note = _rate_summary(run.errors_to_fixed_point)
-    artifact_io.write_generalized_csv(run, os.path.join(outdir, "legendre_run.csv"))
+    resolution = ("legendre_resolution", run.legendre_resolution)
+    # the policy_l2 column holds the advection field's distance
+    items = _report_iterations(run, os.path.join(outdir, "legendre_run.csv"),
+                               run.advection_l2, resolution)
     return [
         ("hamiltonian", config.legendre_hamiltonian),
         ("M", config.legendre_M),
@@ -491,25 +509,21 @@ def _run_legendre_pi(config, benchmark, outdir):
         ("N", run.params.N),
         ("h", grid.spacing),
         ("tau", run.params.tau),
-        ("iterations_used", run.iterations_used),
-        ("stop_reason", run.stop_reason),
-        ("rho", rho),
-        ("r_squared", r_squared),
-        ("rate_fit", note),
-        ("final_sup_error", float(run.errors_to_fixed_point[-1])),
-        ("worst_monotonicity", run.worst_monotonicity),
+        *items,
         ("gradient_sup_max", float(np.max(run.gradient_sup))),
-        ("legendre_resolution", run.legendre_resolution),
+        resolution,
     ]
 
 
 def _run_probes(config, benchmark, outdir):
-    if not config.probe_points:
-        raise ConfigurationError("probes mode needs probes.points")
     h_values = config.probe_h_values or (config.h, config.h / 2.0, config.h / 4.0)
     table = policy_pointwise_convergence_probe(benchmark, list(h_values),
                                                list(config.probe_points), config.T)
-    artifact_io.write_probes_csv(table, os.path.join(outdir, "probes.csv"))
+    artifact_io.write_table(
+        os.path.join(outdir, "probes.csv"), ["h", "point", "skipped", "control", "oracle_control"],
+        ([row.h, row.point, int(row.skipped),
+          None if row.control is None else row.control[0],
+          None if row.oracle_control is None else row.oracle_control[0]] for row in table.rows))
     return [(f"stabilized_{artifact_io.fmt(point)}", table.stabilized(float(point)))
             for point in config.probe_points]
 
@@ -522,6 +536,9 @@ _MODE_RUNNERS = {
     "legendre-pi": _run_legendre_pi,
     "probes": _run_probes,
 }
+# The list a mode runs over; _run refuses the mode without it.
+_MODE_LISTS = {"h-study": "study.h_values", "tau-study": "study.tau_values",
+               "probes": "probes.points"}
 
 
 def run_experiment(config):
@@ -535,6 +552,9 @@ def _run(config, validate):
             validate_config(config)
         if config.mode is None:
             raise ConfigurationError("no mode given (config key 'mode' or subcommand)")
+        needed = _MODE_LISTS.get(config.mode)
+        if needed is not None and not _get(config, needed):
+            raise ConfigurationError(f"{config.mode} mode needs {needed}")
         benchmark = _resolve_benchmark(config)
         outdir = config.output_dir
         os.makedirs(outdir, exist_ok=True)

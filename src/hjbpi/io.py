@@ -1,8 +1,9 @@
 """Deterministic CSV / summary writers for run artifacts.
 
 Floats are written with ``repr``, the shortest round-tripping form, and
-every writer emits rows in a fixed order, so identical runs produce
-byte-identical files.  Nothing here records wall-clock state.
+rows in a fixed order, so identical runs produce byte-identical files.
+Every CSV table but a solution's goes through ``write_table``, which reads
+no run record.  Nothing here records wall-clock state.
 """
 
 from __future__ import annotations
@@ -11,16 +12,11 @@ import csv
 import json
 import math
 
-import numpy as np
-
 
 def fmt(value):
+    """None is the empty cell; an int (a bool too) or str is its ``str``, else float ``repr``."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return repr(float(value))
     if isinstance(value, (int, str)):
         return str(value)
     return repr(float(value))
@@ -56,71 +52,17 @@ def write_solution_csv(solution, path):
             fh.write("".join(parts))
 
 
-def write_pi_csv(run, path):
+def write_table(path, header, rows):
+    """A CSV table: the ``header`` row, then ``rows`` with every cell through ``fmt``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "sup_error", "l2_error", "policy_l2",
-                         "monotonicity_worst"])
-        for n in range(run.iterations_used):
-            writer.writerow([n, fmt(run.errors_to_fixed_point[n]),
-                             fmt(run.errors_l2[n]), fmt(run.policy_l2[n]),
-                             fmt(run.monotonicity_worst[n])])
-
-
-def write_generalized_csv(run, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "sup_error", "l2_error", "policy_l2",
-                         "monotonicity_worst", "legendre_resolution"])
-        for n in range(run.iterations_used):
-            writer.writerow([n, fmt(run.errors_to_fixed_point[n]),
-                             fmt(run.errors_l2[n]), fmt(run.advection_l2[n]),
-                             fmt(run.monotonicity_worst[n]),
-                             fmt(run.legendre_resolution)])
-
-
-def write_rate_study_csv(study, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h", "tau", "sup_error", "l2_error"])
-        for h, tau, err, l2 in zip(study.h_values, study.tau_values,
-                                   study.errors, study.l2_errors):
-            writer.writerow([fmt(h), fmt(tau), fmt(err), fmt(l2)])
-
-
-def write_tau_study_csv(study, path):
-    """Rows per step size; sup_error is the distance to the next refinement
-    (the finest row compares against the extrapolated reference)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h", "tau", "sup_error", "l2_error"])
-        sols = study.solutions
-        for i, tau in enumerate(study.tau_values):
-            if i < len(study.distances):
-                ref = sols[i + 1].values[0]
-            else:
-                ref = study.extrapolated
-            diff = sols[i].values[0] - ref
-            writer.writerow([fmt(study.h), fmt(tau),
-                             fmt(float(np.max(np.abs(diff)))),
-                             fmt(float(np.sqrt(np.sum(diff ** 2))))])
-
-
-def write_probes_csv(table, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h", "point", "skipped", "control", "oracle_control"])
-        for row in table.rows:
-            writer.writerow([fmt(row.h), fmt(row.point), int(row.skipped),
-                             "" if row.control is None else fmt(row.control[0]),
-                             "" if row.oracle_control is None else fmt(row.oracle_control[0])])
+        writer.writerow(header)
+        writer.writerows([fmt(cell) for cell in row] for row in rows)
 
 
 def write_gnuplot_dat(pairs, path, header):
     """Two-column whitespace data file, '#'-prefixed header line."""
-    lines = [f"# {header}"]
-    for a, b in pairs:
-        lines.append(f"{fmt(a)} {fmt(b)}")
+    lines = [f"# {header}", *(f"{fmt(a)} {fmt(b)}" for a, b in pairs)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -133,12 +75,8 @@ def write_summary(path, items):
 
 
 def write_json_summary(path, mapping):
-    def encode(v):
-        if isinstance(v, float) and (math.isnan(v) or math.isinf(v)):
-            return repr(v)
-        return v
-
+    """Sorted JSON object; a non-finite float is written as its ``repr``."""
     with open(path, "w") as fh:
-        json.dump({k: encode(v) for k, v in mapping.items()}, fh, indent=2,
-                  sort_keys=True)
+        json.dump({k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+                   for k, v in mapping.items()}, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import RowStencil, _row_dot, gradient_central_values
-from .pi import _IterationTracker
+from .pi import PIConfig, _IterationTracker
 from .problem import _finite_sup
 from .scheme import SchemeParams, _blowup_threshold, _check_values
 
@@ -364,7 +364,10 @@ def generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations=60,
     evaluated through the Fenchel equality p . grad_p H~(p) - H~(p) (or the
     analytic dual when provided), which keeps the monotone-decrease
     property sharp instead of noisy at the numeric-transform resolution.
+    The stop rule's three numbers are checked as ``PIConfig`` checks them.
     """
+    stop = PIConfig(max_iterations=max_iterations, stop_tolerance=stop_tolerance,
+                    record_every=record_every)
     mod, params = legendre_scheme(H, M, grid, T, tau)
     coords = grid.coordinates()
     q_values = np.broadcast_to(np.asarray(q(coords), dtype=float), (grid.npoints,))
@@ -425,10 +428,9 @@ def generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations=60,
         j = k % block
         np.subtract(dual[j], _row_dot(b[j], grads, out, work), out=out)
 
-    tracker = _IterationTracker(fixed, slice(None), -1, max_iterations,
-                                stop_tolerance, record_every)
+    tracker = _IterationTracker(fixed, slice(None), -1, stop)
     adv_l2, grad_sup = [], []
-    for n in range(max_iterations):
+    for n in range(stop.max_iterations):
         values = _forward_sweep(grid, params, q_values, threshold, gradients, linear_term,
                                 freeze, block)
         adv_l2.append(float(np.max(level_adv_l2)))

@@ -108,12 +108,20 @@ def build_initial_policies(problem, grid, params, rule):
 
 
 def _policy_l2_distance(problem, policies, fixed_policies, mask):
-    """Max over levels of the l2 distance between control vectors."""
+    """Max over levels of the l2 distance between control vectors, folded over
+    blocks of levels (``grid.row_blocks``).  ``take`` keeps a block C-contiguous,
+    as a boolean mask would not, so a level's squares are one row summed bitwise
+    as the level alone; the square root, being monotone, commutes with the max."""
     elements = problem.controls.elements
+    points = np.flatnonzero(mask)
+    width = points.size * elements.shape[1]
     worst = 0.0
-    for pol, ref in zip(policies, fixed_policies):  # row by row: no full-size temporary
-        diff = elements[pol[mask]] - elements[ref[mask]]
-        worst = max(worst, float(np.sqrt(np.sum(diff * diff))))
+    for rows in row_blocks(len(policies), width):
+        diff = elements[policies[rows].take(points, axis=1)]
+        diff -= elements[fixed_policies[rows].take(points, axis=1)]
+        diff *= diff
+        squares = np.ascontiguousarray(diff).reshape(len(diff), width)
+        worst = max(worst, float(np.sqrt(np.max(squares.sum(axis=1)))))
     return worst
 
 
@@ -128,21 +136,19 @@ class _IterationTracker:
     """Bookkeeping of one policy-iteration run, whichever driver produces it.
 
     ``region`` selects the points the sup distance to the fixed point is
-    measured over, ``l2_level`` the level of the l2 distance.  ``record``
+    measured over, ``l2_level`` the level of the l2 distance, and the
+    ``PIConfig`` ``stop`` the stop rule and the thinning.  ``record``
     books one iterate (values of shape (levels, points)) and says whether
     the run stops after it.  It folds the sup distance, the rise, the
     violation count and the settle test over blocks of rows
     (``grid.row_blocks``), so no (levels, points) temporary exists.
     """
 
-    def __init__(self, fixed_values, region, l2_level, max_iterations, stop_tolerance,
-                 record_every):
+    def __init__(self, fixed_values, region, l2_level, stop):
         self.fixed_values = fixed_values
         self.region = region
         self.l2_level = l2_level
-        self.max_iterations = max_iterations
-        self.stop_tolerance = stop_tolerance
-        self.record_every = record_every
+        self.stop = stop
         self.errors, self.errors_l2, self.mono_worst = [], [], []
         self.iterates = []
         self.violation_count = 0
@@ -179,11 +185,11 @@ class _IterationTracker:
                 raise MonotonicityError(
                     f"iterate {n} rose {increase:.3e} above its predecessor "
                     f"(tolerance {MONOTONE_ABORT:.0e}); scheme bug or CFL breach")
-            settled = float(np.max(moves)) < self.stop_tolerance
+            settled = float(np.max(moves)) < self.stop.stop_tolerance
         if settled:
             self.stop_reason = "tolerance"
-        done = settled or n == self.max_iterations - 1
-        if n % self.record_every == 0 or done:
+        done = settled or n == self.stop.max_iterations - 1
+        if n % self.stop.record_every == 0 or done:
             self.iterates.append((n, iterate))
         self.prev_values = values
         return done
@@ -220,8 +226,7 @@ def run_policy_iteration(problem, grid, params, config=None):
     if isinstance(policies, str):
         policies = build_initial_policies(problem, grid, params, policies)
 
-    tracker = _IterationTracker(fixed_values, mask, 0, config.max_iterations,
-                                config.stop_tolerance, config.record_every)
+    tracker = _IterationTracker(fixed_values, mask, 0, config)
     policy_l2, fp_excess = [], []
     for n in range(config.max_iterations):
         sol = evaluate_policy(problem, grid, params, policies, sup_norms=sup_norms)

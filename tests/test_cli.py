@@ -111,7 +111,8 @@ class TestParseConfig:
             parse_config("benchmark: zero\nscheme.h: fast\n")
 
     @pytest.mark.parametrize("key", ["scheme.h", "scheme.tau", "scheme.N", "scheme.T",
-                                     "legendre.M"])
+                                     "pi.max_iterations", "pi.stop_tolerance",
+                                     "pi.record_every", "legendre.M"])
     @pytest.mark.parametrize("bad", ["0", "-0.5", "nan", "inf"])
     def test_scheme_numbers_must_be_finite_and_positive(self, key, bad, tmp_path, capsys):
         (tmp_path / "exp.cfg").write_text(f"benchmark: eikonal-cos\nmode: solve\n{key}: {bad}\n")
@@ -179,6 +180,17 @@ class TestParseConfig:
         key = text.splitlines()[line - 3].partition(":")[0]
         assert f"error: line {line}: {key!r}: " in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode, key", [("h-study", "study.h_values"),
+                                           ("tau-study", "study.tau_values"),
+                                           ("probes", "probes.points")])
+    def test_mode_without_its_list_leaves_no_output(self, mode, key, tmp_path, capsys):
+        (tmp_path / "exp.cfg").write_text("benchmark: eikonal-cos\n")
+        code = main([mode, "--config", str(tmp_path / "exp.cfg"),
+                     "--output", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {mode} mode needs {key}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode, text", [
@@ -398,6 +410,32 @@ class TestRunExperiment:
         assert run_experiment(config) == EXIT_VALIDATION
         assert f"error: {key!r}: unknown " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(h="0.1"), "'scheme.h' must be a number, got '0.1'"),
+        (dict(T=[1.0]), "'scheme.T' must be a number, got [1.0]"),
+        (dict(pi_max_iterations=5.0), "'pi.max_iterations' must be an integer, got 5.0"),
+        (dict(study_h_values=0.1), "'study.h_values' must be a list of numbers, got 0.1"),
+        (dict(probe_points=("0.5",)), "'probes.points' must be a list of numbers"),
+        (dict(mode=["solve"]), "'mode' must be a string, got ['solve']"),
+        (dict(benchmark=None, problem=InlineProblemSpec(box=(0.0,))),
+         "'problem.box' must be a pair of numbers, got (0.0,)"),
+        (dict(benchmark=None, problem=InlineProblemSpec(periodic=1)),
+         "'problem.periodic' must be a boolean, got 1"),
+    ])
+    def test_code_built_value_of_the_wrong_type(self, fields, message, tmp_path, capsys):
+        fields = {"mode": "solve", "benchmark": "zero", **fields,
+                  "output_dir": str(tmp_path / "out")}
+        assert run_experiment(ExperimentConfig(**fields)) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_code_built_ints_and_lists_are_accepted(self, tmp_path):
+        config = ExperimentConfig(mode="tau-study", benchmark="eikonal-cos", h=0.1, T=1,
+                                  study_tau_values=[0.04, 0.02],
+                                  output_dir=str(tmp_path / "out"))
+        assert run_experiment(config) == EXIT_OK
 
     def test_missing_study_values_is_validation_error(self, tmp_path):
         config = ExperimentConfig(mode="h-study", benchmark="zero", h=0.1,

@@ -250,6 +250,17 @@ def test_v0_of_the_wrong_shape_rejected():
                        v0=np.zeros((3, grid.npoints)))
 
 
+@pytest.mark.parametrize("stop", [dict(max_iterations=0), dict(max_iterations=-3),
+                                  dict(stop_tolerance=0.0), dict(stop_tolerance=math.nan),
+                                  dict(record_every=0)])
+def test_stop_rule_rejected_as_pi_config_rejects_it(stop):
+    grid = get_benchmark("eikonal-cos").make_grid(0.2)
+    with pytest.raises(ConfigurationError) as expected:
+        PIConfig(**stop)
+    with pytest.raises(ConfigurationError, match=str(expected.value)):
+        generalized_pi(quadratic_h(), lambda X: np.cos(X[:, 0]), grid, 0.5, 2.0, **stop)
+
+
 def test_non_finite_terminal_cost_rejected():
     grid = get_benchmark("eikonal-cos").make_grid(0.2)
     with pytest.raises(ConfigurationError, match="terminal cost q returned a non-finite"):
@@ -280,10 +291,13 @@ class TestBlockLinearization:
     def assert_runs_equal(H, grid, T, M=2.0, q=lambda X: np.cos(X[:, 0])):
         flagged, unflagged = (
             generalized_pi(dataclasses.replace(H, time_invariant=flag), q, grid, T, M,
-                           max_iterations=6, stop_tolerance=0.0, record_every=1)
+                           max_iterations=6, stop_tolerance=math.ulp(0.0), record_every=1)
             for flag in (True, False))
         assert np.array_equal(flagged.fixed_point, unflagged.fixed_point)
-        assert len(flagged.iterates) == len(unflagged.iterates) == 6
+        # the smallest tolerance stops a run only on an exact repeat, after
+        # which every further iterate would repeat too
+        assert len(flagged.iterates) == len(unflagged.iterates) == flagged.iterations_used
+        assert flagged.iterations_used == 6 or flagged.stop_reason == "tolerance"
         for (n, a), (m, b) in zip(flagged.iterates, unflagged.iterates):
             assert n == m and np.array_equal(a, b)
         assert np.array_equal(flagged.advection_l2, unflagged.advection_l2)
@@ -339,7 +353,7 @@ class TestBlockLinearization:
         _, params = legendre_scheme(H, 2.0, grid, 1.0)
         seen.clear()
         generalized_pi(H, lambda X: np.cos(X[:, 0]), grid, 1.0, 2.0, max_iterations=2,
-                       stop_tolerance=0.0)
+                       stop_tolerance=math.ulp(0.0))
         levels = [params.time(k) for k in range(params.steps)]
         # probes, the fixed point's advection field, then two linearized sweeps
         assert seen[-3 * params.steps:] == levels * 3
@@ -355,7 +369,7 @@ class TestBlockLinearization:
         for iterations in (2, 3):
             calls.clear()
             run = generalized_pi(H, lambda X: np.cos(X[:, 0]), grid, 1.0, 2.0,
-                                 max_iterations=iterations, stop_tolerance=0.0)
+                                 max_iterations=iterations, stop_tolerance=math.ulp(0.0))
             counts.append(len(calls))
         steps = run.params.steps
         block = LINEARIZE_BLOCK if flag else 1

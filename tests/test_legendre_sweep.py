@@ -31,7 +31,7 @@ from hjbpi.legendre import (
     legendre_resolution,
     legendre_scheme,
 )
-from hjbpi.pi import _IterationTracker
+from hjbpi.pi import PIConfig, _IterationTracker
 from hjbpi.problem import _finite_sup
 from hjbpi.scheme import _check_values
 from test_cli import run_python
@@ -124,8 +124,8 @@ def reference_generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations
                 dual = np.sum(p_prev * b, axis=-1) - mod.value(t, x, p_prev)
         return dual[j] - np.sum(b[j] * grads, axis=-1)
 
-    tracker = _IterationTracker(fixed, slice(None), -1, max_iterations,
-                                stop_tolerance, record_every)
+    tracker = _IterationTracker(fixed, slice(None), -1, PIConfig(
+        max_iterations=max_iterations, stop_tolerance=stop_tolerance, record_every=record_every))
     adv_l2, grad_sup = [], []
     for n in range(max_iterations):
         values = reference_forward_sweep(grid, params, q_values, threshold, linear_term,
@@ -204,7 +204,7 @@ def configs(draw):
     tau = draw(st.floats(min_value=0.3, max_value=1.0)) * grid.spacing / (2.0 * dim * N)
     steps = draw(st.integers(min_value=1, max_value=40))
     kwargs = dict(tau=tau, max_iterations=draw(st.integers(min_value=1, max_value=8)),
-                  stop_tolerance=draw(st.sampled_from([0.0, 1e-10])),
+                  stop_tolerance=draw(st.sampled_from([math.ulp(0.0), 1e-10])),
                   record_every=draw(st.integers(min_value=1, max_value=3)))
     return H, q, grid, steps * tau, M, kwargs
 
@@ -247,7 +247,7 @@ def test_explicit_start_matches_the_reference():
     q = lambda X: np.cos(X[:, 0]) + X[:, 1]
     steps = reference_generalized_pi(H, q, grid, 1.0, 2.0, max_iterations=1).params.steps
     v0 = np.random.default_rng(3).uniform(-1.0, 1.0, size=(steps + 1, grid.npoints))
-    kwargs = dict(v0=v0, max_iterations=4, stop_tolerance=0.0, record_every=1)
+    kwargs = dict(v0=v0, max_iterations=4, stop_tolerance=math.ulp(0.0), record_every=1)
     assert_runs_bitwise(generalized_pi(H, q, grid, 1.0, 2.0, **kwargs),
                         reference_generalized_pi(H, q, grid, 1.0, 2.0, **kwargs))
 

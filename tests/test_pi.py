@@ -1,5 +1,6 @@
 import functools
 import importlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hjbpi.grid import Grid
 from hjbpi.pi import (
     MONOTONE_SLACK,
     PIConfig,
+    _policy_l2_distance,
     build_initial_policies,
     fit_geometric_rate,
     run_policy_iteration,
@@ -223,7 +225,33 @@ class TestImprovementFromEvaluation:
         assert calls == {"validate_f_bound": 1, "improve_policy": 0}
 
 
+def reference_policy_l2_distance(problem, policies, fixed_policies, mask):
+    """The level-by-level loop the blocked fold must equal bit for bit."""
+    elements = problem.controls.elements
+    worst = 0.0
+    for pol, ref in zip(policies, fixed_policies):
+        diff = elements[pol[mask]] - elements[ref[mask]]
+        worst = max(worst, float(np.sqrt(np.sum(diff * diff))))
+    return worst
+
+
 class TestPolicyDistance:
+    @pytest.mark.parametrize("seed", range(100))
+    def test_blocked_fold_matches_the_per_level_loop(self, seed):
+        # up to 20,000 points: wide rows make blocks of one level
+        rng = np.random.default_rng(seed)
+        controls = ControlSet(rng.normal(size=(int(rng.integers(1, 30)),
+                                               int(rng.integers(1, 3)))))
+        problem = SimpleNamespace(controls=controls)
+        shape = (int(rng.integers(1, 60)), int(rng.choice([5, 201, 628, 20000])))
+        policies, fixed = (rng.integers(0, controls.size, size=shape).astype(
+            controls.index_dtype) for _ in range(2))
+        if seed % 3 == 0:  # a broadcast initial policy
+            policies = np.broadcast_to(policies[0], shape)
+        mask = rng.uniform(size=shape[1]) < 0.8
+        assert (_policy_l2_distance(problem, policies, fixed, mask)
+                == reference_policy_l2_distance(problem, policies, fixed, mask))
+
     def test_zero_for_identical_policies(self):
         _, _, _, run = run_benchmark("zero")
         assert run.policy_l2[0] == 0.0

@@ -206,11 +206,11 @@ class WholeArrayTracker(pi_module._IterationTracker):
                 raise MonotonicityError(
                     f"iterate {n} rose {increase:.3e} above its predecessor "
                     f"(tolerance {MONOTONE_ABORT:.0e}); scheme bug or CFL breach")
-            settled = float(np.max(np.abs(step))) < self.stop_tolerance
+            settled = float(np.max(np.abs(step))) < self.stop.stop_tolerance
         if settled:
             self.stop_reason = "tolerance"
-        done = settled or n == self.max_iterations - 1
-        if n % self.record_every == 0 or done:
+        done = settled or n == self.stop.max_iterations - 1
+        if n % self.stop.record_every == 0 or done:
             self.iterates.append((n, iterate))
         self.prev_values = values
         return done
@@ -234,7 +234,7 @@ def decreasing_iterates(rows, width, count, seed):
 
 def both_trackers(fixed, region, max_iterations):
     """The blocked tracker and the whole-array reference, set up alike."""
-    return [cls(fixed, region, 0, max_iterations, 1e-10, 3)
+    return [cls(fixed, region, 0, PIConfig(max_iterations=max_iterations, record_every=3))
             for cls in (pi_module._IterationTracker, WholeArrayTracker)]
 
 

@@ -54,7 +54,7 @@ def test_tracker_record_peak_on_a_legendre_pi_sized_run():
     fixed = rng.uniform(size=(levels, npoints))
     first, second = fixed + 1.0, fixed + 0.5
     for region in (slice(None), rng.uniform(size=npoints) < 0.5):
-        tracker = _IterationTracker(fixed, region, 0, 10, 1e-10, 1)
+        tracker = _IterationTracker(fixed, region, 0, PIConfig(max_iterations=10, record_every=1))
         tracker.record(0, first, None)
         peak = traced_peak(lambda: tracker.record(1, second, None))
         assert peak <= bound(npoints), peak

@@ -3,7 +3,8 @@
 ``bench/workloads.py`` pins four CLI runs and the SHA-256 of the artifact
 set each one writes.  Running them here turns a drift of a single bit into
 a failed test, not only a failed benchmark run.  The file is loaded by its
-path, since ``bench`` is not a package.
+path, since ``bench`` is not a package.  ``MODE_PINS`` adds the modes no
+workload runs (tau-study and probes), with the same digest.
 """
 
 import importlib.util
@@ -28,13 +29,40 @@ def load_workloads():
 PINNED = load_workloads()
 
 
-@pytest.mark.parametrize("name", sorted(PINNED.WORKLOADS))
-def test_workload_reproduces_its_digest(tmp_path, name, capsys):
-    workload = PINNED.WORKLOADS[name]
+# (mode, config, digest); the first probes config has a point on the kink
+# (a skipped row), the second one empty oracle_control cells.
+MODE_PINS = {
+    "tau-study-eikonal": (
+        "tau-study",
+        "benchmark: eikonal-cos\nscheme.h: 0.1\nstudy.tau_values: 0.04, 0.02, 0.01, 0.005\n",
+        "0390e9e0beda3c4fe677cfa9eb2aa4a26a1a4df85b84e1ed0367077ac65d051a"),
+    "probes-eikonal": (
+        "probes",
+        "benchmark: eikonal-cos\nscheme.h: 0.1\nprobes.points: 0, 0.5, 3.14159, 5\n",
+        "e6a6d84802c679f9671456a916a5650e1cea7a74bcd04902c8314116daeace69"),
+    "probes-lq": (
+        "probes",
+        "benchmark: quadratic-lq\nscheme.h: 0.1\nprobes.points: -1.5, 0, 0.7\n",
+        "05aa3697c71a93436172e7693f906bee583a9d3373ecfba504554ef1914530d6"),
+}
+
+
+def run_digest(tmp_path, mode, text):
+    """Run ``mode`` on config ``text`` through ``cli.main``; the artifact digest."""
     config = tmp_path / "config.cfg"
-    config.write_text(workload.config)
+    config.write_text(text)
     outdir = tmp_path / "artifacts"
-    code = cli.main([workload.mode, "--config", str(config), "--output", str(outdir)])
-    capsys.readouterr()
-    assert code == 0
-    assert PINNED.artifact_digest(outdir) == workload.digest
+    assert cli.main([mode, "--config", str(config), "--output", str(outdir)]) == 0
+    return PINNED.artifact_digest(outdir)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED.WORKLOADS))
+def test_workload_reproduces_its_digest(tmp_path, name):
+    workload = PINNED.WORKLOADS[name]
+    assert run_digest(tmp_path, workload.mode, workload.config) == workload.digest
+
+
+@pytest.mark.parametrize("name", sorted(MODE_PINS))
+def test_mode_reproduces_its_digest(tmp_path, name):
+    mode, text, digest = MODE_PINS[name]
+    assert run_digest(tmp_path, mode, text) == digest
