@@ -5,8 +5,6 @@ and the fitted order sits near 1.  On the eikonal benchmark kinks form and
 the guaranteed rate drops toward 1/2; the fit must stay above 0.45.
 """
 
-import numpy as np
-
 from hjbpi import get_benchmark
 from hjbpi.analysis import run_h_rate_study, run_tau_refinement_study
 
@@ -30,4 +28,4 @@ for tau, dist in zip(study.tau_values, study.distances):
     print(f"  tau {tau:8.5f} -> next: {dist:10.4e}")
 print("  distances shrink ~linearly in tau; extrapolated t=0 slice kept as the")
 print("  semi-discrete reference (sup |extrap - finest| = %.2e)"
-      % float(np.max(np.abs(study.extrapolated - study.solutions[-1].values[0]))))
+      % study.errors[-1])

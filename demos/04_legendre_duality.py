@@ -57,8 +57,8 @@ problem = ControlProblem(
 )
 params = SchemeParams.create(grid.spacing, 1.0, 1.0, tau=run.params.tau, N=run.params.N)
 control_run = run_policy_iteration(problem, grid, params, PIConfig(max_iterations=80))
-forward = run.iterates[-1][1]
-backward = reverse_time_slices(control_run.iterates[-1][1])
+forward = run.last_iterate
+backward = reverse_time_slices(control_run.last_iterate)
 print(f"\nsup distance to the sampled-control formulation: "
       f"{np.max(np.abs(forward - backward)):.3e}")
 print("(what remains is the control-sampling error of the 21-point grid)")

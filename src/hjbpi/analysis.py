@@ -277,7 +277,6 @@ class TauRefinementStudy:
     tau_values: tuple
     distances: tuple
     extrapolated: np.ndarray
-    solutions: tuple
     errors: tuple
     l2_errors: tuple
 
@@ -285,13 +284,13 @@ class TauRefinementStudy:
 def run_tau_refinement_study(benchmark, h, tau_values, T):
     check_refinement(tau_values, TAU_STUDY_LEVELS, "tau study")
     problem = benchmark.problem
-    sols, taus = [], []
+    slices, taus = [], []
     for tau in tau_values:
         grid, params = spacing_params(benchmark, h, T, tau)
-        sols.append(solve_hjb_direct(problem, grid, params))
+        # a copy of the t=0 row, so the rest of the solve is not kept
+        slices.append(solve_hjb_direct(problem, grid, params).values[0].copy())
         taus.append(params.tau)
     mask = grid.interior_mask(problem.f_sup_bound * T)
-    slices = [s.values[0] for s in sols]
     distances = tuple(float(np.max(np.abs(a[mask] - b[mask])))
                       for a, b in zip(slices, slices[1:]))
     (t1, t2), (v1, v2) = taus[-2:], slices[-2:]
@@ -299,7 +298,6 @@ def run_tau_refinement_study(benchmark, h, tau_values, T):
     diffs = [a - b for a, b in zip(slices, slices[1:] + [extrapolated])]
     return TauRefinementStudy(h=grid.spacing, tau_values=tuple(taus),
                               distances=distances, extrapolated=extrapolated,
-                              solutions=tuple(sols),
                               errors=tuple(float(np.max(np.abs(d))) for d in diffs),
                               l2_errors=tuple(float(np.sqrt(np.sum(d ** 2))) for d in diffs))
 

@@ -112,7 +112,6 @@ class ExperimentConfig:
     output_dir: str = "out"
     pi_max_iterations: int = 100
     pi_stop_tolerance: float = 1e-10
-    pi_record_every: int = 10
     pi_initial_policy: str = "benchmark-default"
     study_h_values: Optional[tuple] = None
     study_tau_values: Optional[tuple] = None
@@ -170,7 +169,6 @@ _KEYS = {
     "output_dir": ("output_dir", str),
     "pi.max_iterations": ("pi_max_iterations", int),
     "pi.stop_tolerance": ("pi_stop_tolerance", float),
-    "pi.record_every": ("pi_record_every", int),
     "pi.initial_policy": ("pi_initial_policy", _choice("initial policy", INITIAL_POLICIES)),
     "study.h_values": ("study_h_values", _floats),
     "study.tau_values": ("study_tau_values", _floats),
@@ -180,14 +178,14 @@ _KEYS = {
     "probes.h_values": ("probe_h_values", _floats),
 }
 _POSITIVE_KEYS = ("scheme.h", "scheme.tau", "scheme.N", "scheme.T", "pi.max_iterations",
-                  "pi.stop_tolerance", "pi.record_every", "legendre.M",
+                  "pi.stop_tolerance", "legendre.M",
                   "study.h_values", "study.tau_values", "probes.h_values")
-_FINITE_KEYS = ("problem.control_min", "problem.control_max")
+_FINITE_KEYS = ("problem.control_min", "problem.control_max", "problem.box")
 KNOWN_KEYS = sorted(_KEYS)
 # The type a cast gives (of each entry, for a list) and its name; any other
 # cast gives a str.  Code may build a config with an int for a float, a list for a tuple.
 _TYPES = {int: (Integral, "an integer"), float: (Real, "a number"), _bool: (bool, "a boolean"),
-          _floats: (Real, "a list of numbers"), _pair: (Real, "a pair of numbers")}
+          _floats: (Real, "a list of numbers"), _pair: (Real, "a pair of numbers lo < hi")}
 
 
 def _get(config, key):
@@ -249,7 +247,9 @@ def parse_config(text, mode=None):
     try:
         validate_config(config)
     except ConfigParseError as exc:
-        # the defaults are in range, so the rejected entry has a line here
+        # a default, blamed for other keys' values (equal control ends), has no line
+        if exc.key not in lines:
+            raise
         line_no = lines[exc.key]
         raise ConfigParseError(f"line {line_no}: {exc}", line_no=line_no,
                                key=exc.key) from None
@@ -262,10 +262,12 @@ def validate_config(config):
     A value of a type its key's cast does not give, a name outside its
     choices, scheme numbers, ``pi.*`` numbers, ``legendre.M`` and spacing
     or step list entries that are not finite and > 0, non-finite control
-    bounds, and probe points not finite or outside a clamped box raise
-    ``ConfigParseError`` naming the key.  So do study lists too short or
-    not strictly decreasing, and list entries whose grid or scheme
-    parameters, built as the study or probe run builds them, are rejected.
+    bounds, a box not finite and increasing, and probe points not finite
+    or outside a clamped box raise ``ConfigParseError`` naming the key.
+    So do study lists too short or not strictly decreasing, list entries
+    whose grid or scheme parameters, built as the study or probe run
+    builds them, are rejected, and a control sample count or
+    ``f_sup_bound`` that the inline problem's constructors reject.
     The CFL check builds the grid and scheme parameters the run itself
     builds, so the snapped spacing, the dimension and legendre-pi's
     viscosity N = m2/2 are the ones checked.  An inline problem's callbacks
@@ -279,8 +281,9 @@ def validate_config(config):
             continue
         kind, want = _TYPES.get(cast, (str, "a string"))
         entries = value if cast in (_floats, _pair) else (value,)
-        if (not isinstance(entries, (tuple, list)) or cast is _pair and len(entries) != 2
-                or not all(isinstance(entry, kind) for entry in entries)):
+        if (not isinstance(entries, (tuple, list))
+                or not all(isinstance(entry, kind) for entry in entries)
+                or cast is _pair and not (len(entries) == 2 and entries[0] < entries[1])):
             raise ConfigParseError(f"{key!r} must be {want}, got {value!r}", key=key)
         if hasattr(cast, "names"):
             with _blame(key):
@@ -345,15 +348,17 @@ def _resolve_benchmark(config):
     if config.benchmark is not None:
         return get_benchmark(config.benchmark)
     spec = config.problem
-    problem = ControlProblem(
-        dynamics=DYNAMICS_FORMS[spec.dynamics][0],
-        running_cost=RUNNING_COST_FORMS[spec.running_cost][0],
-        terminal_cost=TERMINAL_FORMS[spec.terminal_cost][0],
-        controls=ControlSet.uniform(spec.control_min, spec.control_max,
-                                    spec.control_samples),
-        f_sup_bound=spec.f_sup_bound,
-        time_invariant=True,  # no named form reads t
-    )
+    with _blame("problem.control_samples"):
+        controls = ControlSet.uniform(spec.control_min, spec.control_max, spec.control_samples)
+    with _blame("problem.f_sup_bound"):
+        problem = ControlProblem(
+            dynamics=DYNAMICS_FORMS[spec.dynamics][0],
+            running_cost=RUNNING_COST_FORMS[spec.running_cost][0],
+            terminal_cost=TERMINAL_FORMS[spec.terminal_cost][0],
+            controls=controls,
+            f_sup_bound=spec.f_sup_bound,
+            time_invariant=True,  # no named form reads t
+        )
     return Benchmark(name="inline", problem=problem, box=spec.box, periodic=spec.periodic)
 
 
@@ -415,8 +420,7 @@ def _run_pi(config, benchmark, outdir):
     params = _make_params(config, grid, benchmark.problem)
     pi_config = PIConfig(initial_policy=_initial_policies(config, benchmark, grid, params),
                          max_iterations=config.pi_max_iterations,
-                         stop_tolerance=config.pi_stop_tolerance,
-                         record_every=config.pi_record_every)
+                         stop_tolerance=config.pi_stop_tolerance)
     run = run_policy_iteration(benchmark.problem, grid, params, pi_config)
     items = _report_iterations(run, os.path.join(outdir, "pi_run.csv"), run.policy_l2)
     artifact_io.write_solution_csv(run.fixed_point, os.path.join(outdir, "fixed_point.csv"))
@@ -495,8 +499,7 @@ def _run_legendre_pi(config, benchmark, outdir):
     run = generalized_pi(H, benchmark.problem.terminal_cost, grid, config.T,
                          config.legendre_M, tau=config.tau,
                          max_iterations=config.pi_max_iterations,
-                         stop_tolerance=config.pi_stop_tolerance,
-                         record_every=config.pi_record_every)
+                         stop_tolerance=config.pi_stop_tolerance)
     resolution = ("legendre_resolution", run.legendre_resolution)
     # the policy_l2 column holds the advection field's distance
     items = _report_iterations(run, os.path.join(outdir, "legendre_run.csv"),

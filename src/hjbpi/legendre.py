@@ -268,7 +268,7 @@ class GeneralizedPIRun:
     params: SchemeParams
     modified: ModifiedHamiltonian
     fixed_point: np.ndarray               # (steps + 1, npoints), levels 0..steps forward
-    iterates: list                        # (iteration, values array), thinned
+    last_iterate: np.ndarray              # the final linearized run, same layout
     errors_to_fixed_point: np.ndarray
     errors_l2: np.ndarray                 # at the far end t = T
     advection_l2: np.ndarray              # l2 distance of grad_p H~ to the fixed point's
@@ -355,7 +355,7 @@ def legendre_scheme(H, M, grid, T, tau=None):
 
 
 def generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations=60,
-                   stop_tolerance=1e-10, record_every=10):
+                   stop_tolerance=1e-10):
     """Iterate the linearized forward equation against frozen coefficients.
 
     Each iterate freezes the advection field grad_p H~ and the dual values
@@ -364,10 +364,9 @@ def generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations=60,
     evaluated through the Fenchel equality p . grad_p H~(p) - H~(p) (or the
     analytic dual when provided), which keeps the monotone-decrease
     property sharp instead of noisy at the numeric-transform resolution.
-    The stop rule's three numbers are checked as ``PIConfig`` checks them.
+    The stop rule's two numbers are checked as ``PIConfig`` checks them.
     """
-    stop = PIConfig(max_iterations=max_iterations, stop_tolerance=stop_tolerance,
-                    record_every=record_every)
+    stop = PIConfig(max_iterations=max_iterations, stop_tolerance=stop_tolerance)
     mod, params = legendre_scheme(H, M, grid, T, tau)
     coords = grid.coordinates()
     q_values = np.broadcast_to(np.asarray(q(coords), dtype=float), (grid.npoints,))
@@ -435,13 +434,14 @@ def generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations=60,
                                 freeze, block)
         adv_l2.append(float(np.max(level_adv_l2)))
         grad_sup.append(float(np.max(level_grad_sup)))
-        if tracker.record(n, values, values):
+        if tracker.record(n, values):
             break
 
     return GeneralizedPIRun(
         params=params,
         modified=mod,
         fixed_point=fixed,
+        last_iterate=values,
         advection_l2=np.array(adv_l2),
         gradient_sup=np.array(grad_sup),
         legendre_resolution=resolution,

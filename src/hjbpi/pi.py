@@ -14,9 +14,9 @@ sup norms run once, in the direct solve, and are handed to every
 evaluation.
 
 The run bookkeeping (distance to the fixed point, monotone-decrease check,
-stop rule, iterate thinning) lives in one private tracker shared with the
-Legendre-linearized iteration in ``legendre``; each driver adds only its
-own diagnostics.
+stop rule) lives in one private tracker shared with the Legendre-linearized
+iteration in ``legendre``; each driver adds only its own diagnostics.  A
+run keeps its per-iteration scalars and its last iterate, not the others.
 """
 
 from __future__ import annotations
@@ -41,20 +41,17 @@ INITIAL_POLICY_RULES = ("first-control", "argmin-of-c")
 
 @dataclass(frozen=True)
 class PIConfig:
-    """How to start, when to stop, and how much to keep."""
+    """How to start and when to stop."""
 
     initial_policy: Union[str, np.ndarray] = "argmin-of-c"
     max_iterations: int = 100
     stop_tolerance: float = 1e-10
-    record_every: int = 10
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be >= 1")
         if not self.stop_tolerance > 0.0:
             raise ConfigurationError("stop_tolerance must be positive")
-        if self.record_every < 1:
-            raise ConfigurationError("record_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -71,10 +68,9 @@ class GeometricFit:
 class PIRun:
     """Everything a policy-iteration run produced."""
 
-    config: PIConfig
     params: SchemeParams
     fixed_point: SpaceTimeSolution
-    iterates: list                       # (iteration, SpaceTimeSolution), thinned
+    last_iterate: SpaceTimeSolution      # the final evaluation
     errors_to_fixed_point: np.ndarray    # sup over measured region, all levels
     errors_l2: np.ndarray                # unweighted l2 over measured region at t=0
     policy_l2: np.ndarray                # max over levels of l2 control distance
@@ -137,10 +133,11 @@ class _IterationTracker:
 
     ``region`` selects the points the sup distance to the fixed point is
     measured over, ``l2_level`` the level of the l2 distance, and the
-    ``PIConfig`` ``stop`` the stop rule and the thinning.  ``record``
-    books one iterate (values of shape (levels, points)) and says whether
-    the run stops after it.  It folds the sup distance, the rise, the
-    violation count and the settle test over blocks of rows
+    ``PIConfig`` ``stop`` the stop rule.  ``record`` books one iterate
+    (values of shape (levels, points)) and says whether the run stops
+    after it; it holds those values until the next ``record`` and keeps
+    only scalars of the iterates before.  It folds the sup distance, the
+    rise, the violation count and the settle test over blocks of rows
     (``grid.row_blocks``), so no (levels, points) temporary exists.
     """
 
@@ -150,13 +147,12 @@ class _IterationTracker:
         self.l2_level = l2_level
         self.stop = stop
         self.errors, self.errors_l2, self.mono_worst = [], [], []
-        self.iterates = []
         self.violation_count = 0
         self.worst_violation = 0.0
         self.stop_reason = "max_iterations"
         self.prev_values = None
 
-    def record(self, n, values, iterate):
+    def record(self, n, values):
         blocks = row_blocks(len(values), values.shape[1])
         region, fixed = self.region, self.fixed_values
         sup = []
@@ -188,16 +184,12 @@ class _IterationTracker:
             settled = float(np.max(moves)) < self.stop.stop_tolerance
         if settled:
             self.stop_reason = "tolerance"
-        done = settled or n == self.stop.max_iterations - 1
-        if n % self.stop.record_every == 0 or done:
-            self.iterates.append((n, iterate))
         self.prev_values = values
-        return done
+        return settled or n == self.stop.max_iterations - 1
 
     def fields(self):
         """The run-record fields both PIRun and GeneralizedPIRun carry."""
         return dict(
-            iterates=self.iterates,
             errors_to_fixed_point=np.array(self.errors),
             errors_l2=np.array(self.errors_l2),
             monotonicity_worst=np.array(self.mono_worst),
@@ -232,14 +224,14 @@ def run_policy_iteration(problem, grid, params, config=None):
         sol = evaluate_policy(problem, grid, params, policies, sup_norms=sup_norms)
         policy_l2.append(_policy_l2_distance(problem, policies, fixed.policy_slices[1:], mask))
         fp_excess.append(max(0.0, _max_difference(fixed_values, sol.values)))
-        if tracker.record(n, sol.values, sol):
+        if tracker.record(n, sol.values):
             break
         policies = sol.policy_slices[1:]
 
     return PIRun(
-        config=config,
         params=params,
         fixed_point=fixed,
+        last_iterate=sol,
         policy_l2=np.array(policy_l2),
         fixed_point_excess=np.array(fp_excess),
         measured_mask=mask,

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from hjbpi import pi as pi_module
 from hjbpi.analysis import run_h_rate_study, semi_concavity_probe
 from hjbpi.benchmarks import get_benchmark, lq_feedback_policies
 from hjbpi.cli import ExperimentConfig, run_experiment
@@ -32,7 +33,7 @@ def verdict(criterion, ok, detail):
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-def timed_pi_run(benchmark_name, h, tau=None, initial="rule:argmin-of-c",
+def timed_pi_run(spy, evaluations, benchmark_name, h, tau=None, initial="rule:argmin-of-c",
                  max_iterations=80):
     bench = get_benchmark(benchmark_name)
     grid = bench.make_grid(h)
@@ -41,37 +42,45 @@ def timed_pi_run(benchmark_name, h, tau=None, initial="rule:argmin-of-c",
         policy = lq_feedback_policies(bench.problem, grid, params)
     else:
         policy = initial.split(":", 1)[1]
-    config = PIConfig(initial_policy=policy, max_iterations=max_iterations,
-                      record_every=1)
-    start = time.perf_counter()
-    run = run_policy_iteration(bench.problem, grid, params, config)
-    elapsed = time.perf_counter() - start
+    config = PIConfig(initial_policy=policy, max_iterations=max_iterations)
+    with spy(pi_module, "evaluate_policy") as made:
+        start = time.perf_counter()
+        run = run_policy_iteration(bench.problem, grid, params, config)
+        elapsed = time.perf_counter() - start
+    evaluations[benchmark_name] = made
     return bench, grid, params, run, elapsed
 
 
 @pytest.fixture(scope="module")
-def lq_run():
+def evaluations():
+    """Benchmark name -> every evaluation of its pinned run, in order: a run
+    keeps only its last iterate, so a spy on pi.evaluate_policy records them."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def lq_run(spy, evaluations):
     # pinned: d=1, box [-2,2] clamped, 21 control samples, h=0.05, T=1;
     # the x-dependent feedback start is the one initialization with a
     # non-trivial decay history (constant rules collapse in two steps)
-    return timed_pi_run("quadratic-lq", h=0.05, initial="lq-feedback")
+    return timed_pi_run(spy, evaluations, "quadratic-lq", h=0.05, initial="lq-feedback")
 
 
 @pytest.fixture(scope="module")
-def eik_run():
+def eik_run(spy, evaluations):
     # pinned: periodic, h=0.1, T=1; tau refined to 0.01 so the lock-in
     # front crosses enough levels to expose the geometric phase
-    return timed_pi_run("eikonal-cos", h=0.1, tau=0.01)
+    return timed_pi_run(spy, evaluations, "eikonal-cos", h=0.1, tau=0.01)
 
 
 @pytest.fixture(scope="module")
-def transport_run():
-    return timed_pi_run("transport-sin", h=0.1)
+def transport_run(spy, evaluations):
+    return timed_pi_run(spy, evaluations, "transport-sin", h=0.1)
 
 
 @pytest.fixture(scope="module")
-def zero_run():
-    return timed_pi_run("zero", h=0.1)
+def zero_run(spy, evaluations):
+    return timed_pi_run(spy, evaluations, "zero", h=0.1)
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +121,7 @@ class TestCriterion1GeometricConvergence:
         # (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 2009)
         _, _, _, run, _ = lq_run
         errors = run.errors_to_fixed_point
-        last = run.iterates[-1][1]
+        last = run.last_iterate
         same_policies = np.array_equal(last.policy_slices[1:],
                                        run.fixed_point.policy_slices[1:])
         ok = errors[-1] == 0.0 and run.stop_reason == "tolerance" and same_policies
@@ -189,11 +198,14 @@ def test_criterion_4_comparison_principle(all_runs):
     assert ok
 
 
-def test_criterion_5_apriori_bounds(all_runs):
+def test_criterion_5_apriori_bounds(all_runs, evaluations):
     worst = -math.inf
     for name, (_, _, _, run, _) in all_runs.items():
         worst = max(worst, run.fixed_point.bound_excess())
-        for _, sol in run.iterates:
+        made = evaluations[name]
+        assert len(made) == run.iterations_used
+        assert made[-1] is run.last_iterate
+        for sol in made:
             worst = max(worst, sol.bound_excess())
     ok = worst <= 1e-9
     verdict("5 a-priori bounds", ok, f"worst excess {worst:.2e} <= 1e-9")
@@ -260,8 +272,8 @@ def test_criterion_7_legendre_consistency():
     params = SchemeParams.create(grid.spacing, 1.0, 1.0, tau=grun.params.tau,
                                  N=grun.params.N)
     crun = run_policy_iteration(prob, grid, params, PIConfig(max_iterations=80))
-    forward = grun.iterates[-1][1]
-    backward = reverse_time_slices(crun.iterates[-1][1])
+    forward = grun.last_iterate
+    backward = reverse_time_slices(crun.last_iterate)
     cross = float(np.max(np.abs(forward - backward)))
 
     ok = worst_dual <= 1e-3 and fy_gap <= 1e-3 and cross <= 2e-2

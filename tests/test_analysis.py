@@ -414,7 +414,7 @@ class TestTauRefinement:
         # dyadic steps keep the running sums exact, so slices agree bitwise
         study = run_tau_refinement_study(bench, 0.1, [1 / 32, 1 / 64, 1 / 128], 1.0)
         assert all(d == 0.0 for d in study.distances)
-        assert np.array_equal(study.extrapolated, np.ones(study.solutions[0].grid.npoints))
+        assert np.array_equal(study.extrapolated, np.ones(bench.make_grid(0.1).npoints))
 
     def test_boundary_step_accepted_and_beyond_rejected(self):
         bench = get_benchmark("eikonal-cos")

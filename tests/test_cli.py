@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -80,7 +82,7 @@ class TestParseConfig:
             parse_config("benchmark: zero\nscheme.h: 0.1\nwibble: 3\n")
         assert err.value.line_no == 3 and err.value.key == "wibble"
 
-    @pytest.mark.parametrize("key", ["seed", "threads"])
+    @pytest.mark.parametrize("key", ["seed", "threads", "pi.record_every"])
     def test_removed_knobs_are_unknown_keys(self, key, tmp_path):
         with pytest.raises(ConfigParseError) as err:
             parse_config(f"benchmark: zero\nscheme.h: 0.1\n{key}: 3\n")
@@ -112,7 +114,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key", ["scheme.h", "scheme.tau", "scheme.N", "scheme.T",
                                      "pi.max_iterations", "pi.stop_tolerance",
-                                     "pi.record_every", "legendre.M"])
+                                     "legendre.M"])
     @pytest.mark.parametrize("bad", ["0", "-0.5", "nan", "inf"])
     def test_scheme_numbers_must_be_finite_and_positive(self, key, bad, tmp_path, capsys):
         (tmp_path / "exp.cfg").write_text(f"benchmark: eikonal-cos\nmode: solve\n{key}: {bad}\n")
@@ -229,6 +231,41 @@ class TestParseConfig:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, bad, value, message", [
+        ("problem.control_samples", "0", 0, ": control sample count must be >= 1"),
+        ("problem.f_sup_bound", "nan", math.nan,
+         ": f_sup_bound must be a finite non-negative real"),
+        ("problem.f_sup_bound", "-1", -1.0, ": f_sup_bound must be a finite non-negative real"),
+        ("problem.box", "1, -1", (1.0, -1.0),
+         " must be a pair of numbers lo < hi, got (1.0, -1.0)"),
+    ], ids=["control_samples", "f_sup_bound-nan", "f_sup_bound-negative", "box-reversed"])
+    def test_inline_problem_value_names_its_key(self, key, bad, value, message, tmp_path,
+                                                capsys):
+        (tmp_path / "exp.cfg").write_text(f"scheme.h: 0.1\n{key}: {bad}\n")
+        code = main(["solve", "--config", str(tmp_path / "exp.cfg"),
+                     "--output", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: line 2: {key!r}{message}\n"
+        assert not (tmp_path / "out").exists()
+        # the same value in a config built in code
+        problem = InlineProblemSpec(**{cli._KEYS[key][0]: value})
+        code = run_experiment(ExperimentConfig(mode="solve", problem=problem,
+                                               output_dir=str(tmp_path / "out")))
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {key!r}{message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_equal_control_ends_blame_the_default_sample_count(self, tmp_path, capsys):
+        # 21 samples of [1, 1] repeat; the count is a default, so no line
+        (tmp_path / "exp.cfg").write_text(
+            "scheme.h: 0.1\nproblem.control_min: 1\nproblem.control_max: 1\n")
+        code = main(["solve", "--config", str(tmp_path / "exp.cfg"),
+                     "--output", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == ("error: 'problem.control_samples': "
+                                           "control set elements must be distinct\n")
+        assert not (tmp_path / "out").exists()
+
     def test_legendre_m_whose_probes_overflow_rejected(self, tmp_path, capsys):
         # finite and > 0, but H = |p|^2/2 on |p| = 2M overflows to inf
         (tmp_path / "exp.cfg").write_text(
@@ -272,7 +309,6 @@ def random_config(rng):
         output_dir=f"out{rng.integers(100)}",
         pi_max_iterations=int(rng.integers(1, 200)),
         pi_stop_tolerance=float(rng.choice([1e-8, 1e-10])),
-        pi_record_every=int(rng.integers(1, 20)),
         pi_initial_policy=str(rng.choice(["benchmark-default", "first-control",
                                           "argmin-of-c"])),
         study_h_values=None if rng.random() < 0.5 else (0.2, 0.1, 0.05, 0.025),
@@ -314,7 +350,7 @@ EVERY_KEY = ExperimentConfig(
                               control_min=-2.0, control_max=2.0, control_samples=5,
                               f_sup_bound=2.0),
     h=0.05, tau=0.01, N=2.0, T=0.5, output_dir="artifacts", pi_max_iterations=7,
-    pi_stop_tolerance=1e-8, pi_record_every=3, pi_initial_policy="argmin-of-c",
+    pi_stop_tolerance=1e-8, pi_initial_policy="argmin-of-c",
     study_h_values=(0.2, 0.1, 0.05, 0.025), study_tau_values=(0.02, 0.01),
     legendre_M=1.5, legendre_hamiltonian="half-square", probe_points=(0.5, -1.0),
     probe_h_values=(0.1, 0.05))
@@ -339,7 +375,6 @@ scheme.T: 0.5
 output_dir: artifacts
 pi.max_iterations: 7
 pi.stop_tolerance: 1e-08
-pi.record_every: 3
 pi.initial_policy: argmin-of-c
 study.h_values: 0.2, 0.1, 0.05, 0.025
 study.tau_values: 0.02, 0.01
@@ -356,9 +391,29 @@ def test_serialize_key_order_is_pinned():
     assert sorted(keys) == cli.KNOWN_KEYS
 
 
-def test_every_known_key_is_documented_in_the_readme():
+def readme_config_keys():
+    """The keys named in the first column of the README's config-key table."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    assert [key for key in cli.KNOWN_KEYS if f"`{key}`" not in readme] == []
+    table = readme.partition("### Config keys\n\n")[2].partition("\n\n")[0]
+    rows = table.splitlines()[2:]  # below the header and its rule
+    assert rows and all(row.startswith("| `") for row in rows)
+    return [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])
+            if not key.endswith(".*")]
+
+
+def test_every_known_key_is_documented_in_the_readme():
+    # both ways: no key undocumented, no documented key unknown
+    assert sorted(readme_config_keys()) == cli.KNOWN_KEYS
+
+
+def test_schema_names_every_config_field_once():
+    # "problem.*" keys name InlineProblemSpec fields, the rest ExperimentConfig
+    # fields; only ExperimentConfig.problem, the spec itself, has no key
+    schema = [(key.startswith("problem."), attr) for key, (attr, _) in cli._KEYS.items()]
+    fields = ([(False, field.name) for field in dataclasses.fields(ExperimentConfig)
+               if field.name != "problem"]
+              + [(True, field.name) for field in dataclasses.fields(InlineProblemSpec)])
+    assert sorted(schema) == sorted(fields)
 
 
 class TestRunExperiment:
@@ -419,7 +474,7 @@ class TestRunExperiment:
         (dict(probe_points=("0.5",)), "'probes.points' must be a list of numbers"),
         (dict(mode=["solve"]), "'mode' must be a string, got ['solve']"),
         (dict(benchmark=None, problem=InlineProblemSpec(box=(0.0,))),
-         "'problem.box' must be a pair of numbers, got (0.0,)"),
+         "'problem.box' must be a pair of numbers lo < hi, got (0.0,)"),
         (dict(benchmark=None, problem=InlineProblemSpec(periodic=1)),
          "'problem.periodic' must be a boolean, got 1"),
     ])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hjbpi import legendre as legendre_module
 from hjbpi.benchmarks import get_benchmark
 from hjbpi.errors import ConfigurationError
 from hjbpi.grid import Grid
@@ -220,8 +221,8 @@ class TestGeneralizedPI:
         params = SchemeParams.create(grid.spacing, 1.0, 1.0, tau=run.params.tau,
                                      N=run.params.N)
         crun = run_policy_iteration(prob, grid, params, PIConfig(max_iterations=80))
-        forward = run.iterates[-1][1]
-        backward = reverse_time_slices(crun.iterates[-1][1])
+        forward = run.last_iterate
+        backward = reverse_time_slices(crun.last_iterate)
         assert np.max(np.abs(forward - backward)) <= 2e-2
 
     def test_advection_distance_reported(self):
@@ -252,7 +253,7 @@ def test_v0_of_the_wrong_shape_rejected():
 
 @pytest.mark.parametrize("stop", [dict(max_iterations=0), dict(max_iterations=-3),
                                   dict(stop_tolerance=0.0), dict(stop_tolerance=math.nan),
-                                  dict(record_every=0)])
+                                  dict(stop_tolerance=-1.0)])
 def test_stop_rule_rejected_as_pi_config_rejects_it(stop):
     grid = get_benchmark("eikonal-cos").make_grid(0.2)
     with pytest.raises(ConfigurationError) as expected:
@@ -288,46 +289,50 @@ class TestBlockLinearization:
     result must equal the level-by-level run bit for bit."""
 
     @staticmethod
-    def assert_runs_equal(H, grid, T, M=2.0, q=lambda X: np.cos(X[:, 0])):
-        flagged, unflagged = (
-            generalized_pi(dataclasses.replace(H, time_invariant=flag), q, grid, T, M,
-                           max_iterations=6, stop_tolerance=math.ulp(0.0), record_every=1)
-            for flag in (True, False))
+    def assert_runs_equal(spy, H, grid, T, M=2.0, q=lambda X: np.cos(X[:, 0])):
+        """The flagged run and its sweeps: the direct run, then every iterate."""
+        runs = []
+        for flag in (True, False):
+            with spy(legendre_module, "_forward_sweep") as sweeps:
+                run = generalized_pi(dataclasses.replace(H, time_invariant=flag), q, grid, T,
+                                     M, max_iterations=6, stop_tolerance=math.ulp(0.0))
+            runs.append((run, sweeps))
+        (flagged, flagged_sweeps), (unflagged, unflagged_sweeps) = runs
         assert np.array_equal(flagged.fixed_point, unflagged.fixed_point)
         # the smallest tolerance stops a run only on an exact repeat, after
         # which every further iterate would repeat too
-        assert len(flagged.iterates) == len(unflagged.iterates) == flagged.iterations_used
+        assert len(flagged_sweeps) == len(unflagged_sweeps) == flagged.iterations_used + 1
         assert flagged.iterations_used == 6 or flagged.stop_reason == "tolerance"
-        for (n, a), (m, b) in zip(flagged.iterates, unflagged.iterates):
-            assert n == m and np.array_equal(a, b)
+        for a, b in zip(flagged_sweeps, unflagged_sweeps):
+            assert np.array_equal(a, b)
         assert np.array_equal(flagged.advection_l2, unflagged.advection_l2)
         assert np.array_equal(flagged.gradient_sup, unflagged.gradient_sup)
-        return flagged
+        return flagged, flagged_sweeps
 
     @pytest.mark.parametrize("T", [1.0, 0.05])
-    def test_one_dimensional_periodic(self, T):
+    def test_one_dimensional_periodic(self, T, spy):
         grid = get_benchmark("eikonal-cos").make_grid(0.1)
-        run = self.assert_runs_equal(quadratic_h(), grid, T)
+        run, _ = self.assert_runs_equal(spy, quadratic_h(), grid, T)
         # a ragged last block, and a run shorter than one block
         assert run.params.steps % LINEARIZE_BLOCK != 0
         assert (run.params.steps < LINEARIZE_BLOCK) == (T < 1.0)
 
-    def test_two_dimensional(self):
+    def test_two_dimensional(self, spy):
         H = ConvexHamiltonian(
             func=lambda t, x, p: 0.5 * np.sum(p * p, axis=-1), dim=2,
             grad_p=lambda t, x, p: p,
             legendre_L=lambda t, x, mu: 0.5 * np.sum(mu * mu, axis=-1))
         grid = Grid(spacing=2 * np.pi / 12, points_per_axis=(12, 12))
-        run = self.assert_runs_equal(H, grid, 1.0,
-                                     q=lambda X: np.cos(X[:, 0]) * np.sin(X[:, 1]))
+        run, _ = self.assert_runs_equal(spy, H, grid, 1.0,
+                                        q=lambda X: np.cos(X[:, 0]) * np.sin(X[:, 1]))
         assert run.params.steps > LINEARIZE_BLOCK
 
-    def test_numeric_path(self):
+    def test_numeric_path(self, spy):
         # no grad_p and no legendre_L: finite differences and the Fenchel dual
         grid = get_benchmark("eikonal-cos").make_grid(0.2)
-        self.assert_runs_equal(quadratic_h(analytic=False), grid, 1.0)
+        self.assert_runs_equal(spy, quadratic_h(analytic=False), grid, 1.0)
 
-    def test_grad_p_returning_its_argument(self):
+    def test_grad_p_returning_its_argument(self, spy):
         # a block of p is a view of the gradient rows the sweep overwrites;
         # a grad_p handing p back must give what a copying one gives
         grid = get_benchmark("eikonal-cos").make_grid(0.1)
@@ -335,9 +340,10 @@ class TestBlockLinearization:
         copying = dataclasses.replace(same, grad_p=lambda t, x, p: np.array(p))
         p = np.ones((2, 3, 1))
         assert same.gradient(0.0, p, p) is p
-        run = self.assert_runs_equal(same, grid, 1.0)
-        reference = self.assert_runs_equal(copying, grid, 1.0)
-        for (_, a), (_, b) in zip(run.iterates, reference.iterates):
+        _, sweeps = self.assert_runs_equal(spy, same, grid, 1.0)
+        _, reference = self.assert_runs_equal(spy, copying, grid, 1.0)
+        assert len(sweeps) == len(reference)
+        for a, b in zip(sweeps, reference):
             assert np.array_equal(a, b)
 
     def test_time_dependent_h_sees_every_level(self):
@@ -383,7 +389,7 @@ class TestBlockLinearization:
        amplitude=st.floats(min_value=0.0, max_value=1.0),
        cfl=st.one_of(st.just(1.0), st.floats(min_value=0.2, max_value=1.0)),
        steps=st.integers(min_value=1, max_value=40))
-def test_iterates_decrease_and_repeat_bitwise(points, M, amplitude, cfl, steps):
+def test_iterates_decrease_and_repeat_bitwise(spy, points, M, amplitude, cfl, steps):
     # tau = cfl * h / (2N) with N = m2/2 the run's own viscosity; cfl = 1 is
     # the equality case of the step bound; the flag takes the block path
     H = dataclasses.replace(quadratic_h(), time_invariant=True)
@@ -391,13 +397,17 @@ def test_iterates_decrease_and_repeat_bitwise(points, M, amplitude, cfl, steps):
     N = modify_hamiltonian(H, M).N
     tau = cfl * grid.spacing / (2.0 * N)
     q = lambda X: amplitude * np.cos(X[:, 0])
-    runs = [generalized_pi(H, q, grid, steps * tau, M, tau=tau, max_iterations=15,
-                           record_every=1) for _ in range(2)]
-    iterates = [values for _, values in runs[0].iterates]
+    runs, sweeps = [], []
+    for _ in range(2):
+        with spy(legendre_module, "_forward_sweep") as made:
+            runs.append(generalized_pi(H, q, grid, steps * tau, M, tau=tau, max_iterations=15))
+        sweeps.append(made)
+    iterates = sweeps[0][1:]  # the first sweep is the direct run
+    assert len(iterates) == runs[0].iterations_used
     for prev, cur in zip(iterates, iterates[1:]):
         assert np.max(cur - prev) <= MONOTONE_SLACK
     assert runs[0].monotonicity_violation_count == 0
     assert np.array_equal(runs[0].fixed_point, runs[1].fixed_point)
-    assert len(runs[0].iterates) == len(runs[1].iterates)
-    for (n, a), (m, b) in zip(runs[0].iterates, runs[1].iterates):
-        assert n == m and np.array_equal(a, b)
+    assert len(sweeps[0]) == len(sweeps[1])
+    for a, b in zip(*sweeps):
+        assert np.array_equal(a, b)

@@ -10,6 +10,7 @@ same error.
 
 import dataclasses
 import math
+import sys
 import textwrap
 import warnings
 
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hjbpi import legendre as legendre_module
 from hjbpi.benchmarks import get_benchmark
 from hjbpi.cli import EXIT_BLOWUP
 from hjbpi.errors import MonotonicityError, NumericalBlowupError
@@ -75,7 +77,7 @@ def reference_forward_sweep(grid, params, q_values, threshold, term, gradients):
 
 
 def reference_generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations=60,
-                             stop_tolerance=1e-10, record_every=10):
+                             stop_tolerance=1e-10):
     clipped, params = legendre_scheme(H, M, grid, T, tau)
     mod = ThreeBranchHamiltonian(base=H, M=clipped.M, m1=clipped.m1, m2=clipped.m2)
     coords = grid.coordinates()
@@ -125,20 +127,21 @@ def reference_generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations
         return dual[j] - np.sum(b[j] * grads, axis=-1)
 
     tracker = _IterationTracker(fixed, slice(None), -1, PIConfig(
-        max_iterations=max_iterations, stop_tolerance=stop_tolerance, record_every=record_every))
+        max_iterations=max_iterations, stop_tolerance=stop_tolerance))
     adv_l2, grad_sup = [], []
     for n in range(max_iterations):
         values = reference_forward_sweep(grid, params, q_values, threshold, linear_term,
                                          gradients)
         adv_l2.append(float(np.max(level_adv_l2)))
         grad_sup.append(float(np.max(level_grad_sup)))
-        if tracker.record(n, values, values):
+        if tracker.record(n, values):
             break
 
     return GeneralizedPIRun(
         params=params,
         modified=mod,
         fixed_point=fixed,
+        last_iterate=values,
         advection_l2=np.array(adv_l2),
         gradient_sup=np.array(grad_sup),
         legendre_resolution=resolution,
@@ -204,8 +207,7 @@ def configs(draw):
     tau = draw(st.floats(min_value=0.3, max_value=1.0)) * grid.spacing / (2.0 * dim * N)
     steps = draw(st.integers(min_value=1, max_value=40))
     kwargs = dict(tau=tau, max_iterations=draw(st.integers(min_value=1, max_value=8)),
-                  stop_tolerance=draw(st.sampled_from([math.ulp(0.0), 1e-10])),
-                  record_every=draw(st.integers(min_value=1, max_value=3)))
+                  stop_tolerance=draw(st.sampled_from([math.ulp(0.0), 1e-10])))
     return H, q, grid, steps * tau, M, kwargs
 
 
@@ -220,36 +222,50 @@ def outcome(solve, *args, **kwargs):
 
 @settings(max_examples=60, deadline=None)
 @given(config=configs())
-def test_fused_sweep_matches_the_level_by_level_reference(config):
+def test_fused_sweep_matches_the_level_by_level_reference(spy, config):
     H, q, grid, T, M, kwargs = config
-    run = outcome(generalized_pi, H, q, grid, T, M, **kwargs)
-    reference = outcome(reference_generalized_pi, H, q, grid, T, M, **kwargs)
+    with spy(legendre_module, "_forward_sweep") as sweeps:
+        run = outcome(generalized_pi, H, q, grid, T, M, **kwargs)
+    with spy(sys.modules[__name__], "reference_forward_sweep") as reference_sweeps:
+        reference = outcome(reference_generalized_pi, H, q, grid, T, M, **kwargs)
     if isinstance(reference, str):
         assert run == reference
     else:
         assert_runs_bitwise(run, reference)
+        # the direct run and every iterate, not only the last
+        assert_bitwise(sweeps, reference_sweeps, "sweeps")
 
 
-def test_eikonal_run_matches_the_reference():
+def assert_sweeps_match_the_reference(spy, H, q, grid, T, M, **kwargs):
+    """The run, its direct run and every iterate, bit for bit against the reference."""
+    with spy(legendre_module, "_forward_sweep") as sweeps:
+        run = generalized_pi(H, q, grid, T, M, **kwargs)
+    with spy(sys.modules[__name__], "reference_forward_sweep") as reference_sweeps:
+        reference = reference_generalized_pi(H, q, grid, T, M, **kwargs)
+    assert_runs_bitwise(run, reference)
+    assert_bitwise(sweeps, reference_sweeps, "sweeps")
+    return run
+
+
+def test_eikonal_run_matches_the_reference(spy):
     # the legendre-pi workload's grid and Hamiltonian: 500 levels, the last
     # block ragged
     grid = get_benchmark("eikonal-cos").make_grid(0.01)
     H = half_square(1, time_invariant=True)
     q = lambda X: np.cos(X[:, 0])
-    run = generalized_pi(H, q, grid, 1.0, 2.0)
+    run = assert_sweeps_match_the_reference(spy, H, q, grid, 1.0, 2.0)
     assert run.params.steps % LINEARIZE_BLOCK != 0 and run.stop_reason == "tolerance"
-    assert_runs_bitwise(run, reference_generalized_pi(H, q, grid, 1.0, 2.0))
 
 
-def test_explicit_start_matches_the_reference():
+def test_explicit_start_matches_the_reference(spy):
     grid = Grid(spacing=0.3, points_per_axis=(9, 7), periodic=(False, True))
     H = half_square(2, analytic_dual=False, time_invariant=True)
     q = lambda X: np.cos(X[:, 0]) + X[:, 1]
-    steps = reference_generalized_pi(H, q, grid, 1.0, 2.0, max_iterations=1).params.steps
+    steps = legendre_scheme(H, 2.0, grid, 1.0)[1].steps
     v0 = np.random.default_rng(3).uniform(-1.0, 1.0, size=(steps + 1, grid.npoints))
-    kwargs = dict(v0=v0, max_iterations=4, stop_tolerance=math.ulp(0.0), record_every=1)
-    assert_runs_bitwise(generalized_pi(H, q, grid, 1.0, 2.0, **kwargs),
-                        reference_generalized_pi(H, q, grid, 1.0, 2.0, **kwargs))
+    run = assert_sweeps_match_the_reference(spy, H, q, grid, 1.0, 2.0, v0=v0,
+                                            max_iterations=4, stop_tolerance=math.ulp(0.0))
+    assert run.iterations_used == 4
 
 
 def broken_dual_h(bad_row, bump):

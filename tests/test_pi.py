@@ -122,8 +122,8 @@ class TestRunPolicyIteration:
         _, _, _, run2 = run_benchmark("eikonal-cos")
         assert np.array_equal(run1.errors_to_fixed_point, run2.errors_to_fixed_point)
         assert np.array_equal(run1.errors_l2, run2.errors_l2)
-        v1 = run1.iterates[-1][1].values_array()
-        v2 = run2.iterates[-1][1].values_array()
+        v1 = run1.last_iterate.values_array()
+        v2 = run2.last_iterate.values_array()
         assert np.array_equal(v1, v2)
 
     def test_explicit_initial_policy_list(self):
@@ -141,16 +141,6 @@ class TestRunPolicyIteration:
         _, _, _, run = run_benchmark("eikonal-cos", config=PIConfig(max_iterations=2))
         assert run.stop_reason == "max_iterations"
         assert run.iterations_used == 2
-
-    def test_record_every_thins_iterates(self):
-        _, _, _, run = run_benchmark("eikonal-cos", config=PIConfig(record_every=3))
-        recorded = [n for n, _ in run.iterates]
-        assert recorded[0] == 0
-        assert recorded[-1] == run.iterations_used - 1
-        inner = recorded[:-1]
-        assert all(n % 3 == 0 for n in inner)
-        # error scalars are never thinned
-        assert len(run.errors_to_fixed_point) == run.iterations_used
 
 
 def eikonal_2d_problem(directions=8):
@@ -280,8 +270,6 @@ def test_pi_config_validation():
         PIConfig(max_iterations=0)
     with pytest.raises(ConfigurationError):
         PIConfig(stop_tolerance=0.0)
-    with pytest.raises(ConfigurationError):
-        PIConfig(record_every=0)
 
 
 @st.composite

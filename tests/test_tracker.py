@@ -37,19 +37,18 @@ def cosine(X):
     return np.cos(X[:, 0])
 
 
-def run_pi(max_iterations, record_every):
+def run_pi(max_iterations):
     bench = get_benchmark("eikonal-cos")
     grid = bench.make_grid(0.1)
     params = SchemeParams.create(grid.spacing, 1.0, bench.problem.f_sup_bound)
     return run_policy_iteration(bench.problem, grid, params,
-                                PIConfig(max_iterations=max_iterations,
-                                         record_every=record_every))
+                                PIConfig(max_iterations=max_iterations))
 
 
-def run_legendre(max_iterations, record_every, v0=None):
+def run_legendre(max_iterations, v0=None):
     grid = get_benchmark("eikonal-cos").make_grid(0.1)
     return generalized_pi(quadratic_h(), cosine, grid, 1.0, 2.0, v0=v0,
-                          max_iterations=max_iterations, record_every=record_every)
+                          max_iterations=max_iterations)
 
 
 def raise_pi_iterate(monkeypatch, call):
@@ -83,9 +82,11 @@ def raise_legendre_iterate(monkeypatch, call):
     monkeypatch.setattr(legendre_module, "_forward_sweep", lifted)
 
 
+# driver -> (run, lift, the binding that makes each iterate)
 DRIVERS = {
-    "run_policy_iteration": (run_pi, raise_pi_iterate),
-    "generalized_pi": (run_legendre, raise_legendre_iterate),
+    "run_policy_iteration": (run_pi, raise_pi_iterate, (pi_module, "evaluate_policy")),
+    "generalized_pi": (run_legendre, raise_legendre_iterate,
+                       (legendre_module, "_forward_sweep")),
 }
 
 
@@ -94,31 +95,39 @@ def driver(request):
     return DRIVERS[request.param]
 
 
-@pytest.mark.parametrize("max_iterations, record_every",
-                         ((60, 2), (60, 3), (4, 2), (3, 5), (1, 1)))
-def test_thinning_keeps_zero_multiples_and_last(driver, max_iterations, record_every):
-    run = driver[0](max_iterations, record_every)
+@pytest.mark.parametrize("max_iterations", (60, 4, 3, 1))
+def test_every_iteration_is_scored_and_the_last_is_kept(driver, spy, max_iterations):
+    # a run cut at any count keeps one scalar per iteration and returns the
+    # final evaluation; the legendre binding's first call is the direct run
+    run_driver, _, binding = driver
+    with spy(*binding) as made:
+        run = run_driver(max_iterations)
     used = run.iterations_used
-    expected = sorted({n for n in range(used) if n % record_every == 0} | {used - 1})
-    assert [n for n, _ in run.iterates] == expected
-    # the per-iteration scalars are never thinned
+    assert 1 <= used <= max_iterations
+    if used < max_iterations:
+        assert run.stop_reason == "tolerance"
+    else:
+        assert run.stop_reason in ("tolerance", "max_iterations")
     assert len(run.errors_to_fixed_point) == len(run.monotonicity_worst) == used
+    assert len(made) - used == (binding[1] == "_forward_sweep")
+    assert made[-1] is run.last_iterate
 
 
 def test_max_iterations_sets_stop_reason(driver):
-    run = driver[0](2, 10)
+    run = driver[0](2)
     assert run.stop_reason == "max_iterations"
     assert run.iterations_used == 2
-    assert [n for n, _ in run.iterates] == [0, 1]
+    # every iteration's scalars are kept
+    assert len(run.errors_to_fixed_point) == len(run.monotonicity_worst) == 2
 
 
 @pytest.mark.parametrize("call", (2, 3))
 def test_rise_above_abort_raises(driver, monkeypatch, call):
-    run, lift = driver
+    run, lift, _ = driver
     lift(monkeypatch, call)
     with pytest.raises(MonotonicityError,
                        match=rf"iterate {call - 1} rose 1\.000e-06 above its predecessor"):
-        run(60, 10)
+        run(60)
 
 
 def count_gradients(monkeypatch):
@@ -152,33 +161,40 @@ def test_generalized_pi_takes_one_gradient_per_slice(monkeypatch):
         return original(self, *args)
 
     monkeypatch.setattr(grid_module.RowStencil, "__call__", counted)
-    run = run_legendre(60, 10)
+    run = run_legendre(60)
     assert run.iterations_used >= 3
     # one per level of the direct run and of every linearized run, plus the
     # start's gradient of q, shared by every level
     assert calls[0] == run.params.steps * (run.iterations_used + 1) + 1
 
 
-def test_explicit_constant_start_matches_default_start():
-    reference = run_legendre(60, 1)
+def test_explicit_constant_start_matches_default_start(spy):
+    with spy(legendre_module, "_forward_sweep") as reference_sweeps:
+        reference = run_legendre(60)
     q = reference.fixed_point[0]
     v0 = np.stack([q] * (reference.params.steps + 1))
-    run = run_legendre(60, 1, v0=v0)
+    with spy(legendre_module, "_forward_sweep") as sweeps:
+        run = run_legendre(60, v0=v0)
     assert run.iterations_used == reference.iterations_used
     assert np.array_equal(run.errors_to_fixed_point, reference.errors_to_fixed_point)
     assert np.array_equal(run.advection_l2, reference.advection_l2)
     assert np.array_equal(run.gradient_sup, reference.gradient_sup)
-    for (n, slices), (m, ref) in zip(run.iterates, reference.iterates):
-        assert n == m
-        assert all(np.array_equal(a, b) for a, b in zip(slices, ref))
+    # the direct run, then every iterate
+    assert len(sweeps) == len(reference_sweeps) == run.iterations_used + 1
+    for values, ref in zip(sweeps, reference_sweeps):
+        assert np.array_equal(values, ref)
+    assert np.array_equal(run.last_iterate, reference.last_iterate)
 
 
-def test_solutions_are_one_read_only_contiguous_array(driver):
+def test_solutions_are_one_read_only_contiguous_array(driver, spy):
     # the fixed point is a direct solve (or forward sweep), every control
     # iterate an evaluate_policy solution
-    run = driver[0](60, 1)
+    run_driver, _, binding = driver
+    with spy(*binding) as made:
+        run = run_driver(60)
+    assert made[-1] is run.last_iterate
     shape = (run.params.steps + 1, get_benchmark("eikonal-cos").make_grid(0.1).npoints)
-    stored = [run.fixed_point] + [iterate for _, iterate in run.iterates]
+    stored = [run.fixed_point, *made]
     for values in (getattr(s, "values", s) for s in stored):
         assert values.shape == shape
         assert values.dtype == np.float64
@@ -189,7 +205,7 @@ def test_solutions_are_one_read_only_contiguous_array(driver):
 class WholeArrayTracker(pi_module._IterationTracker):
     """``record`` with whole-array temporaries: the reference the blocked fold must equal."""
 
-    def record(self, n, values, iterate):
+    def record(self, n, values):
         diff = values[:, self.region] - self.fixed_values[:, self.region]
         self.errors.append(float(np.max(np.abs(diff))))
         self.errors_l2.append(float(np.sqrt(np.sum(diff[self.l2_level] ** 2))))
@@ -209,11 +225,8 @@ class WholeArrayTracker(pi_module._IterationTracker):
             settled = float(np.max(np.abs(step))) < self.stop.stop_tolerance
         if settled:
             self.stop_reason = "tolerance"
-        done = settled or n == self.stop.max_iterations - 1
-        if n % self.stop.record_every == 0 or done:
-            self.iterates.append((n, iterate))
         self.prev_values = values
-        return done
+        return settled or n == self.stop.max_iterations - 1
 
 
 def decreasing_iterates(rows, width, count, seed):
@@ -234,7 +247,7 @@ def decreasing_iterates(rows, width, count, seed):
 
 def both_trackers(fixed, region, max_iterations):
     """The blocked tracker and the whole-array reference, set up alike."""
-    return [cls(fixed, region, 0, PIConfig(max_iterations=max_iterations, record_every=3))
+    return [cls(fixed, region, 0, PIConfig(max_iterations=max_iterations))
             for cls in (pi_module._IterationTracker, WholeArrayTracker)]
 
 
@@ -242,7 +255,7 @@ def assert_same_record(blocked, reference):
     got, want = blocked.fields(), reference.fields()
     for key in ("errors_to_fixed_point", "errors_l2", "monotonicity_worst"):
         assert got[key].tobytes() == want[key].tobytes(), key
-    for key in ("iterates", "monotonicity_violation_count", "worst_monotonicity",
+    for key in ("monotonicity_violation_count", "worst_monotonicity",
                 "iterations_used", "stop_reason"):
         assert got[key] == want[key], key
 
@@ -267,7 +280,7 @@ def test_blocked_record_equals_whole_array_formulas(rows, width, region_kind):
         region = np.random.default_rng(width).uniform(size=width) < 0.6
     blocked, reference = both_trackers(fixed, region, 100)
     for tracker in (blocked, reference):
-        done = [tracker.record(n, values, n) for n, values in enumerate(iterates)]
+        done = [tracker.record(n, values) for n, values in enumerate(iterates)]
         assert done[-1] and not any(done[:-1])  # the last two iterates are equal
     assert_same_record(blocked, reference)
     assert blocked.violation_count > 0
@@ -285,7 +298,7 @@ def test_nan_in_a_late_block_is_reported(where):
         iterates[-1][-1, 5] = np.nan  # the last step is 0 but for this NaN
     trackers = both_trackers(fixed, slice(None), 100)
     for tracker in trackers:
-        done = [tracker.record(n, values, n) for n, values in enumerate(iterates)]
+        done = [tracker.record(n, values) for n, values in enumerate(iterates)]
         # the last two iterates are equal, unless a NaN step keeps the run going
         assert done[-1] == (where == "error") and not any(done[:-1])
     assert_same_record(*trackers)
@@ -300,9 +313,23 @@ def test_rise_in_a_late_block_raises_past_monotone_abort():
     iterates[2][-1, -1] = iterates[1][-1, -1] + RISE
     trackers = both_trackers(fixed, slice(None), 10)
     for tracker in trackers:
-        tracker.record(0, iterates[0], None)
-        tracker.record(1, iterates[1], None)
+        tracker.record(0, iterates[0])
+        tracker.record(1, iterates[1])
         with pytest.raises(MonotonicityError, match=r"iterate 2 rose 1\.000e-06"):
-            tracker.record(2, iterates[2], None)
+            tracker.record(2, iterates[2])
     assert_same_record(*trackers)
     assert trackers[0].worst_violation > MONOTONE_ABORT
+
+
+@pytest.mark.parametrize("tolerance", [1e-10, 0.3])
+def test_stop_rule_settles_only_strictly_below_the_tolerance(tolerance):
+    # a largest move equal to stop_tolerance goes on; one ulp below stops
+    fixed = np.full((3, 4), -1.0)
+    for move, settles in ((tolerance, False), (np.nextafter(tolerance, 0.0), True)):
+        tracker = pi_module._IterationTracker(fixed, slice(None), 0,
+                                              PIConfig(stop_tolerance=tolerance))
+        assert not tracker.record(0, np.zeros_like(fixed))
+        values = np.zeros_like(fixed)
+        values[1, 2] = -move  # one point falls by exactly ``move``
+        assert tracker.record(1, values) == settles
+        assert tracker.stop_reason == ("tolerance" if settles else "max_iterations")

@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 
 from hjbpi.analysis import _hopf_lax_values_1d, hopf_lax_oracle
+from hjbpi import pi as pi_module
 from hjbpi.benchmarks import get_benchmark
 from hjbpi.grid import BLOCK_ELEMENTS
 from hjbpi.pi import PIConfig, _IterationTracker, _max_difference, run_policy_iteration
@@ -54,9 +55,9 @@ def test_tracker_record_peak_on_a_legendre_pi_sized_run():
     fixed = rng.uniform(size=(levels, npoints))
     first, second = fixed + 1.0, fixed + 0.5
     for region in (slice(None), rng.uniform(size=npoints) < 0.5):
-        tracker = _IterationTracker(fixed, region, 0, PIConfig(max_iterations=10, record_every=1))
-        tracker.record(0, first, None)
-        peak = traced_peak(lambda: tracker.record(1, second, None))
+        tracker = _IterationTracker(fixed, region, 0, PIConfig(max_iterations=10))
+        tracker.record(0, first)
+        peak = traced_peak(lambda: tracker.record(1, second))
         assert peak <= bound(npoints), peak
 
 
@@ -68,16 +69,17 @@ def test_two_dimensional_oracle_peak():
     assert peak <= 8 * BLOCK_BYTES, peak
 
 
-def test_fixed_point_excess_of_a_run_wider_than_a_block():
+def test_fixed_point_excess_of_a_run_wider_than_a_block(spy):
     bench = get_benchmark("eikonal-cos")
     grid = bench.make_grid(0.01)
     params = SchemeParams.create(grid.spacing, 1.0, bench.problem.f_sup_bound)
-    run = run_policy_iteration(bench.problem, grid, params,
-                               PIConfig(max_iterations=2, record_every=1))
+    with spy(pi_module, "evaluate_policy") as iterates:
+        run = run_policy_iteration(bench.problem, grid, params, PIConfig(max_iterations=2))
     fixed = run.fixed_point.values
     # one whole (steps + 1, n) difference would hold several blocks
     assert fixed.nbytes > 2 * BLOCK_BYTES
-    for (n, sol), excess in zip(run.iterates, run.fixed_point_excess):
+    assert len(iterates) == len(run.fixed_point_excess) == 2
+    for n, (sol, excess) in enumerate(zip(iterates, run.fixed_point_excess)):
         assert excess == max(0.0, float(np.max(fixed - sol.values))), n
         # one block's difference at a time, and the list of block maxima
         peak = traced_peak(lambda: _max_difference(fixed, sol.values))
