@@ -18,11 +18,23 @@ table never exists whole.  A block's argmins and minima go into (n,)
 arrays; the stop rule (no minimum over all centers moved by ``tol``), the
 first-minimizer tie rule and the finiteness check still apply per round,
 to every center at once, so the results are bitwise those of one scan.
+
+An h-study scores every level of each solve against the oracle.  Each
+oracle call is a pure function of ``(t, coords)`` whose work is numpy
+ufuncs, which release the GIL, so when the process may use more than one
+CPU the levels are scored on two threads: the caller takes the even
+levels and one helper thread the odd ones, each folding its own running
+sup.  ``max`` is exact, so the result is bitwise that of one loop over the
+levels, and an error is that of the lowest failing level.  An oracle
+callback must therefore be safe to call from two threads at once; the
+built-in ones are pure numpy.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -213,20 +225,68 @@ class RateStudy:
     degenerate: bool
 
 
+def _usable_cpus():
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _fold_levels(solution, oracle, mask, coords, levels):
+    """Running sup of |row - oracle| over ``levels``, in order, and the t=0 l2.
+
+    Returns ``(sup, l2, None)``, or ``(sup, l2, (k, error))`` at the first
+    level k whose scoring raised; an oracle row that is not finite raises,
+    since ``max`` would drop a NaN.  l2 stays 0.0 unless level 0 is folded.
+    """
+    sup, l2 = 0.0, 0.0
+    for k in levels:
+        t = solution.params.time(k)
+        try:
+            expected = oracle(t, coords)
+            if not np.all(np.isfinite(expected)):
+                raise ConfigurationError(f"oracle is not finite at t={t}")
+            diff = solution.values[k][mask] - expected
+            sup = max(sup, float(np.max(np.abs(diff))))
+            if k == 0:
+                l2 = float(np.sqrt(np.sum(diff ** 2)))
+        except Exception as error:  # handed to the caller, which raises the lowest
+            return sup, l2, (k, error)
+    return sup, l2, None
+
+
 def solution_error_vs_oracle(solution, oracle, mask=None):
-    """Sup and t=0 l2 distance to the oracle over the measured region, all levels."""
+    """Sup and t=0 l2 distance to the oracle over the measured region, all levels.
+
+    With more than one usable CPU a helper thread scores the odd levels
+    while this one scores the even ones (see the module docstring).  On
+    one CPU a helper saves no time and its malloc arena raises the peak,
+    so this thread scores every level.
+    """
     grid = solution.grid
     mask = np.ones(grid.npoints, dtype=bool) if mask is None else mask
+    if not np.any(mask):
+        raise ConfigurationError("measured region is empty; enlarge the box or shrink T")
     coords = grid.coordinates()[mask]
-    sup = 0.0
-    l2 = 0.0
-    for k, row in enumerate(solution.values):
-        t = solution.params.time(k)
-        diff = row[mask] - oracle(t, coords)
-        sup = max(sup, float(np.max(np.abs(diff))))
-        if k == 0:
-            l2 = float(np.sqrt(np.sum(diff ** 2)))
-    return sup, l2
+    levels = range(len(solution.values))
+    if _usable_cpus() < 2:
+        parts = [_fold_levels(solution, oracle, mask, coords, levels)]
+    else:
+        odd = []
+        helper = threading.Thread(
+            target=lambda: odd.append(_fold_levels(solution, oracle, mask, coords,
+                                                   levels[1::2])),
+            name="hjbpi-oracle-odd-levels")
+        helper.start()
+        try:
+            parts = [_fold_levels(solution, oracle, mask, coords, levels[0::2])]
+        finally:
+            helper.join()
+        if not odd:  # a BaseException ended the helper; threading reported it
+            raise RuntimeError("the oracle helper thread ended without a result")
+        parts += odd
+    failures = [failure for _, _, failure in parts if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return max(sup for sup, _, _ in parts), parts[0][1]
 
 
 def run_h_rate_study(benchmark, h_values, T, tau_rule=None):

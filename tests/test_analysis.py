@@ -1,10 +1,13 @@
 import math
+import re
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hjbpi import analysis
 from hjbpi.analysis import (
     ORACLE_SAMPLES,
     ORACLE_TOL,
@@ -514,3 +517,98 @@ def test_solution_error_vs_oracle_zero_for_exact_match():
     sol = solve_hjb_direct(bench.problem, grid, params)
     sup, l2 = solution_error_vs_oracle(sol, lambda t, X: np.zeros(X.shape[0]))
     assert sup == 0.0 and l2 == 0.0
+
+
+class TestScoringThreads:
+    """Levels are scored on two threads when more than one CPU is usable.
+
+    ``analysis._usable_cpus`` is forced to 1 (one loop over every level) or
+    2 (even levels here, odd levels on a helper), whatever the host has.
+    """
+
+    @pytest.fixture
+    def zero_solution(self):
+        bench = get_benchmark("zero")
+        grid = bench.make_grid(0.1)
+        return solve_hjb_direct(bench.problem, grid, SchemeParams.create(grid.spacing, 1.0, 1.0))
+
+    @staticmethod
+    def failing_oracle(solution, levels, fail):
+        """Zero oracle that calls ``fail(k)`` at each level k in ``levels``."""
+        times = {solution.params.time(k): k for k in levels}
+
+        def oracle(t, X):
+            if t in times:
+                return fail(times[t], X)
+            return np.zeros(X.shape[0])
+
+        return oracle
+
+    def test_rate_study_is_bitwise_the_same_on_one_and_two_threads(self, monkeypatch):
+        # the exact oracle; the Hopf-Lax one is pinned on both paths by the h-study digest
+        studies = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+            studies.append(run_h_rate_study(get_benchmark("transport-sin"),
+                                            [0.2, 0.1, 0.05, 0.025], 1.0))
+        one, two = studies
+        assert two.errors == one.errors
+        assert two.l2_errors == one.l2_errors
+        assert two.fitted_order == one.fitted_order
+        assert two.r_squared == one.r_squared
+
+    @pytest.mark.parametrize("cpus,helper_calls", [(1, False), (2, True)])
+    def test_every_level_is_scored_once_and_only_two_cpus_start_the_helper(
+            self, monkeypatch, zero_solution, cpus, helper_calls):
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+        times, callers = [], set()
+
+        def oracle(t, X):
+            times.append(t)
+            callers.add(threading.current_thread())
+            return np.zeros(X.shape[0])
+
+        before = threading.active_count()
+        assert solution_error_vs_oracle(zero_solution, oracle) == (0.0, 0.0)
+        params = zero_solution.params
+        assert sorted(times) == [params.time(k) for k in range(len(zero_solution.values))]
+        assert (callers != {threading.main_thread()}) == helper_calls
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("nan_levels,reported", [((3,), 3), ((4,), 4), ((3, 6), 3),
+                                                      ((2, 5), 2)])
+    def test_a_nan_oracle_row_names_the_lowest_such_level(self, monkeypatch, zero_solution,
+                                                          cpus, nan_levels, reported):
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+        oracle = self.failing_oracle(zero_solution, nan_levels,
+                                     lambda k, X: np.full(X.shape[0], np.nan))
+        t = zero_solution.params.time(reported)
+        with pytest.raises(ConfigurationError, match=f"not finite at t={re.escape(str(t))}$"):
+            solution_error_vs_oracle(zero_solution, oracle)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("raise_levels,reported", [((3,), 3), ((4,), 4), ((3, 6), 3),
+                                                        ((2, 5), 2)])
+    def test_an_oracle_error_is_that_of_the_lowest_failing_level(
+            self, monkeypatch, zero_solution, cpus, raise_levels, reported):
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+
+        def fail(k, X):
+            raise ValueError(f"level {k}")
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=f"^level {reported}$"):
+            solution_error_vs_oracle(zero_solution,
+                                     self.failing_oracle(zero_solution, raise_levels, fail))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_an_empty_measured_region_is_a_configuration_error(self, monkeypatch, capfd, cpus):
+        # a collar of f_sup_bound * T = 2.5 leaves no point of the box (-2, 2) measured
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+        before = threading.active_count()
+        with pytest.raises(ConfigurationError, match="measured region is empty"):
+            run_h_rate_study(get_benchmark("quadratic-lq"), [0.2, 0.1, 0.05, 0.025], 2.5)
+        assert threading.active_count() == before
+        assert capfd.readouterr().err == ""

@@ -4,7 +4,9 @@
 set each one writes.  Running them here turns a drift of a single bit into
 a failed test, not only a failed benchmark run.  The file is loaded by its
 path, since ``bench`` is not a package.  ``MODE_PINS`` adds the modes no
-workload runs (tau-study and probes), with the same digest.
+workload runs (tau-study and probes), with the same digest.  h-study scores
+its levels on one thread or two, by the usable CPUs, so it is also pinned
+with each count forced.
 """
 
 import importlib.util
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hjbpi import cli
+from hjbpi import analysis, cli
 
 WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
@@ -66,3 +68,10 @@ def test_workload_reproduces_its_digest(tmp_path, name):
 def test_mode_reproduces_its_digest(tmp_path, name):
     mode, text, digest = MODE_PINS[name]
     assert run_digest(tmp_path, mode, text) == digest
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_h_study_reproduces_its_digest_on_one_and_two_threads(tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+    workload = PINNED.WORKLOADS["h-study"]
+    assert run_digest(tmp_path, workload.mode, workload.config) == workload.digest
