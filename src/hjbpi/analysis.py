@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigurationError, UnsupportedDimensionError
 from .grid import row_blocks
-from .pi import _linear_fit
+from .pi import _linear_fit, measured_region
 from .scheme import SchemeParams, solve_hjb_direct
 
 ORACLE_TOL = 1e-6       # sampling is doubled until the minimum moves less than this
@@ -204,11 +204,11 @@ def check_refinement(values, least, study):
         raise ConfigurationError(f"{study} values must be strictly decreasing")
 
 
-def spacing_params(benchmark, h, T, tau=None):
-    """Grid and scheme parameters a study or probe run uses at spacing ``h``."""
+def spacing_params(benchmark, h, T, tau=None, N=None):
+    """Grid and scheme parameters a run uses at spacing ``h``."""
     grid = benchmark.make_grid(h)
     return grid, SchemeParams.create(grid.spacing, T, benchmark.problem.f_sup_bound,
-                                     tau=tau, dim=grid.dim)
+                                     tau=tau, N=N, dim=grid.dim)
 
 
 @dataclass(frozen=True)
@@ -303,8 +303,8 @@ def run_h_rate_study(benchmark, h_values, T, tau_rule=None):
     for h in h_values:
         tau = None if tau_rule is None else tau_rule(benchmark.make_grid(h).spacing)
         grid, params = spacing_params(benchmark, h, T, tau)
+        mask = measured_region(grid, problem, T)
         sol = solve_hjb_direct(problem, grid, params)
-        mask = grid.interior_mask(problem.f_sup_bound * T)
         sup, l2 = solution_error_vs_oracle(sol, ref, mask)
         actual_h.append(grid.spacing)
         taus.append(params.tau)
@@ -344,13 +344,13 @@ class TauRefinementStudy:
 def run_tau_refinement_study(benchmark, h, tau_values, T):
     check_refinement(tau_values, TAU_STUDY_LEVELS, "tau study")
     problem = benchmark.problem
+    mask = measured_region(benchmark.make_grid(h), problem, T)
     slices, taus = [], []
     for tau in tau_values:
         grid, params = spacing_params(benchmark, h, T, tau)
         # a copy of the t=0 row, so the rest of the solve is not kept
         slices.append(solve_hjb_direct(problem, grid, params).values[0].copy())
         taus.append(params.tau)
-    mask = grid.interior_mask(problem.f_sup_bound * T)
     distances = tuple(float(np.max(np.abs(a[mask] - b[mask])))
                       for a, b in zip(slices, slices[1:]))
     (t1, t2), (v1, v2) = taus[-2:], slices[-2:]

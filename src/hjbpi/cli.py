@@ -4,6 +4,9 @@ Config files are flat ``key: value`` text (``#`` starts a comment).  The
 documented keys are the rows of ``_KEYS`` below and of the README table.
 Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
 blowup, 4 invariant (monotonicity) violation, 1 unexpected internal error.
+Every failure is one stderr line, from any stage, parsing included; pi,
+h-study and tau-study refuse an empty measured region before the output
+directory exists.
 """
 
 from __future__ import annotations
@@ -45,12 +48,11 @@ from .pi import (
     PIConfig,
     build_initial_policies,
     fit_geometric_rate,
+    measured_region,
     run_policy_iteration,
 )
 from .problem import ControlProblem, ControlSet, discrete_sup_norms, validate_f_bound
-from .scheme import SchemeParams, solve_hjb_direct
-
-MODES = ("solve", "pi", "h-study", "tau-study", "legendre-pi", "probes")
+from .scheme import solve_hjb_direct
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -60,28 +62,29 @@ EXIT_INVARIANT = 4
 
 # Named forms an inline problem can be assembled from.
 DYNAMICS_FORMS = {
-    "control": (lambda t, x, a: a[0], "f = a"),
-    "unit": (lambda t, x, a: np.ones_like(x), "f = 1"),
-    "zero": (lambda t, x, a: np.zeros_like(x), "f = 0"),
+    "control": lambda t, x, a: a[0],
+    "unit": lambda t, x, a: np.ones_like(x),
+    "zero": lambda t, x, a: np.zeros_like(x),
 }
 RUNNING_COST_FORMS = {
-    "half-square": (lambda t, x, a: 0.5 * float(np.sum(a * a)), "c = |a|^2/2"),
-    "one": (lambda t, x, a: 1.0, "c = 1"),
-    "zero": (lambda t, x, a: 0.0, "c = 0"),
+    "half-square": lambda t, x, a: 0.5 * float(np.sum(a * a)),
+    "one": lambda t, x, a: 1.0,
+    "zero": lambda t, x, a: 0.0,
 }
 TERMINAL_FORMS = {
-    "cos": (lambda x: np.cos(x[..., 0]), "q = cos(x)"),
-    "sin": (lambda x: np.sin(x[..., 0]), "q = sin(x)"),
-    "zero": (lambda x: np.zeros(x.shape[:-1]), "q = 0"),
+    "cos": lambda x: np.cos(x[..., 0]),
+    "sin": lambda x: np.sin(x[..., 0]),
+    "zero": lambda x: np.zeros(x.shape[:-1]),
 }
+# A Hamiltonian form takes the grid's dimension.
 LEGENDRE_FORMS = {
-    "half-square": (lambda dim: ConvexHamiltonian(
+    "half-square": lambda dim: ConvexHamiltonian(
         func=lambda t, x, p: 0.5 * np.sum(np.asarray(p) ** 2, axis=-1),
         dim=dim,
         grad_p=lambda t, x, p: np.asarray(p, dtype=float),
         legendre_L=lambda t, x, mu: 0.5 * np.sum(np.asarray(mu) ** 2, axis=-1),
         time_invariant=True,
-    ), "H = |p|^2/2"),
+    ),
 }
 INITIAL_POLICIES = ("benchmark-default", "lq-feedback", *INITIAL_POLICY_RULES)
 
@@ -121,6 +124,181 @@ class ExperimentConfig:
     probe_h_values: Optional[tuple] = None
 
 
+def _rate_summary(errors, burn_in=2):
+    """(rho, r_squared, note) with finite-termination and stall fallbacks.
+
+    When the sequence reaches the fixed point exactly before enough positive
+    entries exist for a least-squares fit, the per-iteration ratio is
+    eventually zero; that is reported as rho 0.0 with an explanatory note
+    rather than pretending a fit happened.  A fitted ratio near 1 is flagged
+    as stalled so non-contracting runs stand out in summaries.
+    """
+    if len(errors) - burn_in >= FIT_MIN_ENTRIES:
+        fit = fit_geometric_rate(errors, burn_in)
+        if math.isfinite(fit.rho):
+            note = "stalled" if fit.rho > 0.99 else "floored" if fit.floored else "least-squares"
+            return fit.rho, fit.r_squared, note
+    if len(errors) and min(errors) <= 1e2 * np.finfo(float).eps * max(max(errors), 1.0):
+        return 0.0, math.nan, "finite-termination"
+    return math.nan, math.nan, "unavailable"
+
+
+def _run_solve(config, benchmark, grid, params, outdir):
+    sol = solve_hjb_direct(benchmark.problem, grid, params)
+    artifact_io.write_solution_csv(sol, os.path.join(outdir, "solution.csv"))
+    return [
+        ("h", grid.spacing),
+        ("tau", params.tau),
+        ("N", params.N),
+        ("T", params.T),
+        ("steps", params.steps),
+        ("points", grid.npoints),
+        ("q_sup", sol.q_sup),
+        ("c_sup", sol.c_sup),
+        ("bound_excess", sol.bound_excess()),
+        ("value_min_t0", float(np.min(sol.values[0]))),
+        ("value_max_t0", float(np.max(sol.values[0]))),
+    ]
+
+
+def _run_pi(config, benchmark, grid, params, outdir):
+    rule = config.pi_initial_policy
+    if rule == "benchmark-default":
+        rule = benchmark.initial_policy_rule
+    initial = (lq_feedback_policies(benchmark.problem, grid, params) if rule == "lq-feedback"
+               else build_initial_policies(benchmark.problem, grid, params, rule))
+    pi_config = PIConfig(initial_policy=initial,
+                         max_iterations=config.pi_max_iterations,
+                         stop_tolerance=config.pi_stop_tolerance)
+    run = run_policy_iteration(benchmark.problem, grid, params, pi_config)
+    items = _report_iterations(run, os.path.join(outdir, "pi_run.csv"), run.policy_l2)
+    artifact_io.write_solution_csv(run.fixed_point, os.path.join(outdir, "fixed_point.csv"))
+    return [
+        ("h", grid.spacing),
+        ("tau", params.tau),
+        ("N", params.N),
+        ("T", params.T),
+        *items,
+        ("monotonicity_violations", run.monotonicity_violation_count),
+    ]
+
+
+def _report_iterations(run, path, policy_l2, *constants):
+    """Write a PI or Legendre run's iteration table, with ``policy_l2`` its
+    third column and each (name, value) of ``constants`` one more column
+    holding ``value``; return the summary items both modes share."""
+    extra = dict(constants)
+    artifact_io.write_table(
+        path, ["iteration", "sup_error", "l2_error", "policy_l2", "monotonicity_worst", *extra],
+        ([n, *row, *extra.values()] for n, row in enumerate(zip(
+            run.errors_to_fixed_point, run.errors_l2, policy_l2, run.monotonicity_worst))))
+    rho, r_squared, note = _rate_summary(run.errors_to_fixed_point)
+    return [
+        ("iterations_used", run.iterations_used),
+        ("stop_reason", run.stop_reason),
+        ("rho", rho),
+        ("r_squared", r_squared),
+        ("rate_fit", note),
+        ("final_sup_error", float(run.errors_to_fixed_point[-1])),
+        ("worst_monotonicity", run.worst_monotonicity),
+    ]
+
+
+def _write_study(outdir, study, h_values, dat_pairs, dat_header):
+    """``study.csv``, one (h, tau, sup_error, l2_error) row per level, and ``study.dat``."""
+    artifact_io.write_table(os.path.join(outdir, "study.csv"),
+                            ["h", "tau", "sup_error", "l2_error"],
+                            zip(h_values, study.tau_values, study.errors, study.l2_errors))
+    artifact_io.write_gnuplot_dat(dat_pairs, os.path.join(outdir, "study.dat"), dat_header)
+
+
+def _run_h_study(config, benchmark, grid, params, outdir):
+    study = run_h_rate_study(benchmark, list(config.study_h_values), config.T)
+    _write_study(outdir, study, study.h_values, zip(study.h_values, study.errors), "h sup_error")
+    items = [
+        ("fitted_order", study.fitted_order),
+        ("fitted_constant", study.fitted_constant),
+        ("r_squared", study.r_squared),
+        ("degenerate", study.degenerate),
+    ]
+    artifact_io.write_json_summary(os.path.join(outdir, "summary.json"), dict(items))
+    return items
+
+
+def _run_tau_study(config, benchmark, grid, params, outdir):
+    study = run_tau_refinement_study(benchmark, config.h,
+                                     list(config.study_tau_values), config.T)
+    _write_study(outdir, study, [study.h] * len(study.tau_values),
+                 zip(study.tau_values[:-1], study.distances), "tau distance_to_next")
+    return [
+        ("h", study.h),
+        ("levels", len(study.tau_values)),
+        ("distances_decreasing", bool(np.all(np.diff(study.distances) < 0))),
+        ("finest_distance", study.distances[-1]),
+    ]
+
+
+def _run_legendre_pi(config, benchmark, grid, params, outdir):
+    H = LEGENDRE_FORMS[config.legendre_hamiltonian](grid.dim)
+    run = generalized_pi(H, benchmark.problem.terminal_cost, grid, config.T,
+                         config.legendre_M, tau=config.tau,
+                         max_iterations=config.pi_max_iterations,
+                         stop_tolerance=config.pi_stop_tolerance)
+    resolution = ("legendre_resolution", run.legendre_resolution)
+    # the policy_l2 column holds the advection field's distance
+    items = _report_iterations(run, os.path.join(outdir, "legendre_run.csv"),
+                               run.advection_l2, resolution)
+    return [
+        ("hamiltonian", config.legendre_hamiltonian),
+        ("M", config.legendre_M),
+        ("m1", run.modified.m1),
+        ("m2", run.modified.m2),
+        ("N", params.N),
+        ("h", grid.spacing),
+        ("tau", params.tau),
+        *items,
+        ("gradient_sup_max", float(np.max(run.gradient_sup))),
+        resolution,
+    ]
+
+
+def _run_probes(config, benchmark, grid, params, outdir):
+    h_values = config.probe_h_values or (config.h, config.h / 2.0, config.h / 4.0)
+    table = policy_pointwise_convergence_probe(benchmark, list(h_values),
+                                               list(config.probe_points), config.T)
+    artifact_io.write_table(
+        os.path.join(outdir, "probes.csv"), ["h", "point", "skipped", "control", "oracle_control"],
+        ([row.h, row.point, int(row.skipped),
+          None if row.control is None else row.control[0],
+          None if row.oracle_control is None else row.oracle_control[0]] for row in table.rows))
+    return [(f"stabilized_{artifact_io.fmt(point)}", table.stabilized(float(point)))
+            for point in config.probe_points]
+
+
+def _scheme_params(config, benchmark):
+    return spacing_params(benchmark, config.h, config.T, config.tau, config.N)
+
+
+def _legendre_params(config, benchmark):
+    """Steps with the clipped Hamiltonian's viscosity N = m2/2."""
+    grid = benchmark.make_grid(config.h)
+    H = LEGENDRE_FORMS[config.legendre_hamiltonian](grid.dim)
+    return grid, legendre_scheme(H, config.legendre_M, grid, config.T, config.tau)[1]
+
+
+# mode -> (runner, the list key it needs, the key of the spacings whose measured
+# region must hold a grid point, the builder of the grid and scheme parameters at
+# scheme.h that the runner takes).
+_MODES = {
+    "solve": (_run_solve, None, None, _scheme_params),
+    "pi": (_run_pi, None, "scheme.h", _scheme_params),
+    "h-study": (_run_h_study, "study.h_values", "study.h_values", _scheme_params),
+    "tau-study": (_run_tau_study, "study.tau_values", "scheme.h", _scheme_params),
+    "legendre-pi": (_run_legendre_pi, None, None, _legendre_params),
+    "probes": (_run_probes, "probes.points", None, _scheme_params),
+}
+
+
 def _choice(kind, names):
     """A cast that accepts only ``names``; ``validate_config`` reruns it."""
     def cast(value):
@@ -150,7 +328,7 @@ def _bool(value):
 # attributes of the InlineProblemSpec, the rest of the ExperimentConfig.
 # serialize_config writes the keys in this order.
 _KEYS = {
-    "mode": ("mode", _choice("mode", MODES)),
+    "mode": ("mode", _choice("mode", _MODES)),
     "benchmark": ("benchmark", _choice("benchmark", BENCHMARK_NAMES)),
     "problem.dimension": ("dimension", int),
     "problem.box": ("box", _pair),
@@ -257,23 +435,21 @@ def parse_config(text, mode=None):
 
 
 def validate_config(config):
-    """Reject a config, from a file or built in code, before anything runs.
+    """Reject a config, from a file or built in code, before anything runs; return it.
 
-    A value of a type its key's cast does not give, a name outside its
-    choices, scheme numbers, ``pi.*`` numbers, ``legendre.M`` and spacing
-    or step list entries that are not finite and > 0, non-finite control
-    bounds, a box not finite and increasing, and probe points not finite
-    or outside a clamped box raise ``ConfigParseError`` naming the key.
-    So do study lists too short or not strictly decreasing, list entries
-    whose grid or scheme parameters, built as the study or probe run
-    builds them, are rejected, and a control sample count or
-    ``f_sup_bound`` that the inline problem's constructors reject.
-    The CFL check builds the grid and scheme parameters the run itself
-    builds, so the snapped spacing, the dimension and legendre-pi's
-    viscosity N = m2/2 are the ones checked.  An inline problem's callbacks
-    are sampled at t = 0 (no named form reads t) before any output exists;
-    a form that overflows there is reported as non-finite, with no numpy
-    warning.
+    ``ConfigParseError`` names the key of: a value of a type its cast does
+    not give or a name outside its choices; scheme, ``pi.*`` and
+    ``legendre.M`` numbers and spacing or step entries not finite and > 0;
+    non-finite control bounds, a box not finite and increasing, probe points
+    not finite or outside a clamped box; study lists too short or not
+    strictly decreasing; list entries whose grid or scheme parameters, built
+    as their run builds them, are rejected; and a control sample count or
+    ``f_sup_bound`` the inline problem's constructors reject.  The CFL check
+    runs on the run's own grid and parameters (``_setup``): the snapped
+    spacing, the dimension and legendre-pi's N = m2/2.  An inline problem's
+    callbacks are sampled at t = 0 (no named form reads t); an overflow there
+    is reported as non-finite, with no numpy warning.  An empty measured
+    region is refused in the modes that score one, at each spacing they run.
     """
     for key, (_, cast) in _KEYS.items():
         value = _get(config, key)
@@ -299,27 +475,26 @@ def validate_config(config):
     if config.problem is not None and config.problem.dimension != 1:
         raise ConfigParseError("'problem.dimension' must be 1: inline problems are "
                                "one-dimensional", key="problem.dimension")
-    benchmark = _resolve_benchmark(config)
+    benchmark, grid, _ = _setup(config)
     lo, hi = benchmark.box
     for point in config.probe_points or ():
         if not (math.isfinite(point) and (benchmark.periodic or lo <= point <= hi)):
             raise ConfigParseError(f"'probes.points' must be finite and, on a clamped box, "
                                    f"in [{lo}, {hi}], got {point!r}", key="probes.points")
-    grid = benchmark.make_grid(config.h)
     if config.problem is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             validate_f_bound(benchmark.problem, grid, [0.0])
             discrete_sup_norms(benchmark.problem, grid, [0.0])
-    if config.mode == "legendre-pi":
-        legendre_scheme(_legendre_hamiltonian(config.legendre_hamiltonian, grid.dim),
-                        config.legendre_M, grid, config.T, config.tau)
-    else:
-        _make_params(config, grid, benchmark.problem)
+    measured = _MODES[config.mode][2] if config.mode is not None else None
+    if measured == "scheme.h":
+        measured_region(grid, benchmark.problem, config.T)
     with _blame("study.h_values"):
         if config.study_h_values is not None:
             check_refinement(config.study_h_values, RATE_STUDY_LEVELS, "rate study")
             for h in config.study_h_values:
-                spacing_params(benchmark, h, config.T)
+                study_grid, _ = spacing_params(benchmark, h, config.T)
+                if measured == "study.h_values":
+                    measured_region(study_grid, benchmark.problem, config.T)
     with _blame("study.tau_values"):
         if config.study_tau_values is not None:
             check_refinement(config.study_tau_values, TAU_STUDY_LEVELS, "tau study")
@@ -328,6 +503,7 @@ def validate_config(config):
     with _blame("probes.h_values"):
         for h in config.probe_h_values or ():
             spacing_params(benchmark, h, config.T)
+    return config
 
 
 def _text(value):
@@ -352,9 +528,9 @@ def _resolve_benchmark(config):
         controls = ControlSet.uniform(spec.control_min, spec.control_max, spec.control_samples)
     with _blame("problem.f_sup_bound"):
         problem = ControlProblem(
-            dynamics=DYNAMICS_FORMS[spec.dynamics][0],
-            running_cost=RUNNING_COST_FORMS[spec.running_cost][0],
-            terminal_cost=TERMINAL_FORMS[spec.terminal_cost][0],
+            dynamics=DYNAMICS_FORMS[spec.dynamics],
+            running_cost=RUNNING_COST_FORMS[spec.running_cost],
+            terminal_cost=TERMINAL_FORMS[spec.terminal_cost],
             controls=controls,
             f_sup_bound=spec.f_sup_bound,
             time_invariant=True,  # no named form reads t
@@ -362,208 +538,34 @@ def _resolve_benchmark(config):
     return Benchmark(name="inline", problem=problem, box=spec.box, periodic=spec.periodic)
 
 
-def _make_params(config, grid, problem):
-    return SchemeParams.create(grid.spacing, config.T, problem.f_sup_bound,
-                               tau=config.tau, N=config.N, dim=grid.dim)
-
-
-def _rate_summary(errors, burn_in=2):
-    """(rho, r_squared, note) with finite-termination and stall fallbacks.
-
-    When the sequence reaches the fixed point exactly before enough positive
-    entries exist for a least-squares fit, the per-iteration ratio is
-    eventually zero; that is reported as rho 0.0 with an explanatory note
-    rather than pretending a fit happened.  A fitted ratio near 1 is flagged
-    as stalled so non-contracting runs stand out in summaries.
-    """
-    if len(errors) - burn_in >= FIT_MIN_ENTRIES:
-        fit = fit_geometric_rate(errors, burn_in)
-        if math.isfinite(fit.rho):
-            note = "stalled" if fit.rho > 0.99 else "floored" if fit.floored else "least-squares"
-            return fit.rho, fit.r_squared, note
-    if len(errors) and min(errors) <= 1e2 * np.finfo(float).eps * max(max(errors), 1.0):
-        return 0.0, math.nan, "finite-termination"
-    return math.nan, math.nan, "unavailable"
-
-
-def _initial_policies(config, benchmark, grid, params):
-    rule = config.pi_initial_policy
-    if rule == "benchmark-default":
-        rule = benchmark.initial_policy_rule
-    if rule == "lq-feedback":
-        return lq_feedback_policies(benchmark.problem, grid, params)
-    return build_initial_policies(benchmark.problem, grid, params, rule)
-
-
-def _run_solve(config, benchmark, outdir):
-    grid = benchmark.make_grid(config.h)
-    params = _make_params(config, grid, benchmark.problem)
-    sol = solve_hjb_direct(benchmark.problem, grid, params)
-    artifact_io.write_solution_csv(sol, os.path.join(outdir, "solution.csv"))
-    return [
-        ("h", grid.spacing),
-        ("tau", params.tau),
-        ("N", params.N),
-        ("T", params.T),
-        ("steps", params.steps),
-        ("points", grid.npoints),
-        ("q_sup", sol.q_sup),
-        ("c_sup", sol.c_sup),
-        ("bound_excess", sol.bound_excess()),
-        ("value_min_t0", float(np.min(sol.values[0]))),
-        ("value_max_t0", float(np.max(sol.values[0]))),
-    ]
-
-
-def _run_pi(config, benchmark, outdir):
-    grid = benchmark.make_grid(config.h)
-    params = _make_params(config, grid, benchmark.problem)
-    pi_config = PIConfig(initial_policy=_initial_policies(config, benchmark, grid, params),
-                         max_iterations=config.pi_max_iterations,
-                         stop_tolerance=config.pi_stop_tolerance)
-    run = run_policy_iteration(benchmark.problem, grid, params, pi_config)
-    items = _report_iterations(run, os.path.join(outdir, "pi_run.csv"), run.policy_l2)
-    artifact_io.write_solution_csv(run.fixed_point, os.path.join(outdir, "fixed_point.csv"))
-    return [
-        ("h", grid.spacing),
-        ("tau", params.tau),
-        ("N", params.N),
-        ("T", params.T),
-        *items,
-        ("monotonicity_violations", run.monotonicity_violation_count),
-    ]
-
-
-def _report_iterations(run, path, policy_l2, *constants):
-    """Write a PI or Legendre run's iteration table, with ``policy_l2`` its
-    third column and each (name, value) of ``constants`` one more column
-    holding ``value``; return the summary items both modes share."""
-    extra = dict(constants)
-    artifact_io.write_table(
-        path, ["iteration", "sup_error", "l2_error", "policy_l2", "monotonicity_worst", *extra],
-        ([n, *row, *extra.values()] for n, row in enumerate(zip(
-            run.errors_to_fixed_point, run.errors_l2, policy_l2, run.monotonicity_worst))))
-    rho, r_squared, note = _rate_summary(run.errors_to_fixed_point)
-    return [
-        ("iterations_used", run.iterations_used),
-        ("stop_reason", run.stop_reason),
-        ("rho", rho),
-        ("r_squared", r_squared),
-        ("rate_fit", note),
-        ("final_sup_error", float(run.errors_to_fixed_point[-1])),
-        ("worst_monotonicity", run.worst_monotonicity),
-    ]
-
-
-def _write_study(outdir, study, h_values, dat_pairs, dat_header):
-    """``study.csv``, one (h, tau, sup_error, l2_error) row per level, and ``study.dat``."""
-    artifact_io.write_table(os.path.join(outdir, "study.csv"),
-                            ["h", "tau", "sup_error", "l2_error"],
-                            zip(h_values, study.tau_values, study.errors, study.l2_errors))
-    artifact_io.write_gnuplot_dat(dat_pairs, os.path.join(outdir, "study.dat"), dat_header)
-
-
-def _run_h_study(config, benchmark, outdir):
-    study = run_h_rate_study(benchmark, list(config.study_h_values), config.T)
-    _write_study(outdir, study, study.h_values, zip(study.h_values, study.errors), "h sup_error")
-    items = [
-        ("fitted_order", study.fitted_order),
-        ("fitted_constant", study.fitted_constant),
-        ("r_squared", study.r_squared),
-        ("degenerate", study.degenerate),
-    ]
-    artifact_io.write_json_summary(os.path.join(outdir, "summary.json"), dict(items))
-    return items
-
-
-def _run_tau_study(config, benchmark, outdir):
-    study = run_tau_refinement_study(benchmark, config.h,
-                                     list(config.study_tau_values), config.T)
-    _write_study(outdir, study, [study.h] * len(study.tau_values),
-                 zip(study.tau_values[:-1], study.distances), "tau distance_to_next")
-    return [
-        ("h", study.h),
-        ("levels", len(study.tau_values)),
-        ("distances_decreasing", bool(np.all(np.diff(study.distances) < 0))),
-        ("finest_distance", study.distances[-1]),
-    ]
-
-
-def _legendre_hamiltonian(name, dim):
-    return LEGENDRE_FORMS[name][0](dim)
-
-
-def _run_legendre_pi(config, benchmark, outdir):
-    grid = benchmark.make_grid(config.h)
-    H = _legendre_hamiltonian(config.legendre_hamiltonian, grid.dim)
-    run = generalized_pi(H, benchmark.problem.terminal_cost, grid, config.T,
-                         config.legendre_M, tau=config.tau,
-                         max_iterations=config.pi_max_iterations,
-                         stop_tolerance=config.pi_stop_tolerance)
-    resolution = ("legendre_resolution", run.legendre_resolution)
-    # the policy_l2 column holds the advection field's distance
-    items = _report_iterations(run, os.path.join(outdir, "legendre_run.csv"),
-                               run.advection_l2, resolution)
-    return [
-        ("hamiltonian", config.legendre_hamiltonian),
-        ("M", config.legendre_M),
-        ("m1", run.modified.m1),
-        ("m2", run.modified.m2),
-        ("N", run.params.N),
-        ("h", grid.spacing),
-        ("tau", run.params.tau),
-        *items,
-        ("gradient_sup_max", float(np.max(run.gradient_sup))),
-        resolution,
-    ]
-
-
-def _run_probes(config, benchmark, outdir):
-    h_values = config.probe_h_values or (config.h, config.h / 2.0, config.h / 4.0)
-    table = policy_pointwise_convergence_probe(benchmark, list(h_values),
-                                               list(config.probe_points), config.T)
-    artifact_io.write_table(
-        os.path.join(outdir, "probes.csv"), ["h", "point", "skipped", "control", "oracle_control"],
-        ([row.h, row.point, int(row.skipped),
-          None if row.control is None else row.control[0],
-          None if row.oracle_control is None else row.oracle_control[0]] for row in table.rows))
-    return [(f"stabilized_{artifact_io.fmt(point)}", table.stabilized(float(point)))
-            for point in config.probe_points]
-
-
-_MODE_RUNNERS = {
-    "solve": _run_solve,
-    "pi": _run_pi,
-    "h-study": _run_h_study,
-    "tau-study": _run_tau_study,
-    "legendre-pi": _run_legendre_pi,
-    "probes": _run_probes,
-}
-# The list a mode runs over; _run refuses the mode without it.
-_MODE_LISTS = {"h-study": "study.h_values", "tau-study": "study.tau_values",
-               "probes": "probes.points"}
+def _setup(config):
+    """The benchmark, grid and scheme parameters the run of ``config`` uses."""
+    benchmark = _resolve_benchmark(config)
+    build = _scheme_params if config.mode is None else _MODES[config.mode][3]
+    return (benchmark, *build(config, benchmark))
 
 
 def run_experiment(config):
-    """Validate and dispatch one experiment; map failures to documented exit codes."""
-    return _run(config, validate=True)
+    """Validate and run one experiment; map failures to documented exit codes."""
+    return _run(lambda: validate_config(config))
 
 
-def _run(config, validate):
+def _run(load):
+    """Run the config ``load()`` returns, validated.  Every failure, in ``load``
+    too, is one stderr line and the exit code the module docstring gives."""
     try:
-        if validate:
-            validate_config(config)
+        config = load()
         if config.mode is None:
             raise ConfigurationError("no mode given (config key 'mode' or subcommand)")
-        needed = _MODE_LISTS.get(config.mode)
+        runner, needed, _, _ = _MODES[config.mode]
         if needed is not None and not _get(config, needed):
             raise ConfigurationError(f"{config.mode} mode needs {needed}")
-        benchmark = _resolve_benchmark(config)
+        benchmark, grid, params = _setup(config)
         outdir = config.output_dir
         os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, "config.txt"), "w") as fh:
             fh.write(serialize_config(config))
-        items = _MODE_RUNNERS[config.mode](config, benchmark, outdir)
+        items = runner(config, benchmark, grid, params, outdir)
         artifact_io.write_summary(os.path.join(outdir, "summary.txt"),
                                   [("mode", config.mode), ("benchmark", benchmark.name), *items])
         return EXIT_OK
@@ -586,26 +588,21 @@ def main(argv=None):
         prog="hjbpi",
         description="Monotone finite-difference solver and policy iteration runner")
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
+    for mode in _MODES:
         p = sub.add_parser(mode, help=f"run in {mode} mode")
         p.add_argument("--config", required=True, help="path to a key: value config file")
         p.add_argument("--output", help="override output_dir")
     args = parser.parse_args(argv)
 
-    try:
-        with open(args.config) as fh:
-            text = fh.read()
+    def parsed():  # parse_config validates for the subcommand's mode
+        try:
+            with open(args.config) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read config: {exc}") from None
         config = parse_config(text, mode=args.mode)
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ConfigParseError, ConfigurationError, CFLValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    if args.output is not None:
-        config = replace(config, output_dir=args.output)
-    return _run(config, validate=False)  # parse_config validated it for this mode
+        return config if args.output is None else replace(config, output_dir=args.output)
+    return _run(parsed)
 
 
 if __name__ == "__main__":

@@ -200,6 +200,15 @@ class _IterationTracker:
         )
 
 
+def measured_region(grid, problem, T):
+    """Mask of the points at distance >= f_sup_bound * T from clamped boundaries,
+    where PI and the studies measure; a ``ConfigurationError`` when it is empty."""
+    mask = grid.interior_mask(problem.f_sup_bound * T)
+    if not np.any(mask):
+        raise ConfigurationError("measured region is empty; enlarge the box or shrink T")
+    return mask
+
+
 def run_policy_iteration(problem, grid, params, config=None):
     """Alternate evaluation and improvement until the iterates stop moving.
 
@@ -210,9 +219,7 @@ def run_policy_iteration(problem, grid, params, config=None):
     fixed = solve_hjb_direct(problem, grid, params)
     sup_norms = (fixed.q_sup, fixed.c_sup)
     fixed_values = fixed.values
-    mask = grid.interior_mask(problem.f_sup_bound * params.T)
-    if not np.any(mask):
-        raise ConfigurationError("measured region is empty; enlarge the box or shrink T")
+    mask = measured_region(grid, problem, params.T)
 
     policies = config.initial_policy
     if isinstance(policies, str):

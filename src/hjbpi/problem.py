@@ -28,6 +28,7 @@ from .errors import ConfigurationError, TruncatedRolloutError
 from .grid import _row_dot, gradient_central_values
 
 ARGMIN_TOL = 1e-12  # tie tolerance: first control within this of the minimum wins
+PROBE_REFINE = 3    # the |f| bound is sampled on a lattice this many times finer
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,13 +240,13 @@ def rollout_cost(problem, grid, params, policies, start, dt):
     return cost
 
 
-def probe_grid_coordinates(grid, refine=3):
-    """Coordinates of a ``refine``-times finer lattice over the same box."""
+def probe_grid_coordinates(grid):
+    """Coordinates of a ``PROBE_REFINE``-times finer lattice over the same box."""
     axes = []
     for axis in range(grid.dim):
         n = grid.points_per_axis[axis]
-        count = refine * n if grid.periodic[axis] else refine * (n - 1) + 1
-        axes.append(grid.origin[axis] + np.arange(count) * (grid.spacing / refine))
+        count = PROBE_REFINE * n if grid.periodic[axis] else PROBE_REFINE * (n - 1) + 1
+        axes.append(grid.origin[axis] + np.arange(count) * (grid.spacing / PROBE_REFINE))
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -261,9 +262,9 @@ def _finite_sup(values, callback, where=""):
     return sup
 
 
-def validate_f_bound(problem, grid, times, refine=3):
+def validate_f_bound(problem, grid, times):
     """Check the declared |f| bound by sampling on a refined probe grid."""
-    points = probe_grid_coordinates(grid, refine)
+    points = probe_grid_coordinates(grid)
     worst = 0.0
     for t in times:
         for j, a in enumerate(problem.controls.elements):

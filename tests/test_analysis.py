@@ -612,3 +612,10 @@ class TestScoringThreads:
             run_h_rate_study(get_benchmark("quadratic-lq"), [0.2, 0.1, 0.05, 0.025], 2.5)
         assert threading.active_count() == before
         assert capfd.readouterr().err == ""
+
+
+def test_tau_study_refuses_an_empty_measured_region(capfd):
+    # the collar of quadratic-lq at T = 2.5 covers the whole box (-2, 2)
+    with pytest.raises(ConfigurationError, match="measured region is empty"):
+        run_tau_refinement_study(get_benchmark("quadratic-lq"), 0.1, [0.05, 0.025], 2.5)
+    assert capfd.readouterr().err == ""

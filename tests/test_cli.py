@@ -14,6 +14,7 @@ import hjbpi
 from hjbpi import cli
 from hjbpi.cli import (
     EXIT_BLOWUP,
+    EXIT_INTERNAL,
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_VALIDATION,
@@ -193,6 +194,20 @@ class TestParseConfig:
                      "--output", str(tmp_path / "out")])
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {mode} mode needs {key}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["pi", "h-study", "tau-study"])
+    def test_empty_measured_region_leaves_no_output(self, mode, tmp_path, capsys):
+        # a collar of f_sup_bound * T = 2.5 leaves no point of the box (-2, 2) measured
+        (tmp_path / "exp.cfg").write_text(
+            "benchmark: quadratic-lq\nscheme.T: 2.5\nscheme.h: 0.1\n"
+            "study.tau_values: 0.05, 0.025\nstudy.h_values: 0.2, 0.1, 0.05, 0.025\n")
+        code = main([mode, "--config", str(tmp_path / "exp.cfg"),
+                     "--output", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "measured region is empty" in lines[0]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode, text", [
@@ -543,10 +558,10 @@ class TestRunExperiment:
     def test_blowup_maps_to_exit_3(self, tmp_path, monkeypatch):
         from hjbpi import cli
 
-        def boom(config, benchmark, outdir):
+        def boom(config, benchmark, grid, params, outdir):
             raise NumericalBlowupError("synthetic blowup")
 
-        monkeypatch.setitem(cli._MODE_RUNNERS, "solve", boom)
+        monkeypatch.setitem(cli._MODES, "solve", (boom, *cli._MODES["solve"][1:]))
         config = ExperimentConfig(mode="solve", benchmark="zero", h=0.1,
                                   output_dir=str(tmp_path / "out"))
         assert run_experiment(config) == EXIT_BLOWUP
@@ -554,10 +569,10 @@ class TestRunExperiment:
     def test_monotonicity_breach_maps_to_exit_4(self, tmp_path, monkeypatch):
         from hjbpi import cli
 
-        def breach(config, benchmark, outdir):
+        def breach(config, benchmark, grid, params, outdir):
             raise MonotonicityError("synthetic ordering violation")
 
-        monkeypatch.setitem(cli._MODE_RUNNERS, "pi", breach)
+        monkeypatch.setitem(cli._MODES, "pi", (breach, *cli._MODES["pi"][1:]))
         config = ExperimentConfig(mode="pi", benchmark="zero", h=0.1,
                                   output_dir=str(tmp_path / "out"))
         assert run_experiment(config) == EXIT_INVARIANT
@@ -665,6 +680,20 @@ class TestCommandLine:
     def test_missing_config_exits_2(self, tmp_path):
         result = run_cli(["solve", "--config", "nope.cfg"], cwd=tmp_path)
         assert result.returncode == EXIT_VALIDATION
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot read config: "), lines
+
+    def test_internal_error_while_parsing_is_one_line(self, tmp_path, monkeypatch, capsys):
+        def broken(config):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(cli, "validate_config", broken)
+        (tmp_path / "exp.cfg").write_text(MINIMAL)
+        code = main(["solve", "--config", str(tmp_path / "exp.cfg"),
+                     "--output", str(tmp_path / "out")])
+        assert code == EXIT_INTERNAL
+        assert capsys.readouterr().err == "internal error: synthetic failure\n"
+        assert not (tmp_path / "out").exists()
 
     def test_identical_runs_are_bitwise_identical(self, tmp_path):
         (tmp_path / "exp.cfg").write_text(MINIMAL)

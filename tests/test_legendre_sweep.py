@@ -319,9 +319,9 @@ def test_blowup_through_the_command_line(tmp_path):
                 dual[5, 3] = np.inf
             return dual
 
-        form = cli._legendre_hamiltonian
-        cli._legendre_hamiltonian = lambda name, dim: dataclasses.replace(
-            form(name, dim), legendre_L=legendre_L)
+        form = cli.LEGENDRE_FORMS["half-square"]
+        cli.LEGENDRE_FORMS["half-square"] = lambda dim: dataclasses.replace(
+            form(dim), legendre_L=legendre_L)
         sys.exit(cli.main(["legendre-pi", "--config", "exp.cfg", "--output", "out"]))
     """)
     result = run_python(["-c", script], cwd=tmp_path)
