@@ -4,7 +4,10 @@ The Hopf-Lax evaluator here is a deliberately brute-force independent
 oracle: it never touches the finite-difference machinery, so rate studies
 measure the scheme against something that cannot share its bugs.
 
-In one dimension the oracle samples the reachable interval on a grid that
+The oracle is one-dimensional.  Every call, a single point or the
+(n, 1) points of a whole level, goes through one private entry that
+refuses a time past the horizon and a point with more than one
+coordinate.  It samples each reachable interval on a grid that
 doubles until the minimum settles.  ``linspace(-r, r, 2S - 1)[::2]`` is
 bitwise equal to ``linspace(-r, r, S)`` (the step halves exactly), so each
 doubling keeps the samples it has and evaluates the terminal cost only on
@@ -46,7 +49,7 @@ from .pi import _linear_fit, measured_region
 from .scheme import SchemeParams, solve_hjb_direct
 
 ORACLE_TOL = 1e-6       # sampling is doubled until the minimum moves less than this
-ORACLE_SAMPLES = 1001   # initial samples per axis
+ORACLE_SAMPLES = 1001   # initial samples per interval
 _DEGENERATE = 1e-12     # below this every error is treated as identically zero
 KINK_TOL = 1e-9         # policy probes this close to a declared kink are skipped
 RATE_STUDY_LEVELS = 4   # spacings an h-refinement rate fit needs
@@ -106,80 +109,39 @@ def _ball_min_1d(q, xs, radius, samples, tol):
         best = refined
 
 
-def _ball_min_2d(q, center, radius, samples):
-    """min of q over the samples x samples square's points inside the ball.
+def _hopf_lax(q, c0, t, T, X, speed):
+    """Oracle values and first minimizers at the (n, 1) points ``X``.
 
-    The square is scanned in its raveled order, a block of rows at a time
-    (``row_blocks``), so a block's (points, 2) array holds about
-    ``BLOCK_ELEMENTS`` values.  A later block replaces the best only when
-    strictly lower, so the minimizer is the first of one whole scan.
+    The one entry of every oracle call: it refuses a time past the horizon
+    and points with more than one coordinate, then scans each center's
+    reachable interval (``_ball_min_1d``) and adds ``c0 (T - t)``.
     """
-    offs = np.linspace(-radius, radius, samples)
-    ys, zs = center[0] + offs, center[1] + offs
-    best, arg = math.inf, None
-    for rows in row_blocks(samples, 2 * samples):
-        yy, zz = np.meshgrid(ys[rows], zs, indexing="ij")
-        pts = np.stack([yy.ravel(), zz.ravel()], axis=-1)
-        pts = pts[np.sum((pts - center) ** 2, axis=-1) <= radius * radius * (1 + 1e-12)]
-        vals = np.asarray(q(pts), dtype=float)
-        k = int(np.argmin(vals))
-        if math.isnan(vals[k]):  # then the whole scan's minimum is NaN
-            _require_finite(vals[k])
-        if arg is None or vals[k] < best:
-            best, arg = float(vals[k]), pts[k]
-    _require_finite(best)
-    return best, arg
-
-
-def _hopf_lax_scan(q, t, T, x, speed, initial_samples, tol):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    dim = x.size
-    if dim > 2:
-        raise UnsupportedDimensionError("hopf-lax oracle supports 1 and 2 dimensions only")
-    radius = speed * (T - t)
-    if radius < 0:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != 1:
+        raise UnsupportedDimensionError("hopf-lax oracle supports 1 dimension only")
+    if not t <= T:
         raise ConfigurationError(f"oracle asked for t={t} beyond the horizon T={T}")
+    radius = speed * (T - t)
     if radius == 0.0:
-        return float(np.asarray(q(x[None, :]))[0]), x
-    if dim == 1:
-        best, arg = _ball_min_1d(q, x, radius, initial_samples, tol)
-        return float(best[0]), arg
-    samples = initial_samples
-    best, arg = _ball_min_2d(q, x, radius, samples)
-    while True:
-        samples = 2 * samples - 1
-        refined, arg = _ball_min_2d(q, x, radius, samples)
-        if abs(refined - best) < tol:
-            return refined, np.atleast_1d(arg)
-        best = refined
+        best, arg = np.asarray(q(X), dtype=float), X[:, 0]
+    else:
+        best, arg = _ball_min_1d(q, X[:, 0], radius, ORACLE_SAMPLES, ORACLE_TOL)
+    return best + c0 * (T - t), arg
 
 
-def hopf_lax_oracle(q, c0, t, T, x, speed, initial_samples=ORACLE_SAMPLES, tol=ORACLE_TOL):
-    """min of q over the reachable ball |y - x| <= speed (T - t), plus c0 (T - t).
+def hopf_lax_oracle(q, c0, t, T, x, speed):
+    """min of q over the reachable interval |y - x| <= speed (T - t), plus c0 (T - t).
 
     Exact-solution formula for Hamiltonians of the form c0 - speed |p|.
     """
-    best, _ = _hopf_lax_scan(q, t, T, x, speed, initial_samples, tol)
-    return best + c0 * (T - t)
+    values, _ = _hopf_lax(q, c0, t, T, np.atleast_2d(x), speed)
+    return float(values[0])
 
 
-def hopf_lax_minimizer(q, t, T, x, speed, initial_samples=ORACLE_SAMPLES, tol=ORACLE_TOL):
-    """Location of the (first) minimizer the oracle scan finds."""
-    _, arg = _hopf_lax_scan(q, t, T, x, speed, initial_samples, tol)
+def hopf_lax_minimizer(q, t, T, x, speed):
+    """Location of the (first) minimizer the oracle scan finds, as a (1,) array."""
+    _, arg = _hopf_lax(q, 0.0, t, T, np.atleast_2d(x), speed)
     return arg
-
-
-def _hopf_lax_values_1d(q, c0, t, T, X, speed, tol=ORACLE_TOL):
-    """Oracle values at many points at once (shared offset grid per level).
-
-    Refinement reuses the even samples of each doubled grid (see
-    ``_ball_min_1d``), which is bitwise-safe because ``linspace`` nests.
-    """
-    radius = speed * (T - t)
-    if radius == 0.0:
-        return np.asarray(q(X), dtype=float) + 0.0
-    best, _ = _ball_min_1d(q, X[:, 0], radius, ORACLE_SAMPLES, tol)
-    return best + c0 * (T - t)
 
 
 def oracle_for(benchmark, T):
@@ -192,7 +154,7 @@ def oracle_for(benchmark, T):
         q = benchmark.problem.terminal_cost
         if len(benchmark.box) != 2:
             raise UnsupportedDimensionError("hopf-lax benchmark oracle is 1D")
-        return lambda t, X: _hopf_lax_values_1d(q, c0, t, T, X, speed)
+        return lambda t, X: _hopf_lax(q, c0, t, T, X, speed)[0]
     return None
 
 
@@ -289,7 +251,7 @@ def solution_error_vs_oracle(solution, oracle, mask=None):
     return max(sup for sup, _, _ in parts), parts[0][1]
 
 
-def run_h_rate_study(benchmark, h_values, T, tau_rule=None):
+def run_h_rate_study(benchmark, h_values, T):
     """Solve at each spacing and fit  error ~ constant * h^order  by log-log
     least squares.  Spacings may be snapped by the benchmark grid; the fit
     uses the spacings actually run.
@@ -301,8 +263,7 @@ def run_h_rate_study(benchmark, h_values, T, tau_rule=None):
         raise ConfigurationError(f"benchmark {benchmark.name} has no oracle")
     actual_h, taus, errors, l2s = [], [], [], []
     for h in h_values:
-        tau = None if tau_rule is None else tau_rule(benchmark.make_grid(h).spacing)
-        grid, params = spacing_params(benchmark, h, T, tau)
+        grid, params = spacing_params(benchmark, h, T)
         mask = measured_region(grid, problem, T)
         sol = solve_hjb_direct(problem, grid, params)
         sup, l2 = solution_error_vs_oracle(sol, ref, mask)

@@ -4,8 +4,9 @@ The driver alternates policy evaluation (the frozen-control linear
 recursion) with pointwise policy improvement, tracks the distance of every
 iterate to the direct nonlinear solve, and enforces the two ordering facts
 the monotone scheme guarantees: iterates decrease pointwise, and they stay
-above the fixed point.  Violations beyond rounding noise indicate a scheme
-bug or a CFL breach and abort the run.
+above the fixed point.  A rise above the previous iterate, or a dip below
+the fixed point at any grid point, by more than ``MONOTONE_ABORT`` means a
+scheme bug or a CFL breach and aborts the run with ``MonotonicityError``.
 
 Improvement costs no extra work: each evaluation level already computes
 every control's candidate, and their argmin, recorded on the evaluated
@@ -13,7 +14,7 @@ solution, is the next policy (Howard's algorithm).  The |f| check and the
 sup norms run once, in the direct solve, and are handed to every
 evaluation.
 
-The run bookkeeping (distance to the fixed point, monotone-decrease check,
+The run bookkeeping (distance to the fixed point, both ordering checks,
 stop rule) lives in one private tracker shared with the Legendre-linearized
 iteration in ``legendre``; each driver adds only its own diagnostics.  A
 run keeps its per-iteration scalars and its last iterate, not the others.
@@ -121,13 +122,6 @@ def _policy_l2_distance(problem, policies, fixed_policies, mask):
     return worst
 
 
-def _max_difference(a, b):
-    """``float(np.max(a - b))`` of two (levels, points) arrays, a block of
-    rows at a time (``grid.row_blocks``); a NaN propagates as in the
-    whole-array max."""
-    return float(np.max([np.max(a[rows] - b[rows]) for rows in row_blocks(len(a), a.shape[1])]))
-
-
 class _IterationTracker:
     """Bookkeeping of one policy-iteration run, whichever driver produces it.
 
@@ -137,8 +131,11 @@ class _IterationTracker:
     (values of shape (levels, points)) and says whether the run stops
     after it; it holds those values until the next ``record`` and keeps
     only scalars of the iterates before.  It folds the sup distance, the
-    rise, the violation count and the settle test over blocks of rows
-    (``grid.row_blocks``), so no (levels, points) temporary exists.
+    fixed-point excess (how far the iterate dips below the fixed point at
+    any point), the rise, the violation count and the settle test over
+    blocks of rows (``grid.row_blocks``), so no (levels, points) temporary
+    exists.  An excess or a rise above ``MONOTONE_ABORT`` raises
+    ``MonotonicityError``.
     """
 
     def __init__(self, fixed_values, region, l2_level, stop):
@@ -146,7 +143,7 @@ class _IterationTracker:
         self.region = region
         self.l2_level = l2_level
         self.stop = stop
-        self.errors, self.errors_l2, self.mono_worst = [], [], []
+        self.errors, self.errors_l2, self.mono_worst, self.excess = [], [], [], []
         self.violation_count = 0
         self.worst_violation = 0.0
         self.stop_reason = "max_iterations"
@@ -155,14 +152,22 @@ class _IterationTracker:
     def record(self, n, values):
         blocks = row_blocks(len(values), values.shape[1])
         region, fixed = self.region, self.fixed_values
-        sup = []
+        sup, lowest = [], []
         for rows in blocks:
-            diff = values[rows][:, region] - fixed[rows][:, region]
+            diff = values[rows] - fixed[rows]
+            lowest.append(np.min(diff))
+            diff = diff[:, region]
             sup.append(np.max(np.abs(diff, out=diff)))
         # np.max over the block maxima propagates a NaN as a whole-array max does
         self.errors.append(float(np.max(sup)))
+        # -min(values - fixed) is max(fixed - values) bitwise: negation is exact
+        self.excess.append(max(0.0, -float(np.min(lowest))))
         diff = values[self.l2_level][region] - fixed[self.l2_level][region]
         self.errors_l2.append(float(np.sqrt(np.sum(diff ** 2))))
+        if self.excess[-1] > MONOTONE_ABORT:
+            raise MonotonicityError(
+                f"iterate {n} fell {self.excess[-1]:.3e} below the fixed point "
+                f"(tolerance {MONOTONE_ABORT:.0e}); scheme bug or CFL breach")
 
         settled = False
         if self.prev_values is None:
@@ -218,19 +223,17 @@ def run_policy_iteration(problem, grid, params, config=None):
     config = config or PIConfig()
     fixed = solve_hjb_direct(problem, grid, params)
     sup_norms = (fixed.q_sup, fixed.c_sup)
-    fixed_values = fixed.values
     mask = measured_region(grid, problem, params.T)
 
     policies = config.initial_policy
     if isinstance(policies, str):
         policies = build_initial_policies(problem, grid, params, policies)
 
-    tracker = _IterationTracker(fixed_values, mask, 0, config)
-    policy_l2, fp_excess = [], []
+    tracker = _IterationTracker(fixed.values, mask, 0, config)
+    policy_l2 = []
     for n in range(config.max_iterations):
         sol = evaluate_policy(problem, grid, params, policies, sup_norms=sup_norms)
         policy_l2.append(_policy_l2_distance(problem, policies, fixed.policy_slices[1:], mask))
-        fp_excess.append(max(0.0, _max_difference(fixed_values, sol.values)))
         if tracker.record(n, sol.values):
             break
         policies = sol.policy_slices[1:]
@@ -240,7 +243,7 @@ def run_policy_iteration(problem, grid, params, config=None):
         fixed_point=fixed,
         last_iterate=sol,
         policy_l2=np.array(policy_l2),
-        fixed_point_excess=np.array(fp_excess),
+        fixed_point_excess=np.array(tracker.excess),
         measured_mask=mask,
         **tracker.fields(),
     )

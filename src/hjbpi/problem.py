@@ -45,7 +45,9 @@ class ControlSet:
             raise ConfigurationError("control set must be non-empty")
         if not np.all(np.isfinite(elems)):
             raise ConfigurationError("control set elements must be finite")
-        if len(np.unique(elems, axis=0)) != len(elems):
+        # sorted rows with an equal neighbour; not np.unique, which loads numpy.ma
+        rows = elems[np.lexsort(elems.T)]
+        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
             raise ConfigurationError("control set elements must be distinct")
         elems.setflags(write=False)
         object.__setattr__(self, "elements", elems)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import threading
@@ -13,8 +14,7 @@ from hjbpi.analysis import (
     ORACLE_TOL,
     SemiConcavityReport,
     _ball_min_1d,
-    _ball_min_2d,
-    _hopf_lax_values_1d,
+    _hopf_lax,
     hopf_lax_minimizer,
     hopf_lax_oracle,
     oracle_for,
@@ -56,20 +56,38 @@ class TestHopfLaxOracle:
                   for r in (0.1, 0.4, 0.9, 1.5)]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_dimension_guard(self):
-        with pytest.raises(UnsupportedDimensionError):
-            hopf_lax_oracle(lambda X: np.sum(X, axis=-1), 0.0, 0.0, 1.0,
-                            [0.0, 0.0, 0.0], 1.0)
+    @pytest.mark.parametrize("entry", ["oracle", "minimizer", "oracle_for"])
+    def test_dimension_guard(self, entry):
+        # a second coordinate is refused before q is called, not dropped
+        counted = CallCounter(lambda X: np.sum(X, axis=-1))
+        with pytest.raises(UnsupportedDimensionError, match="1 dimension only"):
+            oracle_entry(entry, counted, 0.0, 1.0, [0.0, 0.0])
+        assert counted.calls == 0
 
-    def test_two_dimensional_ball(self):
-        q = lambda X: X[..., 0] + 0.5 * X[..., 1]
-        # min of a linear function over a ball of radius r is -r |grad|
-        value = hopf_lax_oracle(q, 0.0, 0.0, 1.0, [0.0, 0.0], 1.0)
-        assert value == pytest.approx(-math.sqrt(1.25), abs=1e-4)
+    @pytest.mark.parametrize("entry", ["oracle", "minimizer", "oracle_for"])
+    @pytest.mark.parametrize("t", [1.5, 1.0 + 1e-12, math.nan])
+    def test_time_past_the_horizon_is_refused(self, entry, t):
+        # t > T would scan the mirrored interval linspace(-r, r) with r < 0
+        counted = CallCounter(cos_q)
+        with pytest.raises(ConfigurationError, match="beyond the horizon T=1.0"):
+            oracle_entry(entry, counted, t, 1.0, [0.3])
+        assert counted.calls == 0
 
     def test_minimizer_direction(self):
         y = hopf_lax_minimizer(cos_q, 0.0, 1.0, [math.pi / 2.0], 1.0)
         assert y[0] > math.pi / 2.0  # toward the cosine minimum at pi
+
+
+def oracle_entry(entry, q, t, T, x):
+    """One call of the oracle through a public entry, for the point ``x``."""
+    if entry == "oracle":
+        return hopf_lax_oracle(q, 1.0, t, T, x, 1.0)
+    if entry == "minimizer":
+        return hopf_lax_minimizer(q, t, T, x, 1.0)
+    bench = get_benchmark("eikonal-cos")  # c0 = speed = 1
+    bench = dataclasses.replace(bench, problem=dataclasses.replace(bench.problem,
+                                                                   terminal_cost=q))
+    return oracle_for(bench, T)(t, np.array([x], dtype=float))
 
 
 def reference_values_1d(q, c0, t, T, X, speed, tol=ORACLE_TOL):
@@ -177,7 +195,7 @@ class TestNestedRefinement:
     def test_narrow_well_needs_several_doublings(self):
         X = np.linspace(-1.0, 1.0, 9)[:, None]
         counted = CallCounter(narrow_well)
-        got = _hopf_lax_values_1d(counted, 0.5, 0.0, 0.9, X, 1.0)
+        got, _ = _hopf_lax(counted, 0.5, 0.0, 0.9, X, 1.0)
         assert counted.calls >= 4  # the initial grid and three or more doublings
         assert np.array_equal(got, reference_values_1d(narrow_well, 0.5, 0.0, 0.9, X, 1.0))
 
@@ -224,7 +242,7 @@ def assert_full_grid_bitwise(q, xs, minima, args):
     ref_minima, ref_args = reference_bulk_scan_1d(q, xs, 0.9)
     assert minima.tobytes() == ref_minima.tobytes()
     assert args.tobytes() == ref_args.tobytes()
-    got = _hopf_lax_values_1d(q, 0.5, 0.1, 1.0, xs[:, None], 1.0)
+    got, _ = _hopf_lax(q, 0.5, 0.1, 1.0, xs[:, None], 1.0)
     assert got.tobytes() == reference_values_1d(q, 0.5, 0.1, 1.0, xs[:, None], 1.0).tobytes()
 
 
@@ -261,54 +279,6 @@ class TestBlockedScan:
         assert [shape[0] for shape in counted.shapes] == [PER_BLOCK] * 3 + [5]
 
 
-def reference_ball_min_2d(q, center, radius, samples):
-    """The whole samples x samples square in one call of q."""
-    offs = np.linspace(-radius, radius, samples)
-    yy, zz = np.meshgrid(center[0] + offs, center[1] + offs, indexing="ij")
-    pts = np.stack([yy.ravel(), zz.ravel()], axis=-1)
-    inside = np.sum((pts - center) ** 2, axis=-1) <= radius * radius * (1 + 1e-12)
-    pts = pts[inside]
-    vals = np.asarray(q(pts), dtype=float)
-    k = int(np.argmin(vals))
-    if not np.isfinite(vals[k]):
-        raise ConfigurationError("terminal cost is not finite inside the oracle's ball")
-    return float(vals[k]), pts[k]
-
-
-class TestBlockedBall2D:
-    """The 2-D ball is scanned a block of square rows at a time; value,
-    first minimizer and errors are those of one whole scan."""
-
-    @pytest.mark.parametrize("q", [
-        lambda X: X[..., 0] + 0.5 * X[..., 1],
-        lambda X: np.cos(3.0 * X[..., 0]) * np.sin(2.0 * X[..., 1]),
-        # plateaus: ties across blocks, the first in raveled order wins
-        lambda X: np.floor(2.0 * X[..., 0] * X[..., 0] + X[..., 1]),
-        lambda X: np.where(X[..., 0] > 0.3, np.inf, X[..., 1]),
-    ], ids=["linear", "cos-sin", "plateaus", "plus-inf-beyond"])
-    @pytest.mark.parametrize("samples", [41, 1001])
-    def test_matches_one_whole_scan(self, q, samples):
-        center = np.array([0.2, -0.4])
-        counted = CallCounter(q)
-        value, arg = _ball_min_2d(counted, center, 0.9, samples)
-        ref_value, ref_arg = reference_ball_min_2d(q, center, 0.9, samples)
-        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
-        assert arg.tobytes() == ref_arg.tobytes()
-        assert max(shape[0] for shape in counted.shapes) * 2 <= BLOCK_ELEMENTS
-
-    @pytest.mark.parametrize("q", [
-        lambda X: np.where(X[..., 0] > 0.85, np.nan, X[..., 1]),
-        lambda X: np.where(X[..., 0] > 0.85, -np.inf, X[..., 1]),
-        lambda X: np.full(X.shape[:-1], np.inf),
-    ], ids=["nan-in-a-late-block", "minus-inf-in-a-late-block", "plus-inf"])
-    def test_non_finite_raises_like_one_whole_scan(self, q):
-        center = np.zeros(2)
-        with pytest.raises(ConfigurationError, match="not finite"):
-            reference_ball_min_2d(q, center, 0.9, 1001)
-        with pytest.raises(ConfigurationError, match="not finite"):
-            _ball_min_2d(q, center, 0.9, 1001)
-
-
 class CallCap(CallCounter):
     """Fails the test instead of letting a non-terminating refinement eat memory."""
 
@@ -332,8 +302,7 @@ class TestNonFiniteTerminalCost:
         with pytest.raises(ConfigurationError, match="not finite"):
             hopf_lax_oracle(CallCap(q), 1.0, 0.0, 1.0, [0.0], 1.0)
         with pytest.raises(ConfigurationError, match="not finite"):
-            _hopf_lax_values_1d(CallCap(q), 1.0, 0.0, 1.0,
-                                np.linspace(-1.0, 1.0, 5)[:, None], 1.0)
+            _hopf_lax(CallCap(q), 1.0, 0.0, 1.0, np.linspace(-1.0, 1.0, 5)[:, None], 1.0)
 
     def test_nan_only_in_refined_midpoints_stops(self):
         # NaN exactly between the initial samples: only a doubling sees it
@@ -346,11 +315,6 @@ class TestNonFiniteTerminalCost:
         with pytest.raises(ConfigurationError, match="not finite"):
             hopf_lax_oracle(counted, 1.0, 0.0, 1.0, [0.0], 1.0)
         assert counted.calls == 2
-
-    def test_two_dimensional_scan_stops(self):
-        with pytest.raises(ConfigurationError, match="not finite"):
-            hopf_lax_oracle(CallCap(nan_right), 1.0, 0.0, 1.0, [0.0, 0.0], 1.0,
-                            initial_samples=41)
 
     def test_finite_costs_with_plus_inf_outside_the_minimum_still_settle(self):
         def q(X):
@@ -389,13 +353,6 @@ class TestHRateStudy:
             run_h_rate_study(bench, [0.2, 0.1, 0.05], 1.0)
         with pytest.raises(ConfigurationError):
             run_h_rate_study(bench, [0.05, 0.1, 0.2, 0.4], 1.0)
-
-    def test_custom_step_rule_is_applied(self):
-        study = run_h_rate_study(get_benchmark("transport-sin"),
-                                 [0.4, 0.2, 0.1, 0.05], 1.0,
-                                 tau_rule=lambda h: h / 4.0)
-        for h, tau in zip(study.h_values, study.tau_values):
-            assert tau <= h / 4.0 + 1e-15
 
 
 class TestTauRefinement:

@@ -677,6 +677,16 @@ class TestCommandLine:
         assert result.stderr.splitlines() == [message]
         assert not (tmp_path / "out").exists()
 
+    def test_solve_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.unique imports numpy.ma, which grows the heap of every run
+        (tmp_path / "exp.cfg").write_text("scheme.h: 0.5\nproblem.terminal_cost: cos\n")
+        result = run_python(["-c", "import sys; from hjbpi.cli import main; "
+                             "code = main(['solve', '--config', 'exp.cfg']); "
+                             "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma'])); "
+                             "sys.exit(code)"], cwd=tmp_path)
+        assert result.returncode == EXIT_OK, result.stderr
+        assert result.stdout == "[]\n"
+
     def test_missing_config_exits_2(self, tmp_path):
         result = run_cli(["solve", "--config", "nope.cfg"], cwd=tmp_path)
         assert result.returncode == EXIT_VALIDATION

@@ -175,6 +175,17 @@ def test_control_set_validation():
     assert ControlSet.singleton([2.0]).size == 1
 
 
+@pytest.mark.parametrize("elements", [
+    [[0.5, 1.0], [2.0, -1.0], [0.5, 1.0]],        # equal rows, not neighbours as given
+    [[1.0, 0.0], [0.0, 3.0], [1.0, 0.0], [0.0, 2.0]],
+    [[-0.0], [0.0]],                              # -0.0 == 0.0
+    [[0.0, -0.0], [2.0, 1.0], [-0.0, 0.0]],
+], ids=["two-columns", "two-columns-twice", "signed-zero", "signed-zero-rows"])
+def test_control_set_rejects_equal_rows(elements):
+    with pytest.raises(ConfigurationError, match="control set elements must be distinct"):
+        ControlSet(np.array(elements))
+
+
 def make_policies(grid, params, choices):
     return np.broadcast_to(choices, (params.steps, grid.npoints))
 

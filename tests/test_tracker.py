@@ -16,6 +16,7 @@ from hjbpi import grid as grid_module
 from hjbpi import legendre as legendre_module
 from hjbpi import pi as pi_module
 from hjbpi.benchmarks import get_benchmark
+from hjbpi.cli import EXIT_INVARIANT, ExperimentConfig, run_experiment
 from hjbpi.errors import MonotonicityError
 from hjbpi.legendre import ConvexHamiltonian, generalized_pi
 from hjbpi.pi import MONOTONE_ABORT, PIConfig, run_policy_iteration
@@ -51,8 +52,8 @@ def run_legendre(max_iterations, v0=None):
                           max_iterations=max_iterations)
 
 
-def raise_pi_iterate(monkeypatch, call):
-    """Lift the evaluation returned by call ``call`` by RISE everywhere."""
+def raise_pi_iterate(monkeypatch, call, shift=RISE):
+    """Lift the evaluation returned by call ``call`` by ``shift`` everywhere."""
     original = pi_module.evaluate_policy
     calls = [0]
 
@@ -62,13 +63,14 @@ def raise_pi_iterate(monkeypatch, call):
         calls[0] += 1
         if calls[0] != call:
             return sol
-        return dataclasses.replace(sol, values=sol.values + RISE)
+        return dataclasses.replace(sol, values=sol.values + shift)
 
     monkeypatch.setattr(pi_module, "evaluate_policy", lifted)
 
 
-def raise_legendre_iterate(monkeypatch, call):
-    """Lift the linearized sweep number ``call`` (the direct run is not counted)."""
+def raise_legendre_iterate(monkeypatch, call, shift=RISE):
+    """Lift the linearized sweep number ``call`` by ``shift`` (the direct run is
+    not counted)."""
     original = legendre_module._forward_sweep
     calls = [0]
 
@@ -77,16 +79,16 @@ def raise_legendre_iterate(monkeypatch, call):
         calls[0] += 1
         if calls[0] != call + 1:
             return values
-        return values + RISE
+        return values + shift
 
     monkeypatch.setattr(legendre_module, "_forward_sweep", lifted)
 
 
-# driver -> (run, lift, the binding that makes each iterate)
+# driver -> (run, lift, the binding that makes each iterate, the CLI mode)
 DRIVERS = {
-    "run_policy_iteration": (run_pi, raise_pi_iterate, (pi_module, "evaluate_policy")),
+    "run_policy_iteration": (run_pi, raise_pi_iterate, (pi_module, "evaluate_policy"), "pi"),
     "generalized_pi": (run_legendre, raise_legendre_iterate,
-                       (legendre_module, "_forward_sweep")),
+                       (legendre_module, "_forward_sweep"), "legendre-pi"),
 }
 
 
@@ -99,7 +101,7 @@ def driver(request):
 def test_every_iteration_is_scored_and_the_last_is_kept(driver, spy, max_iterations):
     # a run cut at any count keeps one scalar per iteration and returns the
     # final evaluation; the legendre binding's first call is the direct run
-    run_driver, _, binding = driver
+    run_driver, _, binding, _ = driver
     with spy(*binding) as made:
         run = run_driver(max_iterations)
     used = run.iterations_used
@@ -123,11 +125,32 @@ def test_max_iterations_sets_stop_reason(driver):
 
 @pytest.mark.parametrize("call", (2, 3))
 def test_rise_above_abort_raises(driver, monkeypatch, call):
-    run, lift, _ = driver
+    run, lift, _, _ = driver
     lift(monkeypatch, call)
     with pytest.raises(MonotonicityError,
                        match=rf"iterate {call - 1} rose 1\.000e-06 above its predecessor"):
         run(60)
+
+
+@pytest.mark.parametrize("call", (1, 2))
+def test_dip_below_the_fixed_point_raises(driver, monkeypatch, call):
+    # the terminal level of every iterate equals the fixed point's, so the
+    # lowered iterate dips below it by the whole shift
+    run, lift, _, _ = driver
+    lift(monkeypatch, call, -RISE)
+    with pytest.raises(MonotonicityError,
+                       match=rf"iterate {call - 1} fell 1\.000e-06 below the fixed point"):
+        run(60)
+
+
+def test_dip_below_the_fixed_point_exits_4(driver, monkeypatch, tmp_path, capsys):
+    _, lift, _, mode = driver
+    lift(monkeypatch, 2, -RISE)
+    config = ExperimentConfig(mode=mode, benchmark="eikonal-cos", h=0.1,
+                              output_dir=str(tmp_path / "out"))
+    assert run_experiment(config) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: iterate 1 fell ") and "below the fixed point" in err
 
 
 def count_gradients(monkeypatch):
@@ -189,7 +212,7 @@ def test_explicit_constant_start_matches_default_start(spy):
 def test_solutions_are_one_read_only_contiguous_array(driver, spy):
     # the fixed point is a direct solve (or forward sweep), every control
     # iterate an evaluate_policy solution
-    run_driver, _, binding = driver
+    run_driver, _, binding, _ = driver
     with spy(*binding) as made:
         run = run_driver(60)
     assert made[-1] is run.last_iterate
@@ -209,6 +232,11 @@ class WholeArrayTracker(pi_module._IterationTracker):
         diff = values[:, self.region] - self.fixed_values[:, self.region]
         self.errors.append(float(np.max(np.abs(diff))))
         self.errors_l2.append(float(np.sqrt(np.sum(diff[self.l2_level] ** 2))))
+        self.excess.append(max(0.0, float(np.max(self.fixed_values - values))))
+        if self.excess[-1] > MONOTONE_ABORT:
+            raise MonotonicityError(
+                f"iterate {n} fell {self.excess[-1]:.3e} below the fixed point "
+                f"(tolerance {MONOTONE_ABORT:.0e}); scheme bug or CFL breach")
         settled = False
         if self.prev_values is None:
             self.mono_worst.append(0.0)
@@ -230,7 +258,8 @@ class WholeArrayTracker(pi_module._IterationTracker):
 
 
 def decreasing_iterates(rows, width, count, seed):
-    """Iterates falling toward a fixed point, with rises below MONOTONE_ABORT."""
+    """Iterates falling toward a fixed point, with rises below MONOTONE_ABORT;
+    the last two dip below it by less than MONOTONE_ABORT at a few points."""
     rng = np.random.default_rng(seed)
     fixed = rng.uniform(-1.0, 1.0, (rows, width))
     gap = rng.uniform(0.0, 1.0, (rows, width))
@@ -240,8 +269,10 @@ def decreasing_iterates(rows, width, count, seed):
         rise = rng.uniform(size=values.shape) < 0.01
         values[rise] = iterates[-1][rise] + rng.uniform(0.0, 1e-9, int(np.count_nonzero(rise)))
         iterates.append(values)
-    iterates.append(fixed.copy())
-    iterates.append(fixed.copy())  # no step at all: the run settles
+    dip = rng.uniform(size=fixed.shape) < 0.01
+    below = fixed - np.where(dip, rng.uniform(0.0, 1e-9, fixed.shape), 0.0)
+    iterates.append(below)
+    iterates.append(below.copy())  # no step at all: the run settles
     return fixed, iterates
 
 
@@ -255,6 +286,7 @@ def assert_same_record(blocked, reference):
     got, want = blocked.fields(), reference.fields()
     for key in ("errors_to_fixed_point", "errors_l2", "monotonicity_worst"):
         assert got[key].tobytes() == want[key].tobytes(), key
+    assert np.array(blocked.excess).tobytes() == np.array(reference.excess).tobytes()
     for key in ("monotonicity_violation_count", "worst_monotonicity",
                 "iterations_used", "stop_reason"):
         assert got[key] == want[key], key
@@ -284,6 +316,7 @@ def test_blocked_record_equals_whole_array_formulas(rows, width, region_kind):
         assert done[-1] and not any(done[:-1])  # the last two iterates are equal
     assert_same_record(blocked, reference)
     assert blocked.violation_count > 0
+    assert 0.0 < max(blocked.excess) < MONOTONE_ABORT
     assert blocked.stop_reason == "tolerance"
 
 

@@ -1,22 +1,21 @@
 """Working-set bounds of the blocked reductions.
 
 tracemalloc sees numpy's buffers, so the traced peak of one call is the
-largest set of temporaries it held at once.  The Hopf-Lax oracle in one
-and two dimensions, the policy-iteration tracker and PI's fixed-point
-excess work a block of ``BLOCK_ELEMENTS`` values at a time, so their peaks
-stay at a few blocks plus their (n,) outputs however large the whole
-problem is.
+largest set of temporaries it held at once.  The Hopf-Lax oracle and the
+policy-iteration tracker, fixed-point excess included, work a block of
+``BLOCK_ELEMENTS`` values at a time, so their peaks stay at a few blocks
+plus their (n,) outputs however large the whole problem is.
 """
 
 import tracemalloc
 
 import numpy as np
 
-from hjbpi.analysis import _hopf_lax_values_1d, hopf_lax_oracle
+from hjbpi.analysis import _hopf_lax
 from hjbpi import pi as pi_module
 from hjbpi.benchmarks import get_benchmark
 from hjbpi.grid import BLOCK_ELEMENTS
-from hjbpi.pi import PIConfig, _IterationTracker, _max_difference, run_policy_iteration
+from hjbpi.pi import PIConfig, _IterationTracker, run_policy_iteration
 from hjbpi.scheme import SchemeParams
 
 BLOCK_BYTES = 8 * BLOCK_ELEMENTS
@@ -44,8 +43,8 @@ def test_oracle_peak_on_the_finest_h_study_grid():
     # one whole centers x samples table alone would exceed the bound
     assert 8 * X.shape[0] * 1001 > bound(X.shape[0])
     for t in (0.0, 0.5):
-        peak = traced_peak(lambda: _hopf_lax_values_1d(bench.problem.terminal_cost, c0, t,
-                                                       1.0, X, speed))
+        peak = traced_peak(lambda: _hopf_lax(bench.problem.terminal_cost, c0, t,
+                                             1.0, X, speed))
         assert peak <= bound(X.shape[0]), (t, peak)
 
 
@@ -61,14 +60,6 @@ def test_tracker_record_peak_on_a_legendre_pi_sized_run():
         assert peak <= bound(npoints), peak
 
 
-def test_two_dimensional_oracle_peak():
-    # the ball call of test_analysis: the whole 1001 x 1001 square of one
-    # scan would be 8 MB per float64 array, the doubling's 2001 x 2001 32 MB
-    q = lambda X: X[..., 0] + 0.5 * X[..., 1]
-    peak = traced_peak(lambda: hopf_lax_oracle(q, 0.0, 0.0, 1.0, [0.0, 0.0], 1.0))
-    assert peak <= 8 * BLOCK_BYTES, peak
-
-
 def test_fixed_point_excess_of_a_run_wider_than_a_block(spy):
     bench = get_benchmark("eikonal-cos")
     grid = bench.make_grid(0.01)
@@ -81,10 +72,7 @@ def test_fixed_point_excess_of_a_run_wider_than_a_block(spy):
     assert len(iterates) == len(run.fixed_point_excess) == 2
     for n, (sol, excess) in enumerate(zip(iterates, run.fixed_point_excess)):
         assert excess == max(0.0, float(np.max(fixed - sol.values))), n
-        # one block's difference at a time, and the list of block maxima
-        peak = traced_peak(lambda: _max_difference(fixed, sol.values))
-        assert peak <= BLOCK_BYTES + 16 * 8 * grid.npoints, peak
-    # a NaN propagates as in the whole-array max
-    broken = np.array(fixed)
-    broken[-1, -1] = np.nan
-    assert np.isnan(_max_difference(broken, fixed))
+        # the tracker folds the excess over one block's difference at a time
+        tracker = _IterationTracker(fixed, run.measured_mask, 0, PIConfig())
+        peak = traced_peak(lambda: tracker.record(0, sol.values))
+        assert peak <= bound(grid.npoints), peak
