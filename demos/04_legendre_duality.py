@@ -33,12 +33,12 @@ for mu in (-1.5, -0.5, 0.0, 1.0, 2.0):
     got = legendre_transform_numeric(numeric_only, 0.0, [0.0], [mu])
     print(f"  mu = {mu:5.2f}: numeric {got:9.6f}, analytic {0.5 * mu * mu:9.6f}")
 
-mod = modify_hamiltonian(H, M=1.0)
+grid = get_benchmark("eikonal-cos").make_grid(0.05)
+mod = modify_hamiltonian(H, M=1.0, grid=grid, T=1.0)
 print(f"\nclipping for M = 1: m1 = {mod.m1}, m2 = {mod.m2}, viscosity N = {mod.N}")
 print("  H~ equals H up to |p| = 2M and grows with slope m2 past 3M, so")
 print("  |grad H~| stays below 2N and the explicit step is monotone")
 
-grid = get_benchmark("eikonal-cos").make_grid(0.05)
 run = generalized_pi(H, lambda X: np.cos(X[:, 0]), grid, T=1.0, M=2.0)
 print(f"\ngeneralized iteration: {run.iterations_used} linear solves, "
       f"stop = {run.stop_reason}")

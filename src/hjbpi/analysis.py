@@ -109,6 +109,13 @@ def _ball_min_1d(q, xs, radius, samples, tol):
         best = refined
 
 
+def _within_horizon(t, T):
+    """``t``, once an oracle time past the horizon (NaN included) is refused."""
+    if not t <= T:
+        raise ConfigurationError(f"oracle asked for t={t} beyond the horizon T={T}")
+    return t
+
+
 def _hopf_lax(q, c0, t, T, X, speed):
     """Oracle values and first minimizers at the (n, 1) points ``X``.
 
@@ -119,9 +126,7 @@ def _hopf_lax(q, c0, t, T, X, speed):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != 1:
         raise UnsupportedDimensionError("hopf-lax oracle supports 1 dimension only")
-    if not t <= T:
-        raise ConfigurationError(f"oracle asked for t={t} beyond the horizon T={T}")
-    radius = speed * (T - t)
+    radius = speed * (T - _within_horizon(t, T))
     if radius == 0.0:
         best, arg = np.asarray(q(X), dtype=float), X[:, 0]
     else:
@@ -145,10 +150,10 @@ def hopf_lax_minimizer(q, t, T, x, speed):
 
 
 def oracle_for(benchmark, T):
-    """Reference-solution callback (t, X) -> values for a benchmark, or None."""
+    """Reference-solution callback (t, X) -> values for a benchmark, or None; t > T is refused."""
     if benchmark.exact is not None:
         exact = benchmark.exact
-        return lambda t, X: np.asarray(exact(t, T, X), dtype=float)
+        return lambda t, X: np.asarray(exact(_within_horizon(t, T), T, X), dtype=float)
     if benchmark.hopf_lax is not None:
         c0, speed = benchmark.hopf_lax
         q = benchmark.problem.terminal_cost

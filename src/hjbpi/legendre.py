@@ -5,7 +5,8 @@ control set.  Before iterating, the Hamiltonian is clipped outside the
 gradient range the solution can reach: beyond twice the solution's
 Lipschitz bound it continues with a fixed slope ``m2``, which caps
 |grad_p H| at m2 = 2N and makes the explicit scheme monotone with
-viscosity coefficient N = m2/2.
+viscosity coefficient N = m2/2.  The clip is probed at the run's grid
+points and at one time (a time-invariant H) or nine times over [0, T].
 
 Everything runs forward in time from initial data q.  One forward sweep
 v(t + tau) = v + tau * (term + N*h*lap v) serves both the direct run
@@ -39,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import RowStencil, _row_dot, gradient_central_values
+from .grid import RowStencil, _row_dot, gradient_central_values, row_blocks
 from .pi import PIConfig, _IterationTracker
 from .problem import _finite_sup
 from .scheme import SchemeParams, _blowup_threshold, _check_values
@@ -48,6 +49,10 @@ GRAD_FD_STEP = 1e-5   # relative central-difference step for grad_p fallback
 LEGENDRE_POINTS = 41  # probe points per axis and stage in the numeric transform
 LINEARIZE_BLOCK = 16  # levels per Hamiltonian call when H is time-invariant
 CONVEXITY_PROBES = 64  # random p pairs per probe point in the convexity spot check
+CAP_PROBES = 256      # random p per probe point in the gradient cap check
+SPHERE_POINTS = 64    # p per sphere when probing m1 and m2 in 2 or more dimensions
+SPHERE_SEED = 0       # seed of those p from 3 dimensions up
+P_PROBE_RADIUS = 5.0  # p range of the numeric transform of an unclipped H
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,8 +64,9 @@ class ConvexHamiltonian:
     fallbacks: ``grad_p`` with the same convention returning (..., d), and
     ``legendre_L(t, x, mu)`` for the convex dual.  The iteration passes
     ``p`` and ``mu`` with a leading axis over a block of time levels and
-    ``x`` broadcast to their shape.  ``probe_times`` and ``probe_points``
-    tell the clipping construction where to sample.
+    ``x`` broadcast to their shape.  The clip is probed at the run's grid
+    points, ``x`` of shape (points, 1, d) against ``p`` of shape (probes, d),
+    and at one time (time-invariant H) or nine times over [0, T].
 
     ``time_invariant`` (default False) promises that the callbacks ignore
     ``t``, like ``ControlProblem.time_invariant``: the iteration then
@@ -72,9 +78,6 @@ class ConvexHamiltonian:
     dim: int = 1
     grad_p: Optional[Callable] = None
     legendre_L: Optional[Callable] = None
-    p_probe_radius: float = 5.0
-    probe_times: tuple = (0.0, 0.5, 1.0)
-    probe_points: tuple = ((0.0,),)
     time_invariant: bool = False
 
     def value(self, t, x, p):
@@ -85,26 +88,22 @@ class ConvexHamiltonian:
             return np.asarray(self.grad_p(t, x, p), dtype=float)
         return _fd_gradient(self.func, t, x, p)
 
-    def spot_check_convexity(self, scale=None):
-        """Midpoint convexity on random p pairs; raises on a clear violation."""
+    def spot_check_convexity(self, probes, scale):
+        """Midpoint convexity at ``probes`` for random p in [-scale, scale]^d, or raise."""
         rng = np.random.default_rng(0)
-        scale = scale if scale is not None else self.p_probe_radius
-        for t in self.probe_times:
-            for x0 in self.probe_points:
-                x = np.asarray(x0, dtype=float)[None, :]
-                p1 = rng.uniform(-scale, scale, size=(CONVEXITY_PROBES, self.dim))
-                p2 = rng.uniform(-scale, scale, size=(CONVEXITY_PROBES, self.dim))
-                mid = self.value(t, x, 0.5 * (p1 + p2))
-                avg = 0.5 * (self.value(t, x, p1) + self.value(t, x, p2))
-                gap = float(np.max(mid - avg))
-                if gap > 1e-9:
-                    raise ConfigurationError(
-                        f"Hamiltonian fails midpoint convexity by {gap:.3e} at t={t}")
+        p1, p2 = rng.uniform(-scale, scale, size=(2, CONVEXITY_PROBES, self.dim))
+        for t, x in probes:
+            mid = self.value(t, x, 0.5 * (p1 + p2))
+            avg = 0.5 * (self.value(t, x, p1) + self.value(t, x, p2))
+            gap = float(np.max(mid - avg))
+            if gap > 1e-9:
+                raise ConfigurationError(
+                    f"Hamiltonian fails midpoint convexity by {gap:.3e} at t={t}")
 
 
 def _fd_gradient(func, t, x, p):
     p = np.asarray(p, dtype=float)
-    out = np.empty_like(p)
+    out = np.empty(np.broadcast_shapes(np.shape(x)[:-1], p.shape[:-1]) + p.shape[-1:])
     step = GRAD_FD_STEP * (1.0 + np.sqrt(np.sum(p * p, axis=-1, keepdims=True)))
     for i in range(p.shape[-1]):
         dp = np.zeros_like(p)
@@ -174,31 +173,40 @@ def _fresh(inner, shape):
     return out
 
 
-def _sphere_points(dim, radius, count=64, seed=0):
+def _sphere_points(dim, radius):
     if dim == 1:
         return np.array([[-radius], [radius]])
     if dim == 2:
-        angles = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+        angles = np.linspace(0.0, 2.0 * math.pi, SPHERE_POINTS, endpoint=False)
         return radius * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=(count, dim))
+    rng = np.random.default_rng(SPHERE_SEED)
+    v = rng.normal(size=(SPHERE_POINTS, dim))
     return radius * v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def modify_hamiltonian(H, M):
-    """Probe m1 and m2 and build the clipped Hamiltonian.
+def _probes(H, grid, T):
+    """(t, x) to probe the clip at: t = 0 for a time-invariant H (as in
+    ``scheme._checked_sup_norms``), else nine times over [0, T]; x the grid's
+    points in (points, 1, d) blocks, so a callback returns about ``BLOCK_ELEMENTS``."""
+    times = (0.0,) if H.time_invariant else np.linspace(0.0, T, 9).tolist()
+    x = grid.coordinates()[:, None, :]
+    return [(t, x[rows]) for t in times
+            for rows in row_blocks(grid.npoints, CAP_PROBES * grid.dim)]
+
+
+def modify_hamiltonian(H, M, grid, T):
+    """Probe m1 and m2 and build the clipped Hamiltonian of a run on ``grid`` to ``T``.
 
     Also spot-checks convexity of the base and the gradient cap
     |grad_p H~| <= m2 on the probe set.
     """
     if not (math.isfinite(M) and M > 0.0):
         raise ConfigurationError(f"Lipschitz bound M must be finite and > 0, got {M!r}")
-    H.spot_check_convexity(scale=max(3.0 * M, 1.0))
+    probes = _probes(H, grid, T)
+    H.spot_check_convexity(probes, max(3.0 * M, 1.0))
 
     sphere2 = _sphere_points(H.dim, 2.0 * M)
     sphere3 = _sphere_points(H.dim, 3.0 * M)
-    probes = [(t, np.asarray(x0, dtype=float)[None, :])
-              for t in H.probe_times for x0 in H.probe_points]
     m1 = float(np.min([np.min(H.value(t, x, sphere2)) for t, x in probes]))
     m2_probe = float(np.max([np.max((H.value(t, x, sphere3) - m1) / M) for t, x in probes]))
     if not (math.isfinite(m1) and math.isfinite(m2_probe)):
@@ -206,7 +214,7 @@ def modify_hamiltonian(H, M):
             f"probed m1={m1}, m2={m2_probe} are not finite for M={M!r}")
     mod = ModifiedHamiltonian(base=H, M=float(M), m1=m1, m2=max(2.0, m2_probe))
 
-    p = np.random.default_rng(1).uniform(-4.0 * M, 4.0 * M, size=(256, H.dim))
+    p = np.random.default_rng(1).uniform(-4.0 * M, 4.0 * M, size=(CAP_PROBES, H.dim))
     for t, x in probes:
         g = mod.gradient(t, x, p)
         worst = float(np.max(np.sqrt(np.sum(g * g, axis=-1))))
@@ -216,17 +224,16 @@ def modify_hamiltonian(H, M):
     return mod
 
 
-def legendre_resolution(H, radius=None):
+def legendre_resolution(H):
     """p-resolution of the refined stage of the numeric transform."""
-    r = radius if radius is not None else _probe_radius(H)
-    coarse = 2.0 * r / (LEGENDRE_POINTS - 1)
+    coarse = 2.0 * _probe_radius(H) / (LEGENDRE_POINTS - 1)
     return 2.0 * coarse / (LEGENDRE_POINTS - 1)
 
 
 def _probe_radius(H):
     if isinstance(H, ModifiedHamiltonian):
         return 3.0 * H.M + 2.0
-    return H.p_probe_radius
+    return P_PROBE_RADIUS
 
 
 def legendre_transform_numeric(H, t, x, mu):
@@ -348,7 +355,7 @@ def legendre_scheme(H, M, grid, T, tau=None):
     the one place that decides it, for the run and for config validation.
     Raises ``CFLValidationError`` when an explicit ``tau`` is too large.
     """
-    mod = modify_hamiltonian(H, M)
+    mod = modify_hamiltonian(H, M, grid, T)
     params = SchemeParams.create(grid.spacing, T, f_sup_bound=mod.m2, tau=tau,
                                  N=mod.N, dim=grid.dim)
     return mod, params
@@ -371,9 +378,8 @@ def generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations=60,
     coords = grid.coordinates()
     q_values = np.broadcast_to(np.asarray(q(coords), dtype=float), (grid.npoints,))
 
-    h0 = 0.0
-    for t in H.probe_times:
-        h0 = max(h0, float(np.max(np.abs(mod.value(t, coords, np.zeros_like(coords))))))
+    h0 = float(np.max([np.max(np.abs(mod.value(t, x, np.zeros_like(x))))
+                       for t, x in _probes(H, grid, T)]))
     threshold = _blowup_threshold(_finite_sup(q_values, "terminal cost q"), h0, T)
 
     block = LINEARIZE_BLOCK if H.time_invariant else 1

@@ -64,7 +64,7 @@ class TestHopfLaxOracle:
             oracle_entry(entry, counted, 0.0, 1.0, [0.0, 0.0])
         assert counted.calls == 0
 
-    @pytest.mark.parametrize("entry", ["oracle", "minimizer", "oracle_for"])
+    @pytest.mark.parametrize("entry", ["oracle", "minimizer", "oracle_for", "exact"])
     @pytest.mark.parametrize("t", [1.5, 1.0 + 1e-12, math.nan])
     def test_time_past_the_horizon_is_refused(self, entry, t):
         # t > T would scan the mirrored interval linspace(-r, r) with r < 0
@@ -72,6 +72,12 @@ class TestHopfLaxOracle:
         with pytest.raises(ConfigurationError, match="beyond the horizon T=1.0"):
             oracle_entry(entry, counted, t, 1.0, [0.3])
         assert counted.calls == 0
+
+    @pytest.mark.parametrize("entry", ["oracle", "minimizer", "oracle_for", "exact"])
+    def test_time_at_the_horizon_is_the_terminal_cost(self, entry):
+        got = oracle_entry(entry, cos_q, 1.0, 1.0, [0.3])
+        expected = 0.3 if entry == "minimizer" else math.cos(0.3)
+        assert np.ravel(got).tolist() == [expected]
 
     def test_minimizer_direction(self):
         y = hopf_lax_minimizer(cos_q, 0.0, 1.0, [math.pi / 2.0], 1.0)
@@ -84,6 +90,10 @@ def oracle_entry(entry, q, t, T, x):
         return hopf_lax_oracle(q, 1.0, t, T, x, 1.0)
     if entry == "minimizer":
         return hopf_lax_minimizer(q, t, T, x, 1.0)
+    if entry == "exact":  # the exact-solution branch, with q as the solution
+        bench = dataclasses.replace(get_benchmark("transport-sin"),
+                                    exact=lambda t, T, X: q(X))
+        return oracle_for(bench, T)(t, np.array([x], dtype=float))
     bench = get_benchmark("eikonal-cos")  # c0 = speed = 1
     bench = dataclasses.replace(bench, problem=dataclasses.replace(bench.problem,
                                                                    terminal_cost=q))

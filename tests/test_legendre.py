@@ -25,6 +25,9 @@ from hjbpi.problem import ControlProblem, ControlSet
 from hjbpi.scheme import SchemeParams, solve_hjb_direct
 
 
+GRID = get_benchmark("eikonal-cos").make_grid(0.2)
+
+
 def quadratic_h(analytic=True):
     return ConvexHamiltonian(
         func=lambda t, x, p: 0.5 * np.sum(np.asarray(p) ** 2, axis=-1),
@@ -75,7 +78,7 @@ class TestNumericTransform:
 
 class TestModifyHamiltonian:
     def test_probed_constants_for_quadratic(self):
-        mod = modify_hamiltonian(quadratic_h(), 1.0)
+        mod = modify_hamiltonian(quadratic_h(), 1.0, GRID, 1.0)
         assert mod.m1 == pytest.approx(2.0, abs=1e-12)
         assert mod.m2 == pytest.approx(2.5, abs=1e-12)
         assert mod.N == pytest.approx(1.25, abs=1e-12)
@@ -83,24 +86,24 @@ class TestModifyHamiltonian:
     def test_m2_floor_is_two(self):
         flat = ConvexHamiltonian(func=lambda t, x, p: np.zeros(np.asarray(p).shape[:-1]),
                                  dim=1)
-        mod = modify_hamiltonian(flat, 1.0)
+        mod = modify_hamiltonian(flat, 1.0, GRID, 1.0)
         assert mod.m2 == 2.0 and mod.N == 1.0
 
     def test_inner_branch_is_exact(self):
-        mod = modify_hamiltonian(quadratic_h(), 1.0)
+        mod = modify_hamiltonian(quadratic_h(), 1.0, GRID, 1.0)
         p = np.array([[0.3], [-1.9], [2.0]])
         x = np.zeros((3, 1))
         assert np.array_equal(mod.value(0.0, x, p), 0.5 * p[:, 0] ** 2)
 
     def test_outer_branch_value(self):
         M = 1.0
-        mod = modify_hamiltonian(quadratic_h(), M)
+        mod = modify_hamiltonian(quadratic_h(), M, GRID, 1.0)
         x = np.zeros((1, 1))
         got = mod.value(0.0, x, np.array([[4.0 * M]]))[0]
         assert got == pytest.approx(mod.m1 + 2.0 * M * mod.m2, abs=1e-12)
 
     def test_continuity_at_branch_boundaries(self):
-        mod = modify_hamiltonian(quadratic_h(), 1.0)
+        mod = modify_hamiltonian(quadratic_h(), 1.0, GRID, 1.0)
         x = np.zeros((1, 1))
         for radius in (2.0, 3.0):
             for sign in (-1.0, 1.0):
@@ -109,7 +112,7 @@ class TestModifyHamiltonian:
                 assert abs(above - below) <= 1e-9
 
     def test_gradient_capped_by_m2(self):
-        mod = modify_hamiltonian(quadratic_h(), 1.0)
+        mod = modify_hamiltonian(quadratic_h(), 1.0, GRID, 1.0)
         rng = np.random.default_rng(4)
         p = rng.uniform(-8, 8, size=(200, 1))
         g = mod.gradient(0.0, np.zeros((200, 1)), p)
@@ -119,27 +122,27 @@ class TestModifyHamiltonian:
         bumpy = ConvexHamiltonian(
             func=lambda t, x, p: -np.sum(np.asarray(p) ** 2, axis=-1), dim=1)
         with pytest.raises(ConfigurationError):
-            modify_hamiltonian(bumpy, 1.0)
+            modify_hamiltonian(bumpy, 1.0, GRID, 1.0)
 
     def test_dual_domain_error(self):
-        mod = modify_hamiltonian(quadratic_h(analytic=False), 1.0)
+        mod = modify_hamiltonian(quadratic_h(analytic=False), 1.0, GRID, 1.0)
         with pytest.raises(ConfigurationError):
             legendre_transform_numeric(mod, 0.0, [0.0], [mod.m2 * 1.5])
 
     @pytest.mark.parametrize("M", [math.nan, math.inf, -math.inf, 0.0])
     def test_m_must_be_finite_and_positive(self, M):
         with pytest.raises(ConfigurationError, match="must be finite and > 0"):
-            modify_hamiltonian(quadratic_h(), M)
+            modify_hamiltonian(quadratic_h(), M, GRID, 1.0)
 
     def test_overflowing_probes_rejected(self):
         # |p|^2/2 on |p| = 2e300 is inf, so m1 and m2 cannot be probed
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ConfigurationError, match="are not finite for M=1e"):
-                modify_hamiltonian(quadratic_h(), 1e300)
+                modify_hamiltonian(quadratic_h(), 1e300, GRID, 1.0)
 
     def test_fd_gradient_matches_analytic(self):
-        with_grad = modify_hamiltonian(quadratic_h(True), 1.0)
-        without = modify_hamiltonian(quadratic_h(False), 1.0)
+        with_grad = modify_hamiltonian(quadratic_h(True), 1.0, GRID, 1.0)
+        without = modify_hamiltonian(quadratic_h(False), 1.0, GRID, 1.0)
         p = np.linspace(-1.9, 1.9, 11)[:, None]
         x = np.zeros((11, 1))
         ga = with_grad.gradient(0.0, x, p)
@@ -147,10 +150,50 @@ class TestModifyHamiltonian:
         assert np.allclose(ga, gn, atol=1e-9)
 
 
+class TestProbesFollowTheRun:
+    """The clip is probed at the run's grid points and over its whole horizon."""
+
+    @staticmethod
+    def assert_capped(mod, grid, times):
+        p = np.random.default_rng(3).uniform(-6.0 * mod.M, 6.0 * mod.M, size=(64, grid.dim))
+        x = grid.coordinates()[:, None, :]
+        for t in times:
+            g = mod.gradient(t, x, p)
+            assert np.max(np.sqrt(np.sum(g * g, axis=-1))) <= mod.m2 * (1.0 + 1e-6), t
+
+    def test_time_dependent_h_capped_past_t_one(self):
+        H = ConvexHamiltonian(func=lambda t, x, p: 0.5 * (1.0 + t) * np.sum(p * p, axis=-1),
+                              dim=1, grad_p=lambda t, x, p: (1.0 + t) * p)
+        mod, params = legendre_scheme(H, 2.0, GRID, 3.0)
+        self.assert_capped(mod, GRID, [params.time(k) for k in range(params.steps + 1)])
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_x_dependent_h_runs_monotone(self, analytic):
+        H = ConvexHamiltonian(
+            func=lambda t, x, p: 0.5 * (1.0 + 0.05 * x[..., 0] ** 2) * np.sum(p * p, axis=-1),
+            dim=1, time_invariant=True,
+            grad_p=(lambda t, x, p: (1.0 + 0.05 * x[..., :1] ** 2) * p) if analytic else None)
+        run = generalized_pi(H, lambda X: np.cos(X[:, 0]), GRID, 1.0, 2.0)
+        assert run.stop_reason == "tolerance"
+        assert run.monotonicity_violation_count == 0
+        assert run.worst_monotonicity <= MONOTONE_SLACK
+        self.assert_capped(run.modified, GRID, [0.0])
+
+    def test_two_dimensional_h_reading_the_second_coordinate(self):
+        H = ConvexHamiltonian(
+            func=lambda t, x, p: 0.5 * (1.0 + x[..., 1] ** 2) * np.sum(p * p, axis=-1), dim=2,
+            grad_p=lambda t, x, p: (1.0 + x[..., 1:] ** 2) * p, time_invariant=True)
+        grid = Grid(spacing=0.25, points_per_axis=(5, 9), origin=(0.0, -1.0))
+        mod, _ = legendre_scheme(H, 1.0, grid, 1.0)
+        # |x_2| reaches 1, where H on |p| = 3M is 0.5 * 2 * 9; at x = 0 it is half that
+        assert mod.m2 == pytest.approx((9.0 - 2.0) / 1.0, rel=1e-12)
+        self.assert_capped(mod, grid, [0.0])
+
+
 def test_linearization_consistency():
     # at mu = grad H(p) the dual closes the Fenchel gap: b p - L(b) = H(p)
     H = quadratic_h(analytic=False)
-    mod = modify_hamiltonian(H, 1.0)
+    mod = modify_hamiltonian(H, 1.0, GRID, 1.0)
     tol = 1e-3
     for p in np.linspace(-1.5, 1.5, 7):
         b = float(mod.gradient(0.0, np.zeros((1, 1)), np.array([[p]]))[0, 0])
@@ -273,15 +316,14 @@ def test_resolution_scales_with_radius():
     # raw default radius 5.0; clipped radius 3M + 2 = 5.0 for M = 1
     expected = 2.0 * (2.0 * 5.0 / 40.0) / 40.0
     assert legendre_resolution(quadratic_h()) == pytest.approx(expected, abs=1e-15)
-    mod = modify_hamiltonian(quadratic_h(), 1.0)
+    mod = modify_hamiltonian(quadratic_h(), 1.0, GRID, 1.0)
     assert legendre_resolution(mod) == pytest.approx(expected, abs=1e-15)
-    assert legendre_resolution(quadratic_h(), radius=10.0) == pytest.approx(
-        2.0 * expected, abs=1e-15)
 
 
 def test_spot_check_convexity_passes_for_convex():
-    quadratic_h().spot_check_convexity()
-    abs_h().spot_check_convexity()
+    probes = legendre_module._probes(quadratic_h(), GRID, 1.0)
+    quadratic_h().spot_check_convexity(probes, 5.0)
+    abs_h().spot_check_convexity(probes, 5.0)
 
 
 class TestBlockLinearization:
@@ -394,7 +436,7 @@ def test_iterates_decrease_and_repeat_bitwise(spy, points, M, amplitude, cfl, st
     # the equality case of the step bound; the flag takes the block path
     H = dataclasses.replace(quadratic_h(), time_invariant=True)
     grid = Grid(spacing=2 * np.pi / points, points_per_axis=(points,))
-    N = modify_hamiltonian(H, M).N
+    N = modify_hamiltonian(H, M, grid, 1.0).N  # time-invariant: probed at t = 0 alone
     tau = cfl * grid.spacing / (2.0 * N)
     q = lambda X: amplitude * np.cos(X[:, 0])
     runs, sweeps = [], []

@@ -83,9 +83,9 @@ def reference_generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations
     coords = grid.coordinates()
     q_values = np.broadcast_to(np.asarray(q(coords), dtype=float), (grid.npoints,))
 
-    h0 = 0.0
-    for t in H.probe_times:
-        h0 = max(h0, float(np.max(np.abs(mod.value(t, coords, np.zeros_like(coords))))))
+    times = (0.0,) if H.time_invariant else np.linspace(0.0, T, 9)
+    h0 = max(float(np.max(np.abs(mod.value(t, coords, np.zeros_like(coords)))))
+             for t in times)
     threshold = 10.0 * (_finite_sup(q_values, "terminal cost q") + h0 * T + 1.0)
 
     block = LINEARIZE_BLOCK if H.time_invariant else 1

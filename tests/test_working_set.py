@@ -1,10 +1,11 @@
 """Working-set bounds of the blocked reductions.
 
 tracemalloc sees numpy's buffers, so the traced peak of one call is the
-largest set of temporaries it held at once.  The Hopf-Lax oracle and the
-policy-iteration tracker, fixed-point excess included, work a block of
-``BLOCK_ELEMENTS`` values at a time, so their peaks stay at a few blocks
-plus their (n,) outputs however large the whole problem is.
+largest set of temporaries it held at once.  The Hopf-Lax oracle, the
+policy-iteration tracker, fixed-point excess included, and the Legendre
+clip's probes work a block of ``BLOCK_ELEMENTS`` values at a time, so their
+peaks stay at a few blocks plus their (n,) outputs however large the whole
+problem is.
 """
 
 import tracemalloc
@@ -14,7 +15,8 @@ import numpy as np
 from hjbpi.analysis import _hopf_lax
 from hjbpi import pi as pi_module
 from hjbpi.benchmarks import get_benchmark
-from hjbpi.grid import BLOCK_ELEMENTS
+from hjbpi.grid import BLOCK_ELEMENTS, Grid
+from hjbpi.legendre import CAP_PROBES, ConvexHamiltonian, modify_hamiltonian
 from hjbpi.pi import PIConfig, _IterationTracker, run_policy_iteration
 from hjbpi.scheme import SchemeParams
 
@@ -76,3 +78,15 @@ def test_fixed_point_excess_of_a_run_wider_than_a_block(spy):
         tracker = _IterationTracker(fixed, run.measured_mask, 0, PIConfig())
         peak = traced_peak(lambda: tracker.record(0, sol.values))
         assert peak <= bound(grid.npoints), peak
+
+
+def test_clip_probe_peak_on_a_large_two_dimensional_grid():
+    # H reads x, so every probe's callback result grows with the points it is given
+    H = ConvexHamiltonian(
+        func=lambda t, x, p: 0.5 * (1.0 + x[..., 1] ** 2) * np.sum(p * p, axis=-1), dim=2,
+        grad_p=lambda t, x, p: (1.0 + x[..., 1:] ** 2) * p, time_invariant=True)
+    grid = Grid(spacing=0.01, points_per_axis=(200, 200))
+    # the gradient cap check over all points at once would exceed the bound
+    assert 8 * grid.npoints * CAP_PROBES * grid.dim > bound(grid.npoints)
+    peak = traced_peak(lambda: modify_hamiltonian(H, 1.0, grid, 1.0))
+    assert peak <= bound(grid.npoints), peak
