@@ -14,6 +14,7 @@ from hjbpi import ControlProblem, ControlSet, PIConfig, SchemeParams, get_benchm
 from hjbpi.legendre import (
     ConvexHamiltonian,
     generalized_pi,
+    legendre_scheme,
     legendre_transform_numeric,
     modify_hamiltonian,
     reverse_time_slices,
@@ -21,14 +22,13 @@ from hjbpi.legendre import (
 
 H = ConvexHamiltonian(
     func=lambda t, x, p: 0.5 * np.sum(np.asarray(p) ** 2, axis=-1),
-    dim=1,
     grad_p=lambda t, x, p: np.asarray(p, dtype=float),
     legendre_L=lambda t, x, mu: 0.5 * np.sum(np.asarray(mu) ** 2, axis=-1),
 )
 
 # the numeric transform agrees with the analytic dual of the quadratic
 print("numeric Legendre transform of |p|^2/2 (analytic dual is |mu|^2/2):")
-numeric_only = ConvexHamiltonian(func=H.func, dim=1)
+numeric_only = ConvexHamiltonian(func=H.func)
 for mu in (-1.5, -0.5, 0.0, 1.0, 2.0):
     got = legendre_transform_numeric(numeric_only, 0.0, [0.0], [mu])
     print(f"  mu = {mu:5.2f}: numeric {got:9.6f}, analytic {0.5 * mu * mu:9.6f}")
@@ -39,7 +39,9 @@ print(f"\nclipping for M = 1: m1 = {mod.m1}, m2 = {mod.m2}, viscosity N = {mod.N
 print("  H~ equals H up to |p| = 2M and grows with slope m2 past 3M, so")
 print("  |grad H~| stays below 2N and the explicit step is monotone")
 
-run = generalized_pi(H, lambda X: np.cos(X[:, 0]), grid, T=1.0, M=2.0)
+# the run takes the clip for M = 2 and the scheme parameters it admits
+clipped, scheme = legendre_scheme(H, M=2.0, grid=grid, T=1.0)
+run = generalized_pi(clipped, lambda X: np.cos(X[:, 0]), grid, scheme)
 print(f"\ngeneralized iteration: {run.iterations_used} linear solves, "
       f"stop = {run.stop_reason}")
 print(f"  errors to the direct solve: "

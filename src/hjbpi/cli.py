@@ -76,11 +76,9 @@ TERMINAL_FORMS = {
     "sin": lambda x: np.sin(x[..., 0]),
     "zero": lambda x: np.zeros(x.shape[:-1]),
 }
-# A Hamiltonian form takes the grid's dimension.
 LEGENDRE_FORMS = {
-    "half-square": lambda dim: ConvexHamiltonian(
+    "half-square": ConvexHamiltonian(
         func=lambda t, x, p: 0.5 * np.sum(np.asarray(p) ** 2, axis=-1),
-        dim=dim,
         grad_p=lambda t, x, p: np.asarray(p, dtype=float),
         legendre_L=lambda t, x, mu: 0.5 * np.sum(np.asarray(mu) ** 2, axis=-1),
         time_invariant=True,
@@ -238,10 +236,9 @@ def _run_tau_study(config, benchmark, grid, params, outdir):
     ]
 
 
-def _run_legendre_pi(config, benchmark, grid, params, outdir):
-    H = LEGENDRE_FORMS[config.legendre_hamiltonian](grid.dim)
-    run = generalized_pi(H, benchmark.problem.terminal_cost, grid, config.T,
-                         config.legendre_M, tau=config.tau,
+def _run_legendre_pi(config, benchmark, grid, scheme, outdir):
+    clipped, params = scheme
+    run = generalized_pi(clipped, benchmark.problem.terminal_cost, grid, params,
                          max_iterations=config.pi_max_iterations,
                          stop_tolerance=config.pi_stop_tolerance)
     resolution = ("legendre_resolution", run.legendre_resolution)
@@ -251,8 +248,8 @@ def _run_legendre_pi(config, benchmark, grid, params, outdir):
     return [
         ("hamiltonian", config.legendre_hamiltonian),
         ("M", config.legendre_M),
-        ("m1", run.modified.m1),
-        ("m2", run.modified.m2),
+        ("m1", clipped.m1),
+        ("m2", clipped.m2),
         ("N", params.N),
         ("h", grid.spacing),
         ("tau", params.tau),
@@ -280,15 +277,15 @@ def _scheme_params(config, benchmark):
 
 
 def _legendre_params(config, benchmark):
-    """Steps with the clipped Hamiltonian's viscosity N = m2/2."""
+    """The clipped Hamiltonian and its steps with viscosity N = m2/2, as a pair."""
     grid = benchmark.make_grid(config.h)
-    H = LEGENDRE_FORMS[config.legendre_hamiltonian](grid.dim)
-    return grid, legendre_scheme(H, config.legendre_M, grid, config.T, config.tau)[1]
+    H = LEGENDRE_FORMS[config.legendre_hamiltonian]
+    return grid, legendre_scheme(H, config.legendre_M, grid, config.T, config.tau)
 
 
 # mode -> (runner, the list key it needs, the key of the spacings whose measured
 # region must hold a grid point, the builder of the grid and scheme parameters at
-# scheme.h that the runner takes).
+# scheme.h that the runner takes; for legendre-pi the clip and its parameters).
 _MODES = {
     "solve": (_run_solve, None, None, _scheme_params),
     "pi": (_run_pi, None, "scheme.h", _scheme_params),

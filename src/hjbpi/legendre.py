@@ -5,8 +5,9 @@ control set.  Before iterating, the Hamiltonian is clipped outside the
 gradient range the solution can reach: beyond twice the solution's
 Lipschitz bound it continues with a fixed slope ``m2``, which caps
 |grad_p H| at m2 = 2N and makes the explicit scheme monotone with
-viscosity coefficient N = m2/2.  The clip is probed at the run's grid
-points and at one time (a time-invariant H) or nine times over [0, T].
+viscosity coefficient N = m2/2.  ``legendre_scheme`` probes the clip in
+the grid's dimension, at its points and at one time (a time-invariant H)
+or nine times over [0, T]; ``generalized_pi`` runs on the pair it returns.
 
 Everything runs forward in time from initial data q.  One forward sweep
 v(t + tau) = v + tau * (term + N*h*lap v) serves both the direct run
@@ -59,10 +60,10 @@ P_PROBE_RADIUS = 5.0  # p range of the numeric transform of an unclipped H
 class ConvexHamiltonian:
     """A Hamiltonian H(t, x, p), convex in p.
 
-    ``func`` receives ``x`` of shape (..., d) and ``p`` of shape (..., d)
-    and returns shape (...).  Optional analytic helpers avoid numeric
-    fallbacks: ``grad_p`` with the same convention returning (..., d), and
-    ``legendre_L(t, x, mu)`` for the convex dual.  The iteration passes
+    ``func`` receives ``x`` and ``p`` of shape (..., d), d the dimension of
+    the run's grid, and returns shape (...).  Optional analytic helpers avoid
+    numeric fallbacks: ``grad_p`` with the same convention returning (..., d),
+    and ``legendre_L(t, x, mu)`` for the convex dual.  The iteration passes
     ``p`` and ``mu`` with a leading axis over a block of time levels and
     ``x`` broadcast to their shape.  The clip is probed at the run's grid
     points, ``x`` of shape (points, 1, d) against ``p`` of shape (probes, d),
@@ -75,7 +76,6 @@ class ConvexHamiltonian:
     """
 
     func: Callable
-    dim: int = 1
     grad_p: Optional[Callable] = None
     legendre_L: Optional[Callable] = None
     time_invariant: bool = False
@@ -91,7 +91,8 @@ class ConvexHamiltonian:
     def spot_check_convexity(self, probes, scale):
         """Midpoint convexity at ``probes`` for random p in [-scale, scale]^d, or raise."""
         rng = np.random.default_rng(0)
-        p1, p2 = rng.uniform(-scale, scale, size=(2, CONVEXITY_PROBES, self.dim))
+        dim = probes[0][1].shape[-1]  # d: the last axis of the probe points
+        p1, p2 = rng.uniform(-scale, scale, size=(2, CONVEXITY_PROBES, dim))
         for t, x in probes:
             mid = self.value(t, x, 0.5 * (p1 + p2))
             avg = 0.5 * (self.value(t, x, p1) + self.value(t, x, p2))
@@ -205,8 +206,8 @@ def modify_hamiltonian(H, M, grid, T):
     probes = _probes(H, grid, T)
     H.spot_check_convexity(probes, max(3.0 * M, 1.0))
 
-    sphere2 = _sphere_points(H.dim, 2.0 * M)
-    sphere3 = _sphere_points(H.dim, 3.0 * M)
+    sphere2 = _sphere_points(grid.dim, 2.0 * M)
+    sphere3 = _sphere_points(grid.dim, 3.0 * M)
     m1 = float(np.min([np.min(H.value(t, x, sphere2)) for t, x in probes]))
     m2_probe = float(np.max([np.max((H.value(t, x, sphere3) - m1) / M) for t, x in probes]))
     if not (math.isfinite(m1) and math.isfinite(m2_probe)):
@@ -214,7 +215,7 @@ def modify_hamiltonian(H, M, grid, T):
             f"probed m1={m1}, m2={m2_probe} are not finite for M={M!r}")
     mod = ModifiedHamiltonian(base=H, M=float(M), m1=m1, m2=max(2.0, m2_probe))
 
-    p = np.random.default_rng(1).uniform(-4.0 * M, 4.0 * M, size=(CAP_PROBES, H.dim))
+    p = np.random.default_rng(1).uniform(-4.0 * M, 4.0 * M, size=(CAP_PROBES, grid.dim))
     for t, x in probes:
         g = mod.gradient(t, x, p)
         worst = float(np.max(np.sqrt(np.sum(g * g, axis=-1))))
@@ -273,7 +274,6 @@ class GeneralizedPIRun:
     """Mirror of a control-formulation PIRun for the forward convex iteration."""
 
     params: SchemeParams
-    modified: ModifiedHamiltonian
     fixed_point: np.ndarray               # (steps + 1, npoints), levels 0..steps forward
     last_iterate: np.ndarray              # the final linearized run, same layout
     errors_to_fixed_point: np.ndarray
@@ -285,7 +285,9 @@ class GeneralizedPIRun:
     worst_monotonicity: float
     iterations_used: int
     stop_reason: str
-    legendre_resolution: float            # 0.0 when an analytic dual was used
+    # p-step legendre_transform_numeric would scan on this clip, 0.0 with an
+    # analytic dual; the run never calls it (the dual is the Fenchel equality)
+    legendre_resolution: float
 
 
 def _check_rows(values, lo, hi, params, threshold):
@@ -356,58 +358,59 @@ def legendre_scheme(H, M, grid, T, tau=None):
     Raises ``CFLValidationError`` when an explicit ``tau`` is too large.
     """
     mod = modify_hamiltonian(H, M, grid, T)
-    params = SchemeParams.create(grid.spacing, T, f_sup_bound=mod.m2, tau=tau,
-                                 N=mod.N, dim=grid.dim)
-    return mod, params
+    return mod, SchemeParams.create(grid.spacing, T, f_sup_bound=mod.m2, tau=tau,
+                                    N=mod.N, dim=grid.dim)
 
 
-def generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations=60,
+def generalized_pi(clipped, q, grid, params, v0=None, max_iterations=60,
                    stop_tolerance=1e-10):
     """Iterate the linearized forward equation against frozen coefficients.
 
-    Each iterate freezes the advection field grad_p H~ and the dual values
-    at the previous iterate's gradients, then solves the resulting linear
-    equation forward from v(0) = q.  At the linearization point the dual is
+    ``clipped, params`` is the pair ``legendre_scheme`` returns for ``grid``:
+    the run reads H from ``clipped.base`` and steps with ``params``.  Each
+    iterate freezes the advection field grad_p H~ and the dual values at the
+    previous iterate's gradients, then solves the resulting linear equation
+    forward from v(0) = q.  At the linearization point the dual is
     evaluated through the Fenchel equality p . grad_p H~(p) - H~(p) (or the
     analytic dual when provided), which keeps the monotone-decrease
     property sharp instead of noisy at the numeric-transform resolution.
     The stop rule's two numbers are checked as ``PIConfig`` checks them.
     """
     stop = PIConfig(max_iterations=max_iterations, stop_tolerance=stop_tolerance)
-    mod, params = legendre_scheme(H, M, grid, T, tau)
     coords = grid.coordinates()
     q_values = np.broadcast_to(np.asarray(q(coords), dtype=float), (grid.npoints,))
-
-    h0 = float(np.max([np.max(np.abs(mod.value(t, x, np.zeros_like(x))))
-                       for t, x in _probes(H, grid, T)]))
-    threshold = _blowup_threshold(_finite_sup(q_values, "terminal cost q"), h0, T)
-
-    block = LINEARIZE_BLOCK if H.time_invariant else 1
-
-    def direct_term(k, grads, out):
-        np.negative(mod.value(params.time(k), coords, grads), out=out)
-
-    # the direct run's gradients become the fixed point's advection field;
-    # it calls H at every level, so every row is checked before H sees it
-    fixed_advection = np.empty((params.steps, grid.npoints, grid.dim))
-    fixed = _forward_sweep(grid, params, q_values, threshold, fixed_advection, direct_term)
-    for k in range(0, params.steps, block):
-        p = fixed_advection[k:k + block]
-        p[:] = mod.gradient(params.time(k), np.broadcast_to(coords, p.shape), p)
+    h0 = float(np.max([np.max(np.abs(clipped.value(t, x, np.zeros_like(x))))
+                       for t, x in _probes(clipped.base, grid, params.T)]))
+    threshold = _blowup_threshold(_finite_sup(q_values, "terminal cost q"), h0, params.T)
 
     # gradients[k]: central gradient of the previous iterate at level k,
     # where the next linearization freezes its coefficients
-    gradients = np.empty_like(fixed_advection)
+    gradients = np.empty((params.steps, grid.npoints, grid.dim))
     if v0 is None:
         gradients[:] = gradient_central_values(grid, q_values)
     else:
         v0 = np.asarray(v0, dtype=float)
-        if v0.shape != fixed.shape:
-            raise ConfigurationError(f"v0 must have shape {fixed.shape}, got {v0.shape}")
+        if v0.shape != (params.steps + 1, grid.npoints):
+            raise ConfigurationError(
+                f"v0 must have shape {(params.steps + 1, grid.npoints)}, got {v0.shape}")
         for k in range(params.steps):
             gradients[k] = gradient_central_values(grid, v0[k])
-    analytic_dual = H.legendre_L is not None
-    resolution = 0.0 if analytic_dual else legendre_resolution(mod)
+
+    block = LINEARIZE_BLOCK if clipped.base.time_invariant else 1
+
+    def direct_term(k, grads, out):
+        np.negative(clipped.value(params.time(k), coords, grads), out=out)
+
+    # the direct run's gradients become the fixed point's advection field;
+    # it calls H at every level, so every row is checked before H sees it
+    fixed_advection = np.empty_like(gradients)
+    fixed = _forward_sweep(grid, params, q_values, threshold, fixed_advection, direct_term)
+    for k in range(0, params.steps, block):
+        p = fixed_advection[k:k + block]
+        p[:] = clipped.gradient(params.time(k), np.broadcast_to(coords, p.shape), p)
+
+    analytic_dual = clipped.base.legendre_L is not None
+    resolution = 0.0 if analytic_dual else legendre_resolution(clipped)
     level_grad_sup = np.zeros(params.steps)
     level_adv_l2 = np.zeros(params.steps)
     b = dual = None
@@ -421,13 +424,13 @@ def generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations=60,
         p_prev = gradients[lo:hi]
         x = np.broadcast_to(coords, p_prev.shape)
         level_grad_sup[lo:hi] = np.max(np.abs(p_prev), axis=(1, 2))
-        b = mod.gradient(t, x, p_prev)
+        b = clipped.gradient(t, x, p_prev)
         bdiff = b - fixed_advection[lo:hi]
         level_adv_l2[lo:hi] = np.sqrt(np.sum(bdiff * bdiff, axis=(1, 2)))
         if analytic_dual:
-            dual = np.asarray(H.legendre_L(t, x, b), dtype=float)
+            dual = np.asarray(clipped.base.legendre_L(t, x, b), dtype=float)
         else:
-            dual = np.sum(p_prev * b, axis=-1) - mod.value(t, x, p_prev)
+            dual = np.sum(p_prev * b, axis=-1) - clipped.value(t, x, p_prev)
 
     def linear_term(k, grads, out):
         j = k % block
@@ -445,7 +448,6 @@ def generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations=60,
 
     return GeneralizedPIRun(
         params=params,
-        modified=mod,
         fixed_point=fixed,
         last_iterate=values,
         advection_l2=np.array(adv_l2),

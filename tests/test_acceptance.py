@@ -19,6 +19,7 @@ from hjbpi.cli import ExperimentConfig, run_experiment
 from hjbpi.legendre import (
     ConvexHamiltonian,
     generalized_pi,
+    legendre_scheme,
     legendre_transform_numeric,
     reverse_time_slices,
 )
@@ -234,7 +235,6 @@ def test_criterion_6_semi_concavity_budget():
 def quadratic_hamiltonian():
     return ConvexHamiltonian(
         func=lambda t, x, p: 0.5 * np.sum(np.asarray(p) ** 2, axis=-1),
-        dim=1,
         grad_p=lambda t, x, p: np.asarray(p, dtype=float),
         legendre_L=lambda t, x, mu: 0.5 * np.sum(np.asarray(mu) ** 2, axis=-1),
     )
@@ -242,7 +242,7 @@ def quadratic_hamiltonian():
 
 def test_criterion_7_legendre_consistency():
     numeric = ConvexHamiltonian(
-        func=lambda t, x, p: 0.5 * np.sum(np.asarray(p) ** 2, axis=-1), dim=1)
+        func=lambda t, x, p: 0.5 * np.sum(np.asarray(p) ** 2, axis=-1))
     rng = np.random.default_rng(777)
 
     # (a) numeric transform of the self-dual quadratic, 100 probes
@@ -260,8 +260,9 @@ def test_criterion_7_legendre_consistency():
     # matched viscosity, compared through time reversal
     bench = get_benchmark("eikonal-cos")
     grid = bench.make_grid(0.05)
-    grun = generalized_pi(quadratic_hamiltonian(), lambda X: np.cos(X[:, 0]),
-                          grid, 1.0, 2.0, max_iterations=60)
+    clipped, gparams = legendre_scheme(quadratic_hamiltonian(), 2.0, grid, 1.0)
+    grun = generalized_pi(clipped, lambda X: np.cos(X[:, 0]), grid, gparams,
+                          max_iterations=60)
     prob = ControlProblem(
         dynamics=lambda t, x, a: np.full_like(x, a[0]),
         running_cost=lambda t, x, a: 0.5 * a[0] * a[0],

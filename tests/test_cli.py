@@ -12,6 +12,7 @@ import pytest
 
 import hjbpi
 from hjbpi import cli
+from hjbpi import legendre as legendre_module
 from hjbpi.cli import (
     EXIT_BLOWUP,
     EXIT_INTERNAL,
@@ -602,9 +603,11 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("mode", ["solve", "legendre-pi"])
     def test_main_validates_once_with_the_run_mode(self, mode, tmp_path, monkeypatch):
-        # the file says solve; an inline problem's callbacks are sampled too
-        seen, sampled = [], [0]
+        # the file says solve; an inline problem's callbacks are sampled too;
+        # legendre-pi builds its clip once to validate and once for the run
+        seen, sampled, built = [], [0], [0]
         validate, sample = cli.validate_config, cli.validate_f_bound
+        modify = legendre_module.modify_hamiltonian
 
         def counted_validate(config):
             seen.append(config.mode)
@@ -614,8 +617,13 @@ class TestRunExperiment:
             sampled[0] += 1
             return sample(*args)
 
+        def counted_modify(*args):
+            built[0] += 1
+            return modify(*args)
+
         monkeypatch.setattr(cli, "validate_config", counted_validate)
         monkeypatch.setattr(cli, "validate_f_bound", counted_sample)
+        monkeypatch.setattr(legendre_module, "modify_hamiltonian", counted_modify)
         (tmp_path / "exp.cfg").write_text(
             "mode: solve\nscheme.h: 0.1\nproblem.terminal_cost: cos\n")
         code = main([mode, "--config", str(tmp_path / "exp.cfg"),
@@ -623,6 +631,7 @@ class TestRunExperiment:
         assert code == EXIT_OK
         assert seen == [mode]
         assert sampled[0] == 1
+        assert built[0] == (2 if mode == "legendre-pi" else 0)
 
     def test_cfl_checked_on_the_snapped_grid(self, tmp_path):
         # 2 pi / 0.1 rounds to 63 cells of 0.0997..., too small for tau = 0.05

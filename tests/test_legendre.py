@@ -31,16 +31,21 @@ GRID = get_benchmark("eikonal-cos").make_grid(0.2)
 def quadratic_h(analytic=True):
     return ConvexHamiltonian(
         func=lambda t, x, p: 0.5 * np.sum(np.asarray(p) ** 2, axis=-1),
-        dim=1,
         grad_p=(lambda t, x, p: np.asarray(p, dtype=float)) if analytic else None,
         legendre_L=(lambda t, x, mu: 0.5 * np.sum(np.asarray(mu) ** 2, axis=-1))
         if analytic else None,
     )
 
 
+def run_legendre(H, q, grid, T, M, tau=None, **kwargs):
+    """``generalized_pi`` on the clip and parameters ``legendre_scheme`` builds."""
+    clipped, params = legendre_scheme(H, M, grid, T, tau)
+    return generalized_pi(clipped, q, grid, params, **kwargs)
+
+
 def abs_h():
     return ConvexHamiltonian(
-        func=lambda t, x, p: np.sqrt(np.sum(np.asarray(p) ** 2, axis=-1)), dim=1)
+        func=lambda t, x, p: np.sqrt(np.sum(np.asarray(p) ** 2, axis=-1)))
 
 
 class TestNumericTransform:
@@ -71,7 +76,7 @@ class TestNumericTransform:
 
     def test_two_dimensional_quadratic(self):
         H = ConvexHamiltonian(
-            func=lambda t, x, p: 0.5 * np.sum(np.asarray(p) ** 2, axis=-1), dim=2)
+            func=lambda t, x, p: 0.5 * np.sum(np.asarray(p) ** 2, axis=-1))
         got = legendre_transform_numeric(H, 0.0, [0.0, 0.0], [1.0, -0.5])
         assert got == pytest.approx(0.5 * 1.25, abs=1e-3)
 
@@ -84,8 +89,7 @@ class TestModifyHamiltonian:
         assert mod.N == pytest.approx(1.25, abs=1e-12)
 
     def test_m2_floor_is_two(self):
-        flat = ConvexHamiltonian(func=lambda t, x, p: np.zeros(np.asarray(p).shape[:-1]),
-                                 dim=1)
+        flat = ConvexHamiltonian(func=lambda t, x, p: np.zeros(np.asarray(p).shape[:-1]))
         mod = modify_hamiltonian(flat, 1.0, GRID, 1.0)
         assert mod.m2 == 2.0 and mod.N == 1.0
 
@@ -119,8 +123,7 @@ class TestModifyHamiltonian:
         assert np.max(np.abs(g)) <= mod.m2 * (1 + 1e-9)
 
     def test_non_convex_rejected(self):
-        bumpy = ConvexHamiltonian(
-            func=lambda t, x, p: -np.sum(np.asarray(p) ** 2, axis=-1), dim=1)
+        bumpy = ConvexHamiltonian(func=lambda t, x, p: -np.sum(np.asarray(p) ** 2, axis=-1))
         with pytest.raises(ConfigurationError):
             modify_hamiltonian(bumpy, 1.0, GRID, 1.0)
 
@@ -163,7 +166,7 @@ class TestProbesFollowTheRun:
 
     def test_time_dependent_h_capped_past_t_one(self):
         H = ConvexHamiltonian(func=lambda t, x, p: 0.5 * (1.0 + t) * np.sum(p * p, axis=-1),
-                              dim=1, grad_p=lambda t, x, p: (1.0 + t) * p)
+                              grad_p=lambda t, x, p: (1.0 + t) * p)
         mod, params = legendre_scheme(H, 2.0, GRID, 3.0)
         self.assert_capped(mod, GRID, [params.time(k) for k in range(params.steps + 1)])
 
@@ -171,22 +174,35 @@ class TestProbesFollowTheRun:
     def test_x_dependent_h_runs_monotone(self, analytic):
         H = ConvexHamiltonian(
             func=lambda t, x, p: 0.5 * (1.0 + 0.05 * x[..., 0] ** 2) * np.sum(p * p, axis=-1),
-            dim=1, time_invariant=True,
+            time_invariant=True,
             grad_p=(lambda t, x, p: (1.0 + 0.05 * x[..., :1] ** 2) * p) if analytic else None)
-        run = generalized_pi(H, lambda X: np.cos(X[:, 0]), GRID, 1.0, 2.0)
+        mod, params = legendre_scheme(H, 2.0, GRID, 1.0)
+        run = generalized_pi(mod, lambda X: np.cos(X[:, 0]), GRID, params)
         assert run.stop_reason == "tolerance"
         assert run.monotonicity_violation_count == 0
         assert run.worst_monotonicity <= MONOTONE_SLACK
-        self.assert_capped(run.modified, GRID, [0.0])
+        self.assert_capped(mod, GRID, [0.0])
 
     def test_two_dimensional_h_reading_the_second_coordinate(self):
         H = ConvexHamiltonian(
-            func=lambda t, x, p: 0.5 * (1.0 + x[..., 1] ** 2) * np.sum(p * p, axis=-1), dim=2,
+            func=lambda t, x, p: 0.5 * (1.0 + x[..., 1] ** 2) * np.sum(p * p, axis=-1),
             grad_p=lambda t, x, p: (1.0 + x[..., 1:] ** 2) * p, time_invariant=True)
         grid = Grid(spacing=0.25, points_per_axis=(5, 9), origin=(0.0, -1.0))
         mod, _ = legendre_scheme(H, 1.0, grid, 1.0)
         # |x_2| reaches 1, where H on |p| = 3M is 0.5 * 2 * 9; at x = 0 it is half that
         assert mod.m2 == pytest.approx((9.0 - 2.0) / 1.0, rel=1e-12)
+        self.assert_capped(mod, grid, [0.0])
+
+    def test_two_dimensional_h_probed_with_two_dimensional_p(self):
+        # |p|_1^2 / 2 peaks off the axes, where 1-D p never reach: on |p| = 3M = 6
+        # its maximum is (6 sqrt 2)^2 / 2 = 36, on |p| = 2M its minimum 8
+        H = ConvexHamiltonian(
+            func=lambda t, x, p: 0.5 * np.sum(np.abs(p), axis=-1) ** 2,
+            grad_p=lambda t, x, p: np.sum(np.abs(p), axis=-1, keepdims=True) * np.sign(p),
+            time_invariant=True)
+        grid = Grid(spacing=2 * np.pi / 16, points_per_axis=(16, 16))
+        mod, _ = legendre_scheme(H, 2.0, grid, 1.0)
+        assert mod.m2 == pytest.approx((36.0 - 8.0) / 2.0, rel=1e-12)
         self.assert_capped(mod, grid, [0.0])
 
 
@@ -203,11 +219,10 @@ def test_linearization_consistency():
 
 class TestGeneralizedPI:
     def test_flat_hamiltonian_keeps_constant_data(self):
-        flat = ConvexHamiltonian(func=lambda t, x, p: np.zeros(np.asarray(p).shape[:-1]),
-                                 dim=1)
+        flat = ConvexHamiltonian(func=lambda t, x, p: np.zeros(np.asarray(p).shape[:-1]))
         grid = get_benchmark("zero").make_grid(0.1)
-        run = generalized_pi(flat, lambda X: np.full(X.shape[0], 2.5), grid, 1.0, 1.0,
-                             max_iterations=5)
+        run = run_legendre(flat, lambda X: np.full(X.shape[0], 2.5), grid, 1.0, 1.0,
+                           max_iterations=5)
         for f in run.fixed_point:
             assert np.allclose(f, 2.5, atol=1e-13)
         assert run.errors_to_fixed_point[-1] <= 1e-13
@@ -215,18 +230,17 @@ class TestGeneralizedPI:
     def test_flat_hamiltonian_iterates_are_the_viscous_evolution(self):
         # with no advection and zero dual every linear solve IS the direct
         # recursion, so the first iterate already matches the fixed point
-        flat = ConvexHamiltonian(func=lambda t, x, p: np.zeros(np.asarray(p).shape[:-1]),
-                                 dim=1)
+        flat = ConvexHamiltonian(func=lambda t, x, p: np.zeros(np.asarray(p).shape[:-1]))
         grid = get_benchmark("eikonal-cos").make_grid(0.2)
-        run = generalized_pi(flat, lambda X: np.cos(X[:, 0]), grid, 0.5, 2.0,
-                             max_iterations=5)
+        run = run_legendre(flat, lambda X: np.cos(X[:, 0]), grid, 0.5, 2.0,
+                           max_iterations=5)
         assert run.errors_to_fixed_point[0] <= 1e-13
         assert run.iterations_used == 2  # second pass confirms the stop
 
     def test_quadratic_converges_monotonically(self):
         grid = get_benchmark("eikonal-cos").make_grid(0.1)
-        run = generalized_pi(quadratic_h(), lambda X: np.cos(X[:, 0]), grid, 1.0, 2.0,
-                             max_iterations=60)
+        run = run_legendre(quadratic_h(), lambda X: np.cos(X[:, 0]), grid, 1.0, 2.0,
+                           max_iterations=60)
         assert run.stop_reason == "tolerance"
         assert run.errors_to_fixed_point[-1] <= 1e-8
         assert run.worst_monotonicity <= 1e-10
@@ -235,14 +249,14 @@ class TestGeneralizedPI:
     def test_iterate_gradients_bounded_by_m(self):
         M = 2.0  # 1 + |q'|_inf for cosine data
         grid = get_benchmark("eikonal-cos").make_grid(0.1)
-        run = generalized_pi(quadratic_h(), lambda X: np.cos(X[:, 0]), grid, 1.0, M,
-                             max_iterations=60)
+        run = run_legendre(quadratic_h(), lambda X: np.cos(X[:, 0]), grid, 1.0, M,
+                           max_iterations=60)
         assert float(np.max(run.gradient_sup)) <= M
 
     def test_numeric_dual_variant_still_monotone(self):
         grid = get_benchmark("eikonal-cos").make_grid(0.2)
-        run = generalized_pi(quadratic_h(analytic=False), lambda X: np.cos(X[:, 0]),
-                             grid, 0.5, 2.0, max_iterations=30)
+        run = run_legendre(quadratic_h(analytic=False), lambda X: np.cos(X[:, 0]),
+                           grid, 0.5, 2.0, max_iterations=30)
         assert run.worst_monotonicity <= 1e-10
         assert run.legendre_resolution > 0.0
         assert run.errors_to_fixed_point[-1] <= 1e-8
@@ -252,8 +266,8 @@ class TestGeneralizedPI:
         # [-1, 1], c = a^2/2, terminal cosine; run it with the *same* N and
         # tau as the generalized iteration and compare reversed in time
         grid = get_benchmark("eikonal-cos").make_grid(0.1)
-        run = generalized_pi(quadratic_h(), lambda X: np.cos(X[:, 0]), grid, 1.0, 2.0,
-                             max_iterations=60)
+        run = run_legendre(quadratic_h(), lambda X: np.cos(X[:, 0]), grid, 1.0, 2.0,
+                           max_iterations=60)
         prob = ControlProblem(
             dynamics=lambda t, x, a: np.full_like(x, a[0]),
             running_cost=lambda t, x, a: 0.5 * a[0] * a[0],
@@ -270,8 +284,8 @@ class TestGeneralizedPI:
 
     def test_advection_distance_reported(self):
         grid = get_benchmark("eikonal-cos").make_grid(0.2)
-        run = generalized_pi(quadratic_h(), lambda X: np.cos(X[:, 0]), grid, 0.5, 2.0,
-                             max_iterations=30)
+        run = run_legendre(quadratic_h(), lambda X: np.cos(X[:, 0]), grid, 0.5, 2.0,
+                           max_iterations=30)
         assert len(run.advection_l2) == run.iterations_used
         assert run.advection_l2[-1] <= 1e-8
 
@@ -287,11 +301,13 @@ def test_reverse_time_slices_is_the_row_reversed_view():
         assert np.shares_memory(reversed_values, sol.values)
 
 
-def test_v0_of_the_wrong_shape_rejected():
+def test_v0_of_the_wrong_shape_rejected(spy):
     grid = get_benchmark("eikonal-cos").make_grid(0.2)
-    with pytest.raises(ConfigurationError, match="v0 must have shape"):
-        generalized_pi(quadratic_h(), lambda X: np.cos(X[:, 0]), grid, 0.5, 2.0,
-                       v0=np.zeros((3, grid.npoints)))
+    with spy(legendre_module, "_forward_sweep") as sweeps:
+        with pytest.raises(ConfigurationError, match="v0 must have shape"):
+            run_legendre(quadratic_h(), lambda X: np.cos(X[:, 0]), grid, 0.5, 2.0,
+                         v0=np.zeros((3, grid.npoints)))
+    assert sweeps == []  # refused before the direct run
 
 
 @pytest.mark.parametrize("stop", [dict(max_iterations=0), dict(max_iterations=-3),
@@ -302,14 +318,14 @@ def test_stop_rule_rejected_as_pi_config_rejects_it(stop):
     with pytest.raises(ConfigurationError) as expected:
         PIConfig(**stop)
     with pytest.raises(ConfigurationError, match=str(expected.value)):
-        generalized_pi(quadratic_h(), lambda X: np.cos(X[:, 0]), grid, 0.5, 2.0, **stop)
+        run_legendre(quadratic_h(), lambda X: np.cos(X[:, 0]), grid, 0.5, 2.0, **stop)
 
 
 def test_non_finite_terminal_cost_rejected():
     grid = get_benchmark("eikonal-cos").make_grid(0.2)
     with pytest.raises(ConfigurationError, match="terminal cost q returned a non-finite"):
-        generalized_pi(quadratic_h(), lambda X: np.where(X[:, 0] > 1.0, np.nan, 0.0),
-                       grid, 0.5, 2.0)
+        run_legendre(quadratic_h(), lambda X: np.where(X[:, 0] > 1.0, np.nan, 0.0),
+                     grid, 0.5, 2.0)
 
 
 def test_resolution_scales_with_radius():
@@ -336,8 +352,8 @@ class TestBlockLinearization:
         runs = []
         for flag in (True, False):
             with spy(legendre_module, "_forward_sweep") as sweeps:
-                run = generalized_pi(dataclasses.replace(H, time_invariant=flag), q, grid, T,
-                                     M, max_iterations=6, stop_tolerance=math.ulp(0.0))
+                run = run_legendre(dataclasses.replace(H, time_invariant=flag), q, grid, T,
+                                   M, max_iterations=6, stop_tolerance=math.ulp(0.0))
             runs.append((run, sweeps))
         (flagged, flagged_sweeps), (unflagged, unflagged_sweeps) = runs
         assert np.array_equal(flagged.fixed_point, unflagged.fixed_point)
@@ -361,7 +377,7 @@ class TestBlockLinearization:
 
     def test_two_dimensional(self, spy):
         H = ConvexHamiltonian(
-            func=lambda t, x, p: 0.5 * np.sum(p * p, axis=-1), dim=2,
+            func=lambda t, x, p: 0.5 * np.sum(p * p, axis=-1),
             grad_p=lambda t, x, p: p,
             legendre_L=lambda t, x, mu: 0.5 * np.sum(mu * mu, axis=-1))
         grid = Grid(spacing=2 * np.pi / 12, points_per_axis=(12, 12))
@@ -396,15 +412,16 @@ class TestBlockLinearization:
             return (1.0 + t) * p
 
         H = ConvexHamiltonian(func=lambda t, x, p: 0.5 * (1.0 + t) * np.sum(p * p, axis=-1),
-                              dim=1, grad_p=grad_p)
+                              grad_p=grad_p)
         grid = get_benchmark("eikonal-cos").make_grid(0.2)
-        _, params = legendre_scheme(H, 2.0, grid, 1.0)
+        clipped, params = legendre_scheme(H, 2.0, grid, 1.0)
         seen.clear()
-        generalized_pi(H, lambda X: np.cos(X[:, 0]), grid, 1.0, 2.0, max_iterations=2,
+        generalized_pi(clipped, lambda X: np.cos(X[:, 0]), grid, params, max_iterations=2,
                        stop_tolerance=math.ulp(0.0))
         levels = [params.time(k) for k in range(params.steps)]
-        # probes, the fixed point's advection field, then two linearized sweeps
-        assert seen[-3 * params.steps:] == levels * 3
+        # the fixed point's advection field, then two linearized sweeps; the
+        # run probes nothing with grad_p, the clip is the caller's
+        assert seen == levels * 3
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_grad_p_calls_per_linearized_sweep(self, flag):
@@ -416,8 +433,8 @@ class TestBlockLinearization:
         counts = []
         for iterations in (2, 3):
             calls.clear()
-            run = generalized_pi(H, lambda X: np.cos(X[:, 0]), grid, 1.0, 2.0,
-                                 max_iterations=iterations, stop_tolerance=math.ulp(0.0))
+            run = run_legendre(H, lambda X: np.cos(X[:, 0]), grid, 1.0, 2.0,
+                               max_iterations=iterations, stop_tolerance=math.ulp(0.0))
             counts.append(len(calls))
         steps = run.params.steps
         block = LINEARIZE_BLOCK if flag else 1
@@ -442,7 +459,7 @@ def test_iterates_decrease_and_repeat_bitwise(spy, points, M, amplitude, cfl, st
     runs, sweeps = [], []
     for _ in range(2):
         with spy(legendre_module, "_forward_sweep") as made:
-            runs.append(generalized_pi(H, q, grid, steps * tau, M, tau=tau, max_iterations=15))
+            runs.append(run_legendre(H, q, grid, steps * tau, M, tau=tau, max_iterations=15))
         sweeps.append(made)
     iterates = sweeps[0][1:]  # the first sweep is the direct run
     assert len(iterates) == runs[0].iterations_used

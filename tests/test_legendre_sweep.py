@@ -16,13 +16,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from hjbpi import legendre as legendre_module
 from hjbpi.benchmarks import get_benchmark
 from hjbpi.cli import EXIT_BLOWUP
-from hjbpi.errors import MonotonicityError, NumericalBlowupError
+from hjbpi.errors import CFLValidationError, MonotonicityError, NumericalBlowupError
 from hjbpi.grid import Grid, _row_dot, gradient_central_values, laplacian_values
 from hjbpi.legendre import (
     LINEARIZE_BLOCK,
@@ -76,9 +76,9 @@ def reference_forward_sweep(grid, params, q_values, threshold, term, gradients):
     return values
 
 
-def reference_generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations=60,
+def reference_generalized_pi(clipped, q, grid, params, v0=None, max_iterations=60,
                              stop_tolerance=1e-10):
-    clipped, params = legendre_scheme(H, M, grid, T, tau)
+    H, T = clipped.base, params.T
     mod = ThreeBranchHamiltonian(base=H, M=clipped.M, m1=clipped.m1, m2=clipped.m2)
     coords = grid.coordinates()
     q_values = np.broadcast_to(np.asarray(q(coords), dtype=float), (grid.npoints,))
@@ -139,7 +139,6 @@ def reference_generalized_pi(H, q, grid, T, M, tau=None, v0=None, max_iterations
 
     return GeneralizedPIRun(
         params=params,
-        modified=mod,
         fixed_point=fixed,
         last_iterate=values,
         advection_l2=np.array(adv_l2),
@@ -161,10 +160,6 @@ def assert_bitwise(a, b, where="run"):
             assert_bitwise(x, y, f"{where}[{i}]")
     elif isinstance(a, float):
         assert isinstance(b, float) and np.float64(a).tobytes() == np.float64(b).tobytes(), where
-    elif isinstance(a, ModifiedHamiltonian):
-        assert a.base is b.base, where
-        for name in ("M", "m1", "m2"):
-            assert_bitwise(getattr(a, name), getattr(b, name), f"{where}.{name}")
     else:
         assert a == b, where
 
@@ -174,11 +169,10 @@ def assert_runs_bitwise(run, reference):
         assert_bitwise(getattr(run, field.name), getattr(reference, field.name), field.name)
 
 
-def half_square(dim, rate=0.0, analytic_grad=True, analytic_dual=True, time_invariant=False):
+def half_square(rate=0.0, analytic_grad=True, analytic_dual=True, time_invariant=False):
     """(1 + rate t) |p|^2 / 2, with its gradient and dual when asked for."""
     return ConvexHamiltonian(
         func=lambda t, x, p: 0.5 * (1.0 + rate * t) * np.sum(p * p, axis=-1),
-        dim=dim,
         grad_p=(lambda t, x, p: (1.0 + rate * t) * p) if analytic_grad else None,
         legendre_L=(lambda t, x, mu: 0.5 / (1.0 + rate * t) * np.sum(mu * mu, axis=-1))
         if analytic_dual else None,
@@ -195,7 +189,7 @@ def configs(draw):
     grid = Grid(spacing=draw(st.floats(min_value=0.1, max_value=0.6)),
                 points_per_axis=points, periodic=periodic)
     time_invariant = draw(st.booleans())
-    H = half_square(dim, rate=0.0 if time_invariant else draw(st.sampled_from([0.0, 0.7])),
+    H = half_square(rate=0.0 if time_invariant else draw(st.sampled_from([0.0, 0.7])),
                     analytic_grad=draw(st.booleans()), analytic_dual=draw(st.booleans()),
                     time_invariant=time_invariant)
     # gradients up to 3 * amplitude against the clipping radius 2M, so
@@ -206,9 +200,15 @@ def configs(draw):
     N = legendre_scheme(H, M, grid, 1.0)[0].N
     tau = draw(st.floats(min_value=0.3, max_value=1.0)) * grid.spacing / (2.0 * dim * N)
     steps = draw(st.integers(min_value=1, max_value=40))
-    kwargs = dict(tau=tau, max_iterations=draw(st.integers(min_value=1, max_value=8)),
+    try:
+        clipped, params = legendre_scheme(H, M, grid, steps * tau, tau)
+    except CFLValidationError:
+        # a time-dependent H probed past t = 1 can need more viscosity than
+        # the N the step was drawn from; the run refuses such a step
+        reject()
+    kwargs = dict(max_iterations=draw(st.integers(min_value=1, max_value=8)),
                   stop_tolerance=draw(st.sampled_from([math.ulp(0.0), 1e-10])))
-    return H, q, grid, steps * tau, M, kwargs
+    return clipped, q, grid, params, kwargs
 
 
 def outcome(solve, *args, **kwargs):
@@ -223,11 +223,11 @@ def outcome(solve, *args, **kwargs):
 @settings(max_examples=60, deadline=None)
 @given(config=configs())
 def test_fused_sweep_matches_the_level_by_level_reference(spy, config):
-    H, q, grid, T, M, kwargs = config
+    *scheme, kwargs = config
     with spy(legendre_module, "_forward_sweep") as sweeps:
-        run = outcome(generalized_pi, H, q, grid, T, M, **kwargs)
+        run = outcome(generalized_pi, *scheme, **kwargs)
     with spy(sys.modules[__name__], "reference_forward_sweep") as reference_sweeps:
-        reference = outcome(reference_generalized_pi, H, q, grid, T, M, **kwargs)
+        reference = outcome(reference_generalized_pi, *scheme, **kwargs)
     if isinstance(reference, str):
         assert run == reference
     else:
@@ -238,10 +238,11 @@ def test_fused_sweep_matches_the_level_by_level_reference(spy, config):
 
 def assert_sweeps_match_the_reference(spy, H, q, grid, T, M, **kwargs):
     """The run, its direct run and every iterate, bit for bit against the reference."""
+    clipped, params = legendre_scheme(H, M, grid, T)
     with spy(legendre_module, "_forward_sweep") as sweeps:
-        run = generalized_pi(H, q, grid, T, M, **kwargs)
+        run = generalized_pi(clipped, q, grid, params, **kwargs)
     with spy(sys.modules[__name__], "reference_forward_sweep") as reference_sweeps:
-        reference = reference_generalized_pi(H, q, grid, T, M, **kwargs)
+        reference = reference_generalized_pi(clipped, q, grid, params, **kwargs)
     assert_runs_bitwise(run, reference)
     assert_bitwise(sweeps, reference_sweeps, "sweeps")
     return run
@@ -251,7 +252,7 @@ def test_eikonal_run_matches_the_reference(spy):
     # the legendre-pi workload's grid and Hamiltonian: 500 levels, the last
     # block ragged
     grid = get_benchmark("eikonal-cos").make_grid(0.01)
-    H = half_square(1, time_invariant=True)
+    H = half_square(time_invariant=True)
     q = lambda X: np.cos(X[:, 0])
     run = assert_sweeps_match_the_reference(spy, H, q, grid, 1.0, 2.0)
     assert run.params.steps % LINEARIZE_BLOCK != 0 and run.stop_reason == "tolerance"
@@ -259,7 +260,7 @@ def test_eikonal_run_matches_the_reference(spy):
 
 def test_explicit_start_matches_the_reference(spy):
     grid = Grid(spacing=0.3, points_per_axis=(9, 7), periodic=(False, True))
-    H = half_square(2, analytic_dual=False, time_invariant=True)
+    H = half_square(analytic_dual=False, time_invariant=True)
     q = lambda X: np.cos(X[:, 0]) + X[:, 1]
     steps = legendre_scheme(H, 2.0, grid, 1.0)[1].steps
     v0 = np.random.default_rng(3).uniform(-1.0, 1.0, size=(steps + 1, grid.npoints))
@@ -277,7 +278,7 @@ def broken_dual_h(bad_row, bump):
             dual[bad_row, 3] += bump
         return dual
 
-    return dataclasses.replace(half_square(1, time_invariant=True), legendre_L=legendre_L)
+    return dataclasses.replace(half_square(time_invariant=True), legendre_L=legendre_L)
 
 
 @pytest.mark.parametrize("bump, message", [
@@ -288,19 +289,19 @@ def test_blowup_inside_a_block_raises_the_reference_error(bump, message):
     grid = get_benchmark("eikonal-cos").make_grid(0.1)
     H = broken_dual_h(5, bump)
     q = lambda X: np.cos(X[:, 0])
+    clipped, params = legendre_scheme(H, 2.0, grid, 1.0)
     errors = []
     for solve in (generalized_pi, reference_generalized_pi):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(NumericalBlowupError, match=message) as err:
-                solve(H, q, grid, 1.0, 2.0)
+                solve(clipped, q, grid, params)
         errors.append((str(err.value), err.value.time_label, err.value.point, err.value.value))
         if solve is generalized_pi:
             # the sweep went on to the end of the block through inf - inf
             assert not caught, [str(w.message) for w in caught]
     assert errors[0] == errors[1]
-    tau = legendre_scheme(H, 2.0, grid, 1.0)[1].tau
-    level = round(errors[0][1] / tau)
+    level = round(errors[0][1] / params.tau)
     assert level % LINEARIZE_BLOCK not in (0, 1)  # inside the block, not at its edge
     assert errors[0][2] == 3
 
@@ -320,8 +321,7 @@ def test_blowup_through_the_command_line(tmp_path):
             return dual
 
         form = cli.LEGENDRE_FORMS["half-square"]
-        cli.LEGENDRE_FORMS["half-square"] = lambda dim: dataclasses.replace(
-            form(dim), legendre_L=legendre_L)
+        cli.LEGENDRE_FORMS["half-square"] = dataclasses.replace(form, legendre_L=legendre_L)
         sys.exit(cli.main(["legendre-pi", "--config", "exp.cfg", "--output", "out"]))
     """)
     result = run_python(["-c", script], cwd=tmp_path)
@@ -366,12 +366,12 @@ class TestInsideTheBall:
         if odd is not None:
             p.reshape(-1, 2)[3] = (odd, 0.0)
         # grad_p hands p back: the result must not alias it
-        base = half_square(2)
+        base = half_square()
         base = dataclasses.replace(base, grad_p=lambda t, x, p: p)
         self.assert_matches(base, np.zeros(shape), p)
 
     def test_scalar_base_value(self):
-        flat = ConvexHamiltonian(func=lambda t, x, p: 1.5, dim=2)
+        flat = ConvexHamiltonian(func=lambda t, x, p: 1.5)
         p = np.random.default_rng(6).uniform(-0.5, 0.5, size=(4, 3, 2))
         self.assert_matches(flat, np.zeros_like(p), p)
         assert self.clipped(flat).value(0.0, None, p).shape == (4, 3)

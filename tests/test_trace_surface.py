@@ -10,7 +10,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from hjbpi.benchmarks import Benchmark
+import numpy as np
+
+from hjbpi.benchmarks import Benchmark, get_benchmark
+from hjbpi.legendre import ConvexHamiltonian, generalized_pi, legendre_scheme
 
 TRACING_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -39,7 +42,8 @@ def test_install_wraps_the_traced_surface_and_restore_puts_it_back():
         wrapped = {attr for owner, attrs in before for attr, value in attrs.items()
                    if vars(owner)[attr] is not value}
         for name in ("gradient_central_values", "laplacian_values", "improve_policy",
-                     "solve_hjb_direct", "evaluate_policy", "make_grid"):
+                     "solve_hjb_direct", "evaluate_policy", "make_grid", "generalized_pi",
+                     "modify_hamiltonian"):
             assert name in wrapped
         handle.restore()
         for owner, attrs in before:
@@ -53,3 +57,14 @@ def test_install_wraps_the_traced_surface_and_restore_puts_it_back():
             for attr, value in attrs.items():
                 if vars(owner).get(attr) is not value:
                     setattr(owner, attr, value)
+
+
+def test_legendre_work_reads_a_real_run():
+    # the tracer's work counts read fields of the run generalized_pi returns
+    H = ConvexHamiltonian(func=lambda t, x, p: 0.5 * np.sum(p * p, axis=-1),
+                          grad_p=lambda t, x, p: p, time_invariant=True)
+    grid = get_benchmark("eikonal-cos").make_grid(0.2)
+    clipped, params = legendre_scheme(H, 2.0, grid, 0.5)
+    run = generalized_pi(clipped, lambda X: np.cos(X[:, 0]), grid, params, max_iterations=3)
+    assert TRACING._legendre_work((clipped, None, grid, params), {}, run) == {
+        "iterations": run.iterations_used, "levels": params.steps * (run.iterations_used + 1)}

@@ -18,7 +18,7 @@ from hjbpi import pi as pi_module
 from hjbpi.benchmarks import get_benchmark
 from hjbpi.cli import EXIT_INVARIANT, ExperimentConfig, run_experiment
 from hjbpi.errors import MonotonicityError
-from hjbpi.legendre import ConvexHamiltonian, generalized_pi
+from hjbpi.legendre import ConvexHamiltonian, generalized_pi, legendre_scheme
 from hjbpi.pi import MONOTONE_ABORT, PIConfig, run_policy_iteration
 from hjbpi.scheme import SchemeParams
 
@@ -28,7 +28,6 @@ RISE = 100.0 * MONOTONE_ABORT
 def quadratic_h():
     return ConvexHamiltonian(
         func=lambda t, x, p: 0.5 * np.sum(np.asarray(p) ** 2, axis=-1),
-        dim=1,
         grad_p=lambda t, x, p: np.asarray(p, dtype=float),
         legendre_L=lambda t, x, mu: 0.5 * np.sum(np.asarray(mu) ** 2, axis=-1),
     )
@@ -48,7 +47,8 @@ def run_pi(max_iterations):
 
 def run_legendre(max_iterations, v0=None):
     grid = get_benchmark("eikonal-cos").make_grid(0.1)
-    return generalized_pi(quadratic_h(), cosine, grid, 1.0, 2.0, v0=v0,
+    clipped, params = legendre_scheme(quadratic_h(), 2.0, grid, 1.0)
+    return generalized_pi(clipped, cosine, grid, params, v0=v0,
                           max_iterations=max_iterations)
 
 

@@ -83,7 +83,7 @@ def test_fixed_point_excess_of_a_run_wider_than_a_block(spy):
 def test_clip_probe_peak_on_a_large_two_dimensional_grid():
     # H reads x, so every probe's callback result grows with the points it is given
     H = ConvexHamiltonian(
-        func=lambda t, x, p: 0.5 * (1.0 + x[..., 1] ** 2) * np.sum(p * p, axis=-1), dim=2,
+        func=lambda t, x, p: 0.5 * (1.0 + x[..., 1] ** 2) * np.sum(p * p, axis=-1),
         grad_p=lambda t, x, p: (1.0 + x[..., 1:] ** 2) * p, time_invariant=True)
     grid = Grid(spacing=0.01, points_per_axis=(200, 200))
     # the gradient cap check over all points at once would exceed the bound
