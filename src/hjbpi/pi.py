@@ -12,7 +12,11 @@ Improvement costs no extra work: each evaluation level already computes
 every control's candidate, and their argmin, recorded on the evaluated
 solution, is the next policy (Howard's algorithm).  The |f| check and the
 sup norms run once, in the direct solve, and are handed to every
-evaluation.
+evaluation.  Each evaluation after the first is handed the previous one
+and steps only the levels below the highest policy row that changed
+(``PIRun.levels_swept``); after evaluation n the rows from steps - n up
+equal the direct solve, so the run ends in finitely many steps, as
+Howard's algorithm does (``notes/decisions.md``).
 
 The run bookkeeping (distance to the fixed point, both ordering checks,
 stop rule) lives in one private tracker shared with the Legendre-linearized
@@ -75,6 +79,7 @@ class PIRun:
     errors_to_fixed_point: np.ndarray    # sup over measured region, all levels
     errors_l2: np.ndarray                # unweighted l2 over measured region at t=0
     policy_l2: np.ndarray                # max over levels of l2 control distance
+    levels_swept: np.ndarray             # levels each evaluation stepped
     monotonicity_worst: np.ndarray       # per iteration, vs the previous iterate
     fixed_point_excess: np.ndarray       # worst amount an iterate dips below V
     monotonicity_violation_count: int
@@ -230,12 +235,16 @@ def run_policy_iteration(problem, grid, params, config=None):
         policies = build_initial_policies(problem, grid, params, policies)
 
     tracker = _IterationTracker(fixed.values, mask, 0, config)
-    policy_l2 = []
+    policy_l2, levels_swept, previous = [], [], None
     for n in range(config.max_iterations):
-        sol = evaluate_policy(problem, grid, params, policies, sup_norms=sup_norms)
+        sol = evaluate_policy(problem, grid, params, policies, sup_norms=sup_norms,
+                              previous=previous)
+        levels_swept.append(sol.levels_swept)
         policy_l2.append(_policy_l2_distance(problem, policies, fixed.policy_slices[1:], mask))
         if tracker.record(n, sol.values):
             break
+        # the tracker holds sol.values until the next record: no extra iterate
+        previous = (policies, sol)
         policies = sol.policy_slices[1:]
 
     return PIRun(
@@ -243,6 +252,7 @@ def run_policy_iteration(problem, grid, params, config=None):
         fixed_point=fixed,
         last_iterate=sol,
         policy_l2=np.array(policy_l2),
+        levels_swept=np.array(levels_swept),
         fixed_point_excess=np.array(tracker.excess),
         measured_mask=mask,
         **tracker.fields(),

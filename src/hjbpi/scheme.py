@@ -18,7 +18,9 @@ levels are strictly sequential.
 
 A sweep steps every level with one kernel on buffers it allocates once
 (``_step_kernel``); its results are bitwise those of the level-by-level
-sweep that ``tests/test_scheme_sweep.py`` keeps as the reference.
+sweep that ``tests/test_scheme_sweep.py`` keeps as the reference.  An
+evaluation handed the previous one steps only the levels below the highest
+policy row that changed and copies the rows above, which are the same bits.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CFLValidationError, NumericalBlowupError
+from .errors import CFLValidationError, ConfigurationError, NumericalBlowupError
 from .grid import Grid, RowStencil
 from .problem import (
     _candidate_tensors,
@@ -157,6 +159,8 @@ class SpaceTimeSolution:
     of the same shape in ``controls.index_dtype``: row k >= 1 is the first
     argmin at level k (the controls a direct solve used, the improved policy
     after an evaluation), and row 0 is -1, since no step leaves level 0.
+    ``levels_swept`` is how many levels the sweep stepped: ``steps``,
+    unless an evaluation copied its upper rows from a previous one.
     """
 
     grid: Grid
@@ -165,6 +169,7 @@ class SpaceTimeSolution:
     policy_slices: np.ndarray
     q_sup: float
     c_sup: float
+    levels_swept: int = None
 
     def values_array(self):
         return self.values
@@ -262,13 +267,16 @@ def _checked_sup_norms(problem, grid, params):
     return discrete_sup_norms(problem, grid, times)
 
 
-def _sweep(problem, grid, params, sup_norms, frozen=None):
+def _sweep(problem, grid, params, sup_norms, frozen=None, tail=None):
     """Backward recursion from the terminal cost, one level kernel call per level.
 
     ``frozen`` is None for the nonlinear scheme, else a checked policy
     array (row k - 1 drives the step down from level k).  The per-level
-    argmins are recorded either way.  The kernel is built once per sweep,
-    with a time-invariant problem's candidate tensors, and writes each new
+    argmins are recorded either way.  ``tail`` is None or ``(top,
+    solution)``: rows top..steps of the values and rows above top of the
+    argmins are copied from ``solution`` and only levels top..1 are
+    stepped.  The kernel is built once per sweep that steps a level, with
+    a time-invariant problem's candidate tensors, and writes each new
     level in place into its row.  The terminal cost was checked finite
     with the sup norms; every other row is checked as soon as it is
     written, so the error names the first bad level and point.  The
@@ -280,22 +288,29 @@ def _sweep(problem, grid, params, sup_norms, frozen=None):
     values = np.empty((params.steps + 1, grid.npoints))
     argmins = np.empty((params.steps + 1, grid.npoints), dtype=problem.controls.index_dtype)
     argmins[0] = -1
-    values[params.steps] = np.asarray(problem.terminal_cost(grid.coordinates()), dtype=float)
-    tensors = (_candidate_tensors(problem, params.T, grid.coordinates())
-               if problem.time_invariant else None)
-    step = _step_kernel(problem, grid, params, tensors)
-    magnitude = np.empty(grid.npoints)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(params.steps, 0, -1):
-            argmins[k] = step(params.time(k), values[k], values[k - 1],
-                              None if frozen is None else frozen[k - 1])
-            # the max of |v| is NaN if any v is: one comparison covers both checks
-            if not np.abs(values[k - 1], out=magnitude).max() <= threshold:
-                _check_values(values[k - 1], params.time(k - 1), threshold)
+    if tail is None:
+        top = params.steps
+        values[top] = np.asarray(problem.terminal_cost(grid.coordinates()), dtype=float)
+    else:
+        top, earlier = tail
+        values[top:] = earlier.values[top:]
+        argmins[top + 1:] = earlier.policy_slices[top + 1:]
+    if top:
+        tensors = (_candidate_tensors(problem, params.T, grid.coordinates())
+                   if problem.time_invariant else None)
+        step = _step_kernel(problem, grid, params, tensors)
+        magnitude = np.empty(grid.npoints)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(top, 0, -1):
+                argmins[k] = step(params.time(k), values[k], values[k - 1],
+                                  None if frozen is None else frozen[k - 1])
+                # the max of |v| is NaN if any v is: one comparison covers both checks
+                if not np.abs(values[k - 1], out=magnitude).max() <= threshold:
+                    _check_values(values[k - 1], params.time(k - 1), threshold)
     values.setflags(write=False)
     argmins.setflags(write=False)
-    return SpaceTimeSolution(grid=grid, params=params, values=values,
-                             policy_slices=argmins, q_sup=q_sup, c_sup=c_sup)
+    return SpaceTimeSolution(grid=grid, params=params, values=values, policy_slices=argmins,
+                             q_sup=q_sup, c_sup=c_sup, levels_swept=top)
 
 
 def solve_hjb_direct(problem, grid, params):
@@ -306,7 +321,7 @@ def solve_hjb_direct(problem, grid, params):
     return _sweep(problem, grid, params, _checked_sup_norms(problem, grid, params))
 
 
-def evaluate_policy(problem, grid, params, policies, *, sup_norms=None):
+def evaluate_policy(problem, grid, params, policies, *, sup_norms=None, previous=None):
     """Backward recursion with a frozen policy (the linear half of PI).
 
     ``policies`` is a (steps, npoints) integer array; row k - 1 drives the
@@ -318,8 +333,40 @@ def evaluate_policy(problem, grid, params, policies, *, sup_norms=None):
     ``sup_norms`` is the ``(q_sup, c_sup)`` of an earlier solve of the
     same problem on the same grid and horizon; passing it skips the |f|
     check and the sampling.
+
+    ``previous`` is ``(policies, solution)`` of an earlier evaluation of
+    the same problem, grid and params.  A level depends only on t, the
+    level above and its frozen row, so if the frozen rows top..steps-1
+    equal the earlier ones, rows top..steps are the earlier solution's:
+    they are copied, and only levels top..1 are stepped, bitwise as the
+    full sweep would.  A ``previous`` of another grid, params or policy
+    shape is a ``ConfigurationError``.
     """
     policies = _checked_policies(problem, grid, params.steps, policies)
     if sup_norms is None:
         sup_norms = _checked_sup_norms(problem, grid, params)
-    return _sweep(problem, grid, params, sup_norms, frozen=policies)
+    tail = None if previous is None else _unchanged_tail(grid, params, policies, *previous)
+    return _sweep(problem, grid, params, sup_norms, frozen=policies, tail=tail)
+
+
+def _unchanged_tail(grid, params, policies, earlier, solution):
+    """``(top, solution)`` for ``_sweep``, with top the lowest such level.
+
+    Rows are compared as bytes from the top down: numpy's integer
+    comparison loops would map 128 KiB more of its library into a run.
+    """
+    if repr(solution.grid) != repr(grid):  # a Grid's repr is its defining fields
+        raise ConfigurationError(
+            f"previous solution is on another grid: {solution.grid}, not {grid}")
+    if solution.params != params:
+        raise ConfigurationError(
+            f"previous solution has other params: {solution.params}, not {params}")
+    earlier = np.asarray(earlier)
+    if earlier.shape != policies.shape:
+        raise ConfigurationError(
+            f"previous policy has shape {earlier.shape}, not {policies.shape}")
+    earlier = earlier.astype(policies.dtype, copy=False)
+    top = params.steps
+    while top and policies[top - 1].tobytes() == earlier[top - 1].tobytes():
+        top -= 1
+    return top, solution

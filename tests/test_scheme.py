@@ -244,6 +244,41 @@ class TestEvaluatePolicy:
         with pytest.raises(ConfigurationError, match=message):
             rollout_cost(bench.problem, grid, params, policies, (0.0, [0.4]), params.tau)
 
+    @pytest.mark.parametrize("mismatch, message", [
+        ("grid", "another grid"),
+        ("params", "other params"),
+        ("policy", r"previous policy has shape \(20, 63\), not \(21, 63\)"),
+    ])
+    def test_previous_that_does_not_match_is_refused(self, mismatch, message):
+        bench, grid, params = bench_setup("eikonal-cos")
+        policies = np.zeros((params.steps, grid.npoints), dtype=np.int8)
+        earlier = evaluate_policy(bench.problem, grid, params, policies)
+        previous = (policies, earlier)
+        if mismatch == "grid":
+            other = bench.make_grid(0.1)
+            previous = (policies, replace(earlier, grid=Grid(
+                spacing=other.spacing, points_per_axis=other.points_per_axis,
+                origin=(0.1,), periodic=other.periodic)))
+        elif mismatch == "params":
+            _, _, shorter = bench_setup("eikonal-cos", T=0.5)
+            previous = (policies, replace(earlier, params=shorter))
+        else:
+            previous = (policies[1:], earlier)
+        with pytest.raises(ConfigurationError, match=message):
+            evaluate_policy(bench.problem, grid, params, policies, previous=previous)
+
+    def test_previous_on_an_equal_grid_object_is_accepted(self):
+        bench, grid, params = bench_setup("eikonal-cos")
+        policies = np.zeros((params.steps, grid.npoints), dtype=np.int8)
+        earlier = evaluate_policy(bench.problem, grid, params, policies)
+        twin = bench.make_grid(0.1)
+        assert twin is not grid
+        again = evaluate_policy(bench.problem, twin, params, policies.astype(np.int64),
+                                previous=(policies, earlier))
+        assert again.levels_swept == 0
+        assert same_bits(again.values, earlier.values)
+        assert same_bits(again.policy_slices, earlier.policy_slices)
+
 
 class TestDirectSolve:
     def test_zero_benchmark_is_identically_zero(self):
@@ -487,12 +522,18 @@ class TestCandidateTensors:
         params = SchemeParams.create(grid.spacing, 1.0, 1.0)
         run = run_policy_iteration(prob, grid, params, PIConfig(
             initial_policy=lq_feedback_policies(prob, grid, params)))
-        k, sweeps = prob.controls.size, 1 + run.iterations_used
-        assert run.iterations_used > 1
-        # 2k callback calls per sweep when flagged, 2k per level otherwise,
-        # plus the sup-norm and |f| checks at one probe time or nine
-        per_sweep, probes = (1, 1) if time_invariant else (params.steps, 9)
-        expected = k * (sweeps * per_sweep + probes)
+        k = prob.controls.size
+        # each evaluation steps only the levels below the highest changed
+        # policy row, and the last one, whose policy did not change, none
+        assert run.levels_swept.tolist() == [20, 20, 18, 0]
+        stepped = [params.steps] + run.levels_swept.tolist()  # the direct solve first
+        # 2k callback calls per sweep that steps a level when flagged, 2k per
+        # stepped level otherwise, plus the sup-norm and |f| checks at one
+        # probe time or nine
+        if time_invariant:
+            expected = k * (sum(1 for levels in stepped if levels) + 1)
+        else:
+            expected = k * (sum(stepped) + 9)
         assert calls == {"dynamics": expected, "running_cost": expected}
 
     def test_argmin_of_c_start_takes_one_argmin_when_flagged(self):

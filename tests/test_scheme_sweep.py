@@ -260,3 +260,43 @@ def test_blowup_raises_the_reference_error_without_warnings(kind, message, froze
         (str(want), want.time_label, want.point, repr(want.value))
     # the unguarded reference overflows on its way to the same error
     assert bool(reference_caught) == (kind == "non-finite")
+
+
+def reference_top(policies, earlier):
+    """One above the highest policy row that differs from ``earlier`` (0 if none)."""
+    changed = [j for j in range(len(policies)) if not np.array_equal(policies[j], earlier[j])]
+    return changed[-1] + 1 if changed else 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=sweep_cases())
+def test_evaluations_from_the_previous_one_are_full_sweeps_that_step_less(case):
+    """Howard's iteration from a random start, each evaluation handed the last.
+
+    Three facts, bitwise: an evaluation from the previous one equals the full
+    re-sweep in values and improved policy and steps exactly the levels below
+    the highest changed policy row; that top never rises; and after
+    evaluation n the rows steps - n .. steps are the direct solve's (the
+    wavefront), so within steps + 2 evaluations the policy repeats.
+    """
+    problem, grid, params, _, seed = case
+    direct = solve_hjb_direct(problem, grid, params)
+    sup_norms = (direct.q_sup, direct.c_sup)
+    policies = np.random.default_rng(seed).integers(
+        0, problem.controls.size, (params.steps, grid.npoints))
+    previous, tops = None, []
+    for n in range(params.steps + 3):
+        full = evaluate_policy(problem, grid, params, policies, sup_norms=sup_norms)
+        sol = evaluate_policy(problem, grid, params, policies, sup_norms=sup_norms,
+                              previous=previous)
+        assert sol.values.tobytes() == full.values.tobytes()
+        assert sol.policy_slices.dtype == full.policy_slices.dtype
+        assert sol.policy_slices.tobytes() == full.policy_slices.tobytes()
+        assert sol.levels_swept == (params.steps if previous is None else
+                                    reference_top(policies, previous[0]))
+        tops.append(sol.levels_swept)
+        reached = max(0, params.steps - n)
+        assert sol.values[reached:].tobytes() == direct.values[reached:].tobytes()
+        previous, policies = (policies, sol), sol.policy_slices[1:]
+    assert tops == sorted(tops, reverse=True)
+    assert tops[-1] == 0

@@ -12,8 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from hjbpi.benchmarks import Benchmark, get_benchmark
+from hjbpi import pi
+from hjbpi.benchmarks import Benchmark, get_benchmark, lq_feedback_policies
 from hjbpi.legendre import ConvexHamiltonian, generalized_pi, legendre_scheme
+from hjbpi.scheme import SchemeParams
 
 TRACING_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -68,3 +70,22 @@ def test_legendre_work_reads_a_real_run():
     run = generalized_pi(clipped, lambda X: np.cos(X[:, 0]), grid, params, max_iterations=3)
     assert TRACING._legendre_work((clipped, None, grid, params), {}, run) == {
         "iterations": run.iterations_used, "levels": params.steps * (run.iterations_used + 1)}
+
+
+def test_a_traced_pi_run_records_one_evaluation_span_per_iteration():
+    # evaluations that step fewer levels are still evaluate_policy calls, so
+    # their time lands in scheme.evaluate_self_s
+    bench = get_benchmark("quadratic-lq")
+    grid = bench.make_grid(0.1)
+    params = SchemeParams.create(grid.spacing, 1.0, bench.problem.f_sup_bound)
+    start = lq_feedback_policies(bench.problem, grid, params)
+    recorder = TRACING.Recorder()
+    handle = TRACING.install(recorder)
+    try:
+        run = pi.run_policy_iteration(bench.problem, grid, params, pi.PIConfig(start))
+    finally:
+        handle.restore()
+    names = [span[TRACING.NAME] for span in recorder.spans]
+    assert run.levels_swept.tolist() == [20, 20, 18, 0]
+    assert names.count("scheme.evaluate_policy") == run.iterations_used == 4
+    assert names.count("scheme.solve_hjb_direct") == 1

@@ -6,16 +6,24 @@ a failed test, not only a failed benchmark run.  The file is loaded by its
 path, since ``bench`` is not a package.  ``MODE_PINS`` adds the modes no
 workload runs (tau-study and probes), with the same digest.  h-study scores
 its levels on one thread or two, by the usable CPUs, so it is also pinned
-with each count forced.
+with each count forced.  ``PI_PINS`` pins API-level policy-iteration runs
+on the paths the CLI cannot reach: 2-D grids, a problem whose callbacks
+read t, and more than 128 controls.
 """
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hjbpi import analysis, cli
+from hjbpi.grid import Grid
+from hjbpi.pi import PIConfig, run_policy_iteration
+from hjbpi.problem import ControlProblem, ControlSet
+from hjbpi.scheme import SchemeParams
 
 WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
@@ -75,3 +83,93 @@ def test_h_study_reproduces_its_digest_on_one_and_two_threads(tmp_path, monkeypa
     monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
     workload = PINNED.WORKLOADS["h-study"]
     assert run_digest(tmp_path, workload.mode, workload.config) == workload.digest
+
+
+# API-level policy-iteration runs on the paths no workload reaches: 2-D grids
+# (periodic and clamped), a problem whose callbacks read t (unflagged), and a
+# control set of more than 128 controls (int16 policies).  Each pins the
+# SHA-256 of the last iterate's values and policy bytes and of the error
+# history; a pin that moves is a failed run, not a new baseline.
+COMPASS = ControlSet(np.stack([np.cos(np.arange(8) * np.pi / 4),
+                               np.sin(np.arange(8) * np.pi / 4)], axis=-1))
+
+
+def _compass_problem():
+    return ControlProblem(
+        dynamics=lambda t, x, a: np.broadcast_to(a, x.shape),
+        running_cost=lambda t, x, a: 0.5 + 0.3 * np.sin(x[:, 0] - 2.0 * x[:, 1]) * a[0] - 0.2 * a[1],
+        terminal_cost=lambda x: np.cos(x[:, 0]) * np.sin(x[:, 1]),
+        controls=COMPASS, f_sup_bound=1.0, time_invariant=True)
+
+
+def _drifting_problem():
+    # the drift and the cost both read t, so every level rebuilds its candidates
+    return ControlProblem(
+        dynamics=lambda t, x, a: a * (0.6 + 0.4 * np.cos(3.0 * t + x)),
+        running_cost=lambda t, x, a: 0.5 * a[0] ** 2 + np.sin(x[:, 0] + 2.0 * t) * a[0],
+        terminal_cost=lambda x: np.abs(x[:, 0]),
+        controls=ControlSet.uniform(-1.0, 1.0, 9), f_sup_bound=1.0)
+
+
+def _many_controls_problem():
+    return ControlProblem(
+        dynamics=lambda t, x, a: np.broadcast_to(a, x.shape),
+        running_cost=lambda t, x, a: 0.5 * a[0] ** 2 + 0.5 * x[:, 0] ** 2,
+        terminal_cost=lambda x: x[:, 0] ** 2,
+        controls=ControlSet.uniform(-1.0, 1.0, 201), f_sup_bound=1.0, time_invariant=True)
+
+
+def _striped_start(problem, grid, params):
+    # an x-dependent start far from the fixed point's policy
+    stripes = np.arange(grid.npoints) * 7 % problem.controls.size
+    return np.broadcast_to(stripes.astype(problem.controls.index_dtype),
+                           (params.steps, grid.npoints))
+
+
+PI_PINS = {
+    "2d-periodic": (
+        _compass_problem,
+        lambda: Grid(spacing=2 * np.pi / 12, points_per_axis=(12, 10)), 1.5,
+        "2c0f7f447fb19bcf0616f64b15870d6e74371e1811037c5ebede70ad56666a5f"),
+    "2d-clamped": (
+        _compass_problem,
+        lambda: Grid(spacing=0.2, points_per_axis=(17, 15), origin=(-1.6, -1.4),
+                     periodic=(False, False)), 0.8,
+        "20a969fdd8c6512364b2884c9b0fd84be908118970e93218f373cd735ac6401f"),
+    "time-dependent": (
+        _drifting_problem,
+        lambda: Grid(spacing=2 * np.pi / 40, points_per_axis=(40,)), 1.0,
+        "76ad92ea2d5ff0438d270d195e64b0fe1a5630336cc55ff9cf6eba81b7a4d15b"),
+    "201-controls": (
+        _many_controls_problem,
+        lambda: Grid(spacing=0.05, points_per_axis=(61,), origin=(-1.5,), periodic=(False,)),
+        0.5,
+        "db2c5363449b7b4d2dd9cffca59ec7d0dcb29f99648ec7a8afed5483072386c0"),
+}
+
+
+def pi_digest(problem, grid, T):
+    params = SchemeParams.create(grid.spacing, T, problem.f_sup_bound, dim=grid.dim)
+    run = run_policy_iteration(problem, grid, params, PIConfig(
+        initial_policy=_striped_start(problem, grid, params)))
+    digest = hashlib.sha256()
+    for array in (run.last_iterate.values, run.last_iterate.policy_slices,
+                  run.errors_to_fixed_point):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return run, digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PI_PINS))
+def test_policy_iteration_reproduces_its_digest(name):
+    make_problem, make_grid, T, digest = PI_PINS[name]
+    run, found = pi_digest(make_problem(), make_grid(), T)
+    assert run.iterations_used > 2
+    assert found == digest
+
+
+def test_pi_lq_evaluations_step_only_below_the_highest_changed_row(tmp_path, spy):
+    # the policy changes below row 100, then 96, then 44, then nowhere
+    workload = PINNED.WORKLOADS["pi-lq"]
+    with spy(cli, "run_policy_iteration") as runs:
+        assert run_digest(tmp_path, workload.mode, workload.config) == workload.digest
+    assert [run.levels_swept.tolist() for run in runs] == [[100, 100, 96, 44, 0]]
